@@ -109,23 +109,6 @@ class AdaptiveConfig:
 # Results
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One single-token extension in a pruning pool."""
-
-    parent_index: int
-    token_id: int
-    cum_logprob: float
-
-    def __post_init__(self) -> None:
-        if self.parent_index < 0:
-            raise ValueError(f"parent_index must be >= 0, got {self.parent_index}")
-        if self.token_id < 0:
-            raise ValueError(f"token_id must be >= 0, got {self.token_id}")
-        if math.isnan(self.cum_logprob) or self.cum_logprob == math.inf:
-            raise ValueError(f"cum_logprob must be finite or -inf, got {self.cum_logprob}")
-
-
 def _selection_key(path: SequencePath):
     # The -cum_logprob term is redundant in exact arithmetic (equal ppl and
     # length imply equal cum) and only guards float collapse of exp().
@@ -267,36 +250,6 @@ def _walk(model, prompt, max_len: int, pick) -> DecodeResult:
 
 
 # ---------------------------------------------------------------------------
-# Pruning
-
-
-def prune_candidates(
-    candidates: Sequence[Candidate],
-    mass_fraction: float,
-    max_width: int,
-    total_logprob: float | None = None,
-) -> tuple[list[Candidate], int]:
-    """Retain the minimal prefix of ``candidates`` covering ``mass_fraction``.
-
-    Candidates are ranked by descending probability with ties broken by
-    (parent_index, token_id); the retained count is the smallest k whose
-    normalized linear-domain cumulative mass reaches ``mass_fraction``
-    (within the kernels' slack), clamped to [1, max_width]. ``total_logprob``
-    overrides the pool mass when the list is a pre-selected subset of a
-    larger pool.
-
-    Returns (retained candidates in rank order, retained count). Raises
-    ValueError when every candidate has probability zero.
-    """
-    if not candidates:
-        raise ValueError("candidate list is empty")
-    canonical = sorted(candidates, key=lambda c: (c.parent_index, c.token_id))
-    values = [c.cum_logprob for c in canonical]
-    retained_idx, k_i = kernels.prune_prefix(values, mass_fraction, max_width, total_logprob)
-    return [canonical[i] for i in retained_idx], k_i
-
-
-# ---------------------------------------------------------------------------
 # Multi-path decoders
 
 
@@ -377,7 +330,7 @@ def multipath_decode(
     """Mass-threshold tree decoding with min-perplexity selection.
 
     Per step, all active paths expand over the vocabulary and the pool is
-    pruned to the smallest mass-covering prefix (see prune_candidates);
+    pruned to the smallest mass-covering prefix (see kernels.prune_prefix);
     retained finished paths move to the finished pool and stop expanding.
     The answer is the minimum-perplexity finished path, falling back to the
     max_len-truncated actives when nothing finished.

@@ -1,12 +1,12 @@
-"""Pure-Python reference kernels for candidate ranking and retention.
+"""Hot kernels: candidate ranking, mass-threshold retention, sampler support.
 
-Same contracts as the compiled module (kernels._fast); this module is the
-fallback selected at import when the extension is unavailable and the ground
-truth the extension is tested against.
+Pure Python, the package's only kernel implementation. Callers read the
+kernels as module attributes at call time (``kernels.prune_prefix(...)``),
+so a profiler can wrap them in place.
 
-All three kernels order candidates by descending value with ties broken by
-lower index, so callers that enumerate candidates in a canonical order get
-deterministic results.
+All three ranking kernels order candidates by descending value with ties
+broken by lower index, so callers that enumerate candidates in a canonical
+order get deterministic results.
 """
 
 from __future__ import annotations
@@ -14,11 +14,14 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-BACKEND = "pure"
-
 # Slack applied to cumulative-mass threshold comparisons, in the normalized
 # linear domain. Absorbs log-sum-exp and summation rounding.
 MASS_SLACK = 1e-12
+
+
+def backend_name() -> str:
+    """Name of the kernel implementation, recorded beside benchmark results."""
+    return "pure"
 
 
 def topk_indices(values: Sequence[float], k: int) -> list[int]:
@@ -116,4 +119,9 @@ def log_sum_exp(logprobs: Sequence[float]) -> float:
     m = max(logprobs, default=-math.inf)
     if m == -math.inf:
         return -math.inf
-    return m + math.log(sum(math.exp(x - m) for x in logprobs))
+    # A plain left-to-right loop, not sum(): from Python 3.12 sum() uses
+    # compensated summation, and the result must not depend on the version.
+    acc = 0.0
+    for x in logprobs:
+        acc += math.exp(x - m)
+    return m + math.log(acc)

@@ -15,18 +15,11 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from typing import Sequence
 
-from .decoding import (
-    BeamConfig,
-    Candidate,
-    MultipathConfig,
-    beam_search,
-    greedy_decode,
-    multipath_decode,
-    prune_candidates,
-)
-from .kernels import MASS_SLACK
+from . import kernels
+from .decoding import BeamConfig, MultipathConfig, beam_search, greedy_decode, multipath_decode
 from .models import ModelInterface, SequencePath, StepDistribution, TableLM, Vocabulary
 
 LETTERS = ("a", "b", "c")
@@ -112,6 +105,53 @@ def best_finished(model: ModelInterface, prompt: Sequence[int], max_len: int) ->
 
 
 # ---------------------------------------------------------------------------
+# Candidate pools, pruned through the retention kernel
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """One single-token extension in a pruning pool."""
+
+    parent_index: int
+    token_id: int
+    cum_logprob: float
+
+    def __post_init__(self) -> None:
+        if self.parent_index < 0:
+            raise ValueError(f"parent_index must be >= 0, got {self.parent_index}")
+        if self.token_id < 0:
+            raise ValueError(f"token_id must be >= 0, got {self.token_id}")
+        if math.isnan(self.cum_logprob) or self.cum_logprob == math.inf:
+            raise ValueError(f"cum_logprob must be finite or -inf, got {self.cum_logprob}")
+
+
+def prune_candidates(
+    candidates: Sequence[Candidate],
+    mass_fraction: float,
+    max_width: int,
+    total_logprob: float | None = None,
+) -> tuple[list[Candidate], int]:
+    """Retain the minimal prefix of ``candidates`` covering ``mass_fraction``.
+
+    Candidates are ranked by descending probability with ties broken by
+    (parent_index, token_id); the retained count is the smallest k whose
+    normalized linear-domain cumulative mass reaches ``mass_fraction``
+    (within the kernels' slack), clamped to [1, max_width]. ``total_logprob``
+    overrides the pool mass when the list is a pre-selected subset of a
+    larger pool.
+
+    Returns (retained candidates in rank order, retained count). Raises
+    ValueError when every candidate has probability zero.
+    """
+    if not candidates:
+        raise ValueError("candidate list is empty")
+    canonical = sorted(candidates, key=lambda c: (c.parent_index, c.token_id))
+    values = [c.cum_logprob for c in canonical]
+    retained_idx, k_i = kernels.prune_prefix(values, mass_fraction, max_width, total_logprob)
+    return [canonical[i] for i in retained_idx], k_i
+
+
+# ---------------------------------------------------------------------------
 # Linear-scan pruning oracle
 
 
@@ -131,7 +171,7 @@ def prune_scan(
     count = limit
     for k in range(1, limit + 1):
         cum = math.fsum(math.exp(c.cum_logprob - shift) for c in ranked[:k]) / total
-        if cum >= mass_fraction - MASS_SLACK:
+        if cum >= mass_fraction - kernels.MASS_SLACK:
             count = k
             break
     return ranked[:count], count

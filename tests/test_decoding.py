@@ -10,7 +10,6 @@ import pytest
 from multipath.decoding import (
     AdaptiveConfig,
     BeamConfig,
-    Candidate,
     DecodeResult,
     MultipathConfig,
     SamplerConfig,
@@ -19,11 +18,10 @@ from multipath.decoding import (
     greedy_decode,
     multipath_decode,
     nucleus_sample,
-    prune_candidates,
     select_min_ppl,
 )
 from multipath.models import SequencePath, StepDistribution, TableLM, Vocabulary
-from multipath.oracle import random_table_lm
+from multipath.oracle import Candidate, prune_candidates, random_table_lm
 
 ABC = Vocabulary(tokens=("a", "b", "$"), eos_id=2)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -287,8 +288,20 @@ def _run_one_strategy(model, dataset, kind: str, settings: Settings, out_dir: Pa
     )
     # Rewrite the attempts log in dataset order so the artifact does not
     # depend on worker scheduling or on how many runs it took.
-    attempts_path.write_text(run.to_json_lines(), encoding="utf-8")
+    _write_atomic(attempts_path, run.to_json_lines())
     return run, strategy
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` via ``<name>.tmp`` and a rename, so a killed
+    run leaves the old file or the new one, never part of one."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cmd_bench(settings: Settings, kinds: list[str], resume: bool) -> int:
@@ -310,17 +323,17 @@ def cmd_bench(settings: Settings, kinds: list[str], resume: bool) -> int:
             timeout=settings.get("timeout"), workers=settings.get("workers"),
         )
         reports.append(report)
-        (out_dir / f"report_{kind}.json").write_text(report.to_json(), encoding="utf-8")
+        _write_atomic(out_dir / f"report_{kind}.json", report.to_json())
 
-    csv_name = "compare.csv" if len(kinds) > 1 else "report.csv"
-    (out_dir / csv_name).write_text(reports_to_csv(reports), encoding="utf-8")
+    csv_text = reports_to_csv(reports)
+    _write_atomic(out_dir / ("compare.csv" if len(kinds) > 1 else "report.csv"), csv_text)
 
     if failed_tasks:
         for kind, task_id, message in failed_tasks:
             print(f"error: {kind}: task {task_id}: {message}", file=sys.stderr)
         print(f"{len(failed_tasks)} task(s) failed; rerun with --resume to retry them", file=sys.stderr)
         return 1
-    for line in reports_to_csv(reports).splitlines():
+    for line in csv_text.splitlines():
         print(line)
     return 0
 
@@ -363,16 +376,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "oracle-check":
             return cmd_oracle_check(settings, args.mutate)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, LoadError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (VerificationError, TransportError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, LoadError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

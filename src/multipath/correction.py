@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -298,22 +299,34 @@ class ProtocolRun:
     errors: tuple[tuple[str, str], ...] = ()
 
     def to_json_lines(self) -> str:
-        lines = []
-        for initial, final in self.pairs:
-            record = {
-                "task_id": initial.task_id,
-                "initial": initial.to_json_dict(),
-                "final": final.to_json_dict(),
-            }
-            lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(_pair_line(initial, final) for initial, final in self.pairs)
+
+
+def _pair_line(initial: Attempt, final: Attempt) -> str:
+    """One attempts-log record: canonical JSON plus the terminating newline."""
+    record = {
+        "task_id": initial.task_id,
+        "initial": initial.to_json_dict(),
+        "final": final.to_json_dict(),
+    }
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _load_resume(path: Path, strategy_kind: str) -> dict[str, tuple[Attempt, Attempt]]:
+    """Completed pairs of ``strategy_kind`` from the attempts log.
+
+    A run killed mid-write leaves an unterminated last line; it is dropped
+    and the file truncated to its last newline, so appends start on a clean
+    line. Any other malformed line raises.
+    """
     done: dict[str, tuple[Attempt, Attempt]] = {}
     if not path.exists():
         return done
-    for line in path.read_text(encoding="utf-8").splitlines():
+    data = path.read_bytes()
+    complete = data.rfind(b"\n") + 1
+    if complete < len(data):
+        os.truncate(path, complete)
+    for line in data[:complete].decode("utf-8").splitlines():
         if not line.strip():
             continue
         record = json.loads(line)
@@ -339,7 +352,8 @@ def run_protocol(
     position regardless, and per-task seeds make the output independent of
     scheduling. A task that raises is recorded under errors and the run
     continues. With ``resume_path``, previously completed tasks (matching
-    strategy) are reused and new completions appended.
+    strategy) are reused and each new completion is appended and flushed as
+    it arrives, so a killed run keeps every pair it finished.
     """
     if strategy.needs_feedback and provider is None:
         raise ConfigError(f"strategy {strategy.kind!r} requires a feedback provider")
@@ -379,26 +393,22 @@ def run_protocol(
         except (MultipathError, ValueError) as exc:
             return task.id, None, f"{type(exc).__name__}: {exc}"
 
-    if workers == 1:
-        outcomes = [run_one(t) for t in pending]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_one, pending))
-
-    for task_id, pair, error in outcomes:
-        if error is not None:
-            errors.append((task_id, error))
-            continue
-        results[task_id] = pair
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        outcomes = map(run_one, pending) if pool is None else pool.map(run_one, pending)
+        for task_id, pair, error in outcomes:
+            if error is not None:
+                errors.append((task_id, error))
+                continue
+            results[task_id] = pair
+            if log_file is not None:
+                log_file.write(_pair_line(*pair))
+                log_file.flush()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         if log_file is not None:
-            record = {
-                "task_id": task_id,
-                "initial": pair[0].to_json_dict(),
-                "final": pair[1].to_json_dict(),
-            }
-            log_file.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-    if log_file is not None:
-        log_file.close()
+            log_file.close()
 
     ordered = tuple(results[t.id] for t in dataset.tasks if t.id in results)
     errors.sort(key=lambda e: e[0])

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from . import kernels
@@ -200,15 +200,7 @@ def adaptive_decode(model: ModelInterface, prompt: Sequence[int], cfg: AdaptiveC
         return _draw(rng, dist.probs, support)
 
     result = _walk(model, prompt, cfg.max_len, pick)
-    return DecodeResult(
-        chosen=result.chosen,
-        finished_candidates=result.finished_candidates,
-        truncated=result.truncated,
-        k_trace=tuple(k_trace),
-        tokens_generated=result.tokens_generated,
-        steps=result.steps,
-        vocabulary=result.vocabulary,
-    )
+    return replace(result, k_trace=tuple(k_trace))
 
 
 def _draw(rng: random.Random, probs: Sequence[float], support: list[int]) -> int:
@@ -253,39 +245,35 @@ def _walk(model, prompt, max_len: int, pick) -> DecodeResult:
 # Multi-path decoders
 
 
-def _expand(model, prompt_ids, actives, width_cap):
-    """All positive-probability single-token extensions of ``actives``.
+def _expand(model, prompt_ids, actives, width_cap: int):
+    """Single-token extensions of ``actives`` and the log of their total mass.
 
-    ``width_cap`` trims each parent to its top-``width_cap`` children (by
+    Each parent keeps its top-``width_cap`` positive-probability children (by
     probability, ties to the lower token id). Any child dropped this way has
     at least width_cap stronger siblings, so it can never enter the global
     top-width_cap prefix: the trim leaves every pruning outcome unchanged.
     Children are emitted in ascending token id per parent, so the candidate
     list stays lexicographically ordered by token path.
+
+    Returns (paths, total): the pool's candidate values are the paths'
+    ``cum_logprob``, and ``total`` is the log of the untrimmed pool's mass.
     """
     eos = model.vocabulary.eos_id
     paths: list[SequencePath] = []
-    values: list[float] = []
-    parent_cums: list[float] = []
     for parent in actives:
         dist = model.next_distribution(prompt_ids, parent.tokens)
         logprobs = dist.logprobs
         positive = [t for t in range(len(logprobs)) if logprobs[t] != -math.inf]
-        if width_cap is not None and len(positive) > width_cap:
+        if len(positive) > width_cap:
             keep = kernels.topk_indices([logprobs[t] for t in positive], width_cap)
-            children = sorted(positive[i] for i in keep)
-        else:
-            children = positive
-        for t in children:
-            paths.append(parent.extended(t, logprobs[t], eos))
-            values.append(parent.cum_logprob + logprobs[t])
-        parent_cums.append(parent.cum_logprob)
+            positive = sorted(positive[i] for i in keep)
+        paths.extend(parent.extended(t, logprobs[t], eos) for t in positive)
     # Each row sums to 1, so the pool's total mass is the parents' mass even
     # when some children were trimmed away.
-    return paths, values, kernels.log_sum_exp(parent_cums)
+    return paths, kernels.log_sum_exp([p.cum_logprob for p in actives])
 
 
-def _multi_walk(model, prompt, max_len, retain, record_trace, full_expansion, width_cap):
+def _multi_walk(model, prompt, max_len, retain, record_trace, width_cap):
     prompt_ids = tuple(prompt)
     actives = [SequencePath.empty()]
     finished: list[SequencePath] = []
@@ -297,9 +285,8 @@ def _multi_walk(model, prompt, max_len, retain, record_trace, full_expansion, wi
     while actives and steps < max_len:
         steps += 1
         tokens_generated += len(actives)
-        cap = None if full_expansion else width_cap
-        paths, values, total = _expand(model, prompt_ids, actives, cap)
-        retained_idx, k_i = retain(values, total)
+        paths, total = _expand(model, prompt_ids, actives, width_cap)
+        retained_idx, k_i = retain([p.cum_logprob for p in paths], total)
         retained = [paths[i] for i in retained_idx]
         k_trace.append(k_i)
         if record_trace:
@@ -325,7 +312,6 @@ def multipath_decode(
     prompt: Sequence[int],
     cfg: MultipathConfig,
     record_trace: bool = False,
-    full_expansion: bool = False,
 ) -> DecodeResult:
     """Mass-threshold tree decoding with min-perplexity selection.
 
@@ -334,16 +320,12 @@ def multipath_decode(
     retained finished paths move to the finished pool and stop expanding.
     The answer is the minimum-perplexity finished path, falling back to the
     max_len-truncated actives when nothing finished.
-
-    ``full_expansion`` materializes every positive-probability child instead
-    of the per-parent top-max_width trim; results are identical (the trim
-    argument is in _expand) and the flag exists so tests can say so.
     """
 
     def retain(values, total):
         return kernels.prune_prefix(values, cfg.mass_fraction, cfg.max_width, total)
 
-    return _multi_walk(model, prompt, cfg.max_len, retain, record_trace, full_expansion, cfg.max_width)
+    return _multi_walk(model, prompt, cfg.max_len, retain, record_trace, cfg.max_width)
 
 
 def beam_search(
@@ -363,4 +345,4 @@ def beam_search(
         idx = kernels.topk_indices(values, cfg.width)
         return idx, len(idx)
 
-    return _multi_walk(model, prompt, cfg.max_len, retain, record_trace, False, cfg.width)
+    return _multi_walk(model, prompt, cfg.max_len, retain, record_trace, cfg.width)

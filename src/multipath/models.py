@@ -111,22 +111,21 @@ class StepDistribution:
 
 @dataclass
 class SequencePath:
-    """A partial or finished decode: token ids plus per-token log-probabilities."""
+    """A partial or finished decode: token ids, their summed log-probability,
+    and whether the last token is the end token."""
 
     tokens: TokenIds
-    token_logprobs: tuple[float, ...]
     cum_logprob: float
     finished: bool
 
     @classmethod
     def empty(cls) -> "SequencePath":
-        return cls(tokens=(), token_logprobs=(), cum_logprob=0.0, finished=False)
+        return cls(tokens=(), cum_logprob=0.0, finished=False)
 
     def extended(self, token: int, logprob: float, eos_id: int) -> "SequencePath":
         """New path with one more token; marks finished on the EOS token."""
         return SequencePath(
             tokens=self.tokens + (token,),
-            token_logprobs=self.token_logprobs + (logprob,),
             cum_logprob=self.cum_logprob + logprob,
             finished=token == eos_id,
         )
@@ -136,18 +135,6 @@ class SequencePath:
 
     def ppl(self) -> float:
         return perplexity(self.cum_logprob, len(self.tokens))
-
-    def validate(self) -> None:
-        """Assert the structural invariants; used by tests."""
-        if len(self.tokens) != len(self.token_logprobs):
-            raise AssertionError("tokens and token_logprobs length mismatch")
-        if any(lp > 0.0 for lp in self.token_logprobs):
-            raise AssertionError("token log-probability above 0")
-        total = math.fsum(self.token_logprobs)
-        if total == self.cum_logprob:
-            return
-        if abs(total - self.cum_logprob) > 1e-12 * max(abs(total), abs(self.cum_logprob)):
-            raise AssertionError(f"cum_logprob {self.cum_logprob} != sum {total}")
 
 
 class ModelInterface(ABC):

@@ -3,7 +3,10 @@
 Everything here recomputes expected behavior by brute force (exhaustive
 sequence enumeration, linear-scan pruning) with none of the decoder's
 shortcuts, and reports human-readable counterexamples on disagreement. The
-acceptance tests and the `oracle-check` command both run these.
+acceptance tests and the `oracle-check` command both run these. The pruning
+check feeds the retention kernel random pools of candidate log-probabilities,
+given as plain lists in the decoder's canonical order, so a value tie goes to
+the lower list position.
 
 The random model generator keeps every nonzero probability at or above
 1/MAX_WEIGHT_SUM, so no candidate's relative mass can come within orders of
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import kernels
@@ -105,99 +107,48 @@ def best_finished(model: ModelInterface, prompt: Sequence[int], max_len: int) ->
 
 
 # ---------------------------------------------------------------------------
-# Candidate pools, pruned through the retention kernel
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """One single-token extension in a pruning pool."""
-
-    parent_index: int
-    token_id: int
-    cum_logprob: float
-
-    def __post_init__(self) -> None:
-        if self.parent_index < 0:
-            raise ValueError(f"parent_index must be >= 0, got {self.parent_index}")
-        if self.token_id < 0:
-            raise ValueError(f"token_id must be >= 0, got {self.token_id}")
-        if math.isnan(self.cum_logprob) or self.cum_logprob == math.inf:
-            raise ValueError(f"cum_logprob must be finite or -inf, got {self.cum_logprob}")
-
-
-def prune_candidates(
-    candidates: Sequence[Candidate],
-    mass_fraction: float,
-    max_width: int,
-    total_logprob: float | None = None,
-) -> tuple[list[Candidate], int]:
-    """Retain the minimal prefix of ``candidates`` covering ``mass_fraction``.
-
-    Candidates are ranked by descending probability with ties broken by
-    (parent_index, token_id); the retained count is the smallest k whose
-    normalized linear-domain cumulative mass reaches ``mass_fraction``
-    (within the kernels' slack), clamped to [1, max_width]. ``total_logprob``
-    overrides the pool mass when the list is a pre-selected subset of a
-    larger pool.
-
-    Returns (retained candidates in rank order, retained count). Raises
-    ValueError when every candidate has probability zero.
-    """
-    if not candidates:
-        raise ValueError("candidate list is empty")
-    canonical = sorted(candidates, key=lambda c: (c.parent_index, c.token_id))
-    values = [c.cum_logprob for c in canonical]
-    retained_idx, k_i = kernels.prune_prefix(values, mass_fraction, max_width, total_logprob)
-    return [canonical[i] for i in retained_idx], k_i
-
-
-# ---------------------------------------------------------------------------
 # Linear-scan pruning oracle
 
 
-def prune_scan(
-    candidates: Sequence[Candidate],
-    mass_fraction: float,
-    max_width: int,
-) -> tuple[list[Candidate], int]:
-    """Reference pruning: explicit sort, fsum normalization, linear scan."""
-    canonical = sorted(candidates, key=lambda c: (c.parent_index, c.token_id))
-    ranked = sorted(canonical, key=lambda c: (-c.cum_logprob, c.parent_index, c.token_id))
-    shift = max(c.cum_logprob for c in ranked)
+def prune_scan(values: Sequence[float], mass_fraction: float, max_width: int) -> tuple[list[int], int]:
+    """Reference pruning: explicit sort, fsum normalization, linear scan.
+
+    Ranks pool positions by (-value, index) and returns (retained indices in
+    rank order, retained count), the same contract as kernels.prune_prefix.
+    """
+    ranked = sorted(range(len(values)), key=lambda i: (-values[i], i))
+    shift = max(values, default=-math.inf)
     if shift == -math.inf:
         raise ValueError("all candidates have zero probability")
-    total = math.fsum(math.exp(c.cum_logprob - shift) for c in ranked)
+    masses = [math.exp(values[i] - shift) for i in ranked]
+    total = math.fsum(masses)
     limit = min(len(ranked), max_width)
     count = limit
     for k in range(1, limit + 1):
-        cum = math.fsum(math.exp(c.cum_logprob - shift) for c in ranked[:k]) / total
-        if cum >= mass_fraction - kernels.MASS_SLACK:
+        if math.fsum(masses[:k]) / total >= mass_fraction - kernels.MASS_SLACK:
             count = k
             break
     return ranked[:count], count
 
 
-def random_candidates(rng: random.Random) -> list[Candidate]:
-    """Random pruning pool: unique (parent, token) keys, duplicate values,
-    occasional zero-probability entries, shuffled input order."""
+def random_pool(rng: random.Random) -> list[float]:
+    """Random pruning pool of candidate log-probabilities, with duplicate
+    values (so the index tie order is exercised) and occasional
+    zero-probability (-inf) entries."""
     n = rng.randint(1, 40)
-    keys = rng.sample([(p, t) for p in range(8) for t in range(8)], n)
     values = [-math.inf if rng.random() < 0.1 else rng.uniform(-8.0, 0.0) for _ in range(n)]
-    # duplicate some values so the (parent, token) tie order is exercised
     for _ in range(n // 3):
         i, j = rng.randrange(n), rng.randrange(n)
         values[i] = values[j]
     if all(v == -math.inf for v in values):
         values[rng.randrange(n)] = rng.uniform(-8.0, 0.0)
-    cands = [Candidate(parent_index=p, token_id=t, cum_logprob=v) for (p, t), v in zip(keys, values)]
-    rng.shuffle(cands)
-    return cands
+    return values
 
 
 # ---------------------------------------------------------------------------
 # Check drivers (shared by tests and the oracle-check command)
 
-def _mutate_result(mutate: str | None, retained: list[Candidate], k: int):
+def _mutate_result(mutate: str | None, retained: list[int], k: int) -> tuple[list[int], int]:
     """Deliberately corrupt a pruning result so the checks must catch it."""
     if mutate is None or k <= 1:
         return retained, k
@@ -207,25 +158,25 @@ def _mutate_result(mutate: str | None, retained: list[Candidate], k: int):
 
 
 def check_pruning(trials: int, seed: int, mutate: str | None = None) -> list[str]:
-    """Compare prune_candidates against the linear-scan reference."""
+    """Compare kernels.prune_prefix against the linear-scan reference."""
     failures: list[str] = []
     rng = random.Random(seed)
     for trial in range(trials):
-        cands = random_candidates(rng)
+        values = random_pool(rng)
         mass_fraction = rng.random()
-        max_width = rng.randint(1, len(cands) + 3)
-        got, got_k = prune_candidates(cands, mass_fraction, max_width)
+        max_width = rng.randint(1, len(values) + 3)
+        got, got_k = kernels.prune_prefix(values, mass_fraction, max_width)
         got, got_k = _mutate_result(mutate, got, got_k)
-        want, want_k = prune_scan(cands, mass_fraction, max_width)
+        want, want_k = prune_scan(values, mass_fraction, max_width)
         if got_k > max_width:
             failures.append(
                 f"trial {trial}: retained {got_k} > max_width {max_width} "
-                f"(n={len(cands)}, mass_fraction={mass_fraction!r})"
+                f"(n={len(values)}, mass_fraction={mass_fraction!r})"
             )
         elif (got_k, got) != (want_k, want):
             failures.append(
                 f"trial {trial}: retained {got_k} candidates, linear scan says {want_k} "
-                f"(n={len(cands)}, mass_fraction={mass_fraction!r}, max_width={max_width})"
+                f"(n={len(values)}, mass_fraction={mass_fraction!r}, max_width={max_width})"
             )
         if failures and mutate is not None:
             break

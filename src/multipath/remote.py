@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -126,14 +127,15 @@ class HttpModelClient(ModelInterface):
 class StreamModelClient(ModelInterface):
     """Remote model over a line-delimited stream pair (one JSON object per line).
 
-    Not safe for concurrent use: requests and responses pair up by order on
-    the stream.
+    Requests and replies pair up by order on the stream, so a lock holds each
+    write and its reply's read together; threads may share one client.
     """
 
     def __init__(self, vocabulary: Vocabulary, reader: IO[str], writer: IO[str]):
         super().__init__(vocabulary)
         self._reader = reader
         self._writer = writer
+        self._lock = threading.Lock()
         self._cache: dict[tuple[tuple[int, ...], tuple[int, ...]], StepDistribution] = {}
 
     def _distribution(self, prompt, prefix):
@@ -143,9 +145,10 @@ class StreamModelClient(ModelInterface):
             return hit
         line = json.dumps({"prompt_tokens": list(prompt), "prefix_tokens": list(prefix)})
         try:
-            self._writer.write(line + "\n")
-            self._writer.flush()
-            reply_line = self._reader.readline()
+            with self._lock:
+                self._writer.write(line + "\n")
+                self._writer.flush()
+                reply_line = self._reader.readline()
         except (OSError, ValueError) as exc:
             raise TransportError(f"model stream: {exc}") from exc
         if not reply_line:

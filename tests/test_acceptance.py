@@ -41,6 +41,7 @@ from multipath.models import StepDistribution, TableLM, Vocabulary
 from multipath.oracle import check_exactness, check_pruning, check_reductions
 from multipath.tasks import Task, verify
 from multipath.templates import CRITIC, FEEDBACK_CODE, FEEDBACK_MATH, IOE, load_prompt
+from multipath.toydata import write_toy_data
 
 SEED = 42
 SAMPLER = SamplerConfig(top_p=0.95, top_k=15, seed=SEED, max_len=8)
@@ -284,6 +285,15 @@ def test_bench_outputs_reproducible(tmp_path, data_dir):
         1 for line in lines if json.loads(line)["final"]["stage"] == "corrected"
     )
     assert regenerated == report["regenerated"]
+
+
+def test_checked_in_data_matches_its_generator(tmp_path, data_dir):
+    # The benchmark and the CLI tests read data/; it must stay what
+    # scripts/make_toy_data.py writes.
+    written = write_toy_data(tmp_path)
+    assert sorted(p.name for p in written) == ["greedy_trap.json", "toy_math.jsonl", "toy_table_lm.json"]
+    for path in written:
+        assert path.read_bytes() == (data_dir / path.name).read_bytes(), path.name
 
 
 # ---------------------------------------------------------------------------

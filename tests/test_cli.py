@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -299,6 +300,43 @@ def test_bench_resume_skips_completed_tasks(tmp_path, toy_model_path, toy_datase
     capsys.readouterr()
     assert main(argv + ["--resume"]) == 0
     assert (out / "attempts_none.jsonl").read_bytes() == first
+
+
+def test_bench_leaves_no_temp_files(tmp_path, toy_model_path, toy_dataset_path, capsys):
+    out = tmp_path / "out"
+    rc = main([
+        "bench", "--model", toy_model_path, "--dataset", toy_dataset_path,
+        "--strategy", "ftr_indicator", "--out", str(out),
+    ])
+    assert rc == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "attempts_ftr_indicator.jsonl", "report.csv", "report_ftr_indicator.json",
+    ]
+
+
+def test_bench_failed_rename_exits_2_and_keeps_previous_attempts(
+    tmp_path, toy_model_path, toy_dataset_path, capsys, monkeypatch
+):
+    out = tmp_path / "out"
+
+    def bench(seed):
+        return main([
+            "bench", "--model", toy_model_path, "--dataset", toy_dataset_path,
+            "--strategy", "none", "--out", str(out), "--seed", seed,
+        ])
+
+    assert bench("3") == 0
+    before = (out / "attempts_none.jsonl").read_bytes()
+
+    def refuse(src, dst):
+        raise OSError(f"cannot rename {src}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    capsys.readouterr()
+    assert bench("4") == 2
+    assert "cannot rename" in capsys.readouterr().err
+    assert (out / "attempts_none.jsonl").read_bytes() == before
+    assert not list(out.glob("*.tmp"))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from multipath.correction import (
     INITIAL,
     Attempt,
     CorrectionStrategy,
+    FeedbackProvider,
     FeedbackSignal,
     GroundTruthProvider,
     JudgeServiceProvider,
@@ -427,6 +428,69 @@ def test_protocol_resume_completes_after_partial_failure(tmp_path, small_digit_m
     )
     assert second.errors == ()
     assert second.pairs == first.pairs
+
+
+class Killed(BaseException):
+    """Stands in for a signal that ends the process in the middle of a task."""
+
+
+class KilledOnTask(FeedbackProvider):
+    """Ground-truth feedback that dies when it reaches one task."""
+
+    def __init__(self, task_id: str):
+        self._task_id = task_id
+        self._inner = GroundTruthProvider()
+
+    def feedback(self, task, attempt):
+        if task.id == self._task_id:
+            raise Killed()
+        return self._inner.feedback(task, attempt)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_protocol_killed_run_keeps_finished_pairs_and_resumes_to_fresh_bytes(
+    tmp_path, small_digit_model, small_digit_dataset, workers
+):
+    strategy = CorrectionStrategy(kind="ftr_indicator", multipath_cfg=MPCFG)
+    fresh = run_protocol(small_digit_model, small_digit_dataset, strategy, GroundTruthProvider(), SAMPLER)
+    fresh_lines = fresh.to_json_lines().splitlines(keepends=True)
+    log = tmp_path / "attempts.jsonl"
+    with pytest.raises(Killed):
+        run_protocol(
+            small_digit_model, small_digit_dataset, strategy,
+            KilledOnTask(small_digit_dataset.tasks[3].id), SAMPLER, workers=workers, resume_path=log,
+        )
+    assert log.read_text(encoding="utf-8") == "".join(fresh_lines[:3])
+
+    resumed = run_protocol(
+        small_digit_model, small_digit_dataset, strategy, GroundTruthProvider(), SAMPLER,
+        workers=workers, resume_path=log,
+    )
+    assert resumed.to_json_lines().encode("utf-8") == fresh.to_json_lines().encode("utf-8")
+
+
+def test_protocol_resume_drops_a_torn_last_line(tmp_path, small_digit_model, small_digit_dataset):
+    strategy = CorrectionStrategy(kind="none")
+    fresh = run_protocol(small_digit_model, small_digit_dataset, strategy, None, SAMPLER)
+    lines = fresh.to_json_lines().splitlines(keepends=True)
+    log = tmp_path / "attempts.jsonl"
+    log.write_text("".join(lines[:2]) + lines[2][: len(lines[2]) // 2], encoding="utf-8")
+
+    resumed = run_protocol(small_digit_model, small_digit_dataset, strategy, None, SAMPLER, resume_path=log)
+    assert resumed.to_json_lines() == fresh.to_json_lines()
+    finished = log.read_text(encoding="utf-8")
+    assert finished.endswith("\n")
+    records = [json.loads(line) for line in finished.splitlines()]
+    assert sorted(r["task_id"] for r in records) == sorted(t.id for t in small_digit_dataset.tasks)
+
+
+def test_protocol_resume_rejects_a_malformed_complete_line(tmp_path, small_digit_model, small_digit_dataset):
+    strategy = CorrectionStrategy(kind="none")
+    fresh = run_protocol(small_digit_model, small_digit_dataset, strategy, None, SAMPLER)
+    log = tmp_path / "attempts.jsonl"
+    log.write_text("{torn\n" + fresh.to_json_lines(), encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError):
+        run_protocol(small_digit_model, small_digit_dataset, strategy, None, SAMPLER, resume_path=log)
 
 
 def test_protocol_json_lines_are_canonical(small_digit_model, small_digit_dataset):

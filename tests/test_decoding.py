@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from multipath import kernels, oracle
 from multipath.decoding import (
     AdaptiveConfig,
     BeamConfig,
@@ -20,8 +21,8 @@ from multipath.decoding import (
     nucleus_sample,
     select_min_ppl,
 )
-from multipath.models import SequencePath, StepDistribution, TableLM, Vocabulary
-from multipath.oracle import Candidate, prune_candidates, random_table_lm
+from multipath.models import SequencePath, StepDistribution, TableLM, Vocabulary, sequence_logprob
+from multipath.oracle import random_table_lm
 
 ABC = Vocabulary(tokens=("a", "b", "$"), eos_id=2)
 
@@ -57,17 +58,6 @@ def path_of(tokens, logprobs, eos_id=2):
 def test_config_validation(make):
     with pytest.raises(ValueError):
         make()
-
-
-def test_candidate_validation():
-    with pytest.raises(ValueError, match="parent_index"):
-        Candidate(parent_index=-1, token_id=0, cum_logprob=-1.0)
-    with pytest.raises(ValueError, match="token_id"):
-        Candidate(parent_index=0, token_id=-1, cum_logprob=-1.0)
-    with pytest.raises(ValueError, match="cum_logprob"):
-        Candidate(parent_index=0, token_id=0, cum_logprob=math.nan)
-    # -inf is a legal value (probability zero)
-    Candidate(parent_index=0, token_id=0, cum_logprob=-math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -214,54 +204,6 @@ def test_adaptive_low_entropy_step_is_argmax(trap_model):
 
 
 # ---------------------------------------------------------------------------
-# prune_candidates
-
-
-def test_prune_candidates_ranks_then_retains():
-    cands = [
-        Candidate(parent_index=0, token_id=0, cum_logprob=math.log(0.2)),
-        Candidate(parent_index=0, token_id=1, cum_logprob=math.log(0.5)),
-        Candidate(parent_index=1, token_id=0, cum_logprob=math.log(0.3)),
-    ]
-    retained, k = prune_candidates(cands, mass_fraction=0.75, max_width=10)
-    assert k == 2
-    assert [c.cum_logprob for c in retained] == [math.log(0.5), math.log(0.3)]
-
-
-def test_prune_candidates_tie_break_is_parent_then_token():
-    third = math.log(1.0 / 3.0)
-    cands = [
-        Candidate(parent_index=1, token_id=0, cum_logprob=third),
-        Candidate(parent_index=0, token_id=1, cum_logprob=third),
-        Candidate(parent_index=0, token_id=0, cum_logprob=third),
-    ]
-    retained, k = prune_candidates(cands, mass_fraction=1.0, max_width=3)
-    assert [(c.parent_index, c.token_id) for c in retained] == [(0, 0), (0, 1), (1, 0)]
-
-
-def test_prune_candidates_input_order_is_irrelevant():
-    rng = random.Random(5)
-    cands = [
-        Candidate(parent_index=p, token_id=t, cum_logprob=math.log((p + t + 1) / 12.0))
-        for p in range(3)
-        for t in range(2)
-    ]
-    base = prune_candidates(cands, 0.8, 4)
-    for _ in range(10):
-        shuffled = cands[:]
-        rng.shuffle(shuffled)
-        assert prune_candidates(shuffled, 0.8, 4) == base
-
-
-def test_prune_candidates_rejects_degenerate_pools():
-    with pytest.raises(ValueError, match="empty"):
-        prune_candidates([], 0.9, 5)
-    dead = [Candidate(parent_index=0, token_id=0, cum_logprob=-math.inf)]
-    with pytest.raises(ValueError, match="zero probability"):
-        prune_candidates(dead, 0.9, 5)
-
-
-# ---------------------------------------------------------------------------
 # select_min_ppl
 
 
@@ -315,12 +257,50 @@ def test_multipath_width_one_is_greedy(trap_model):
     assert all(k == 1 for k in out.k_trace)
 
 
-def test_multipath_full_expansion_changes_nothing(trap_model):
-    cfg = MultipathConfig(mass_fraction=0.9, max_width=4, max_len=6)
-    fast = multipath_decode(trap_model, (), cfg, record_trace=True)
-    full = multipath_decode(trap_model, (), cfg, record_trace=True, full_expansion=True)
-    assert fast == full
-    assert fast.retained_trace == full.retained_trace
+def untrimmed_retained_trace(model, cfg):
+    """Retained token paths per step when every positive-probability child
+    enters the pool and the whole pool goes through the linear-scan oracle."""
+    eos = model.vocabulary.eos_id
+    actives = [SequencePath.empty()]
+    trace = []
+    for _ in range(cfg.max_len):
+        if not actives:
+            break
+        pool = [
+            parent.extended(t, lp, eos)
+            for parent in actives
+            for t, lp in enumerate(model.next_distribution((), parent.tokens).logprobs)
+            if lp != -math.inf
+        ]
+        keep, _ = oracle.prune_scan([p.cum_logprob for p in pool], cfg.mass_fraction, cfg.max_width)
+        retained = [pool[i] for i in keep]
+        trace.append(tuple(p.tokens for p in retained))
+        actives = sorted((p for p in retained if not p.finished), key=lambda p: p.tokens)
+    return tuple(trace)
+
+
+def test_multipath_child_trim_matches_untrimmed_pool(trap_model, monkeypatch):
+    trims = []
+    topk = kernels.topk_indices
+
+    def counted_topk(values, k):
+        trims.append(len(values))
+        return topk(values, k)
+
+    monkeypatch.setattr(kernels, "topk_indices", counted_topk)
+    cases = [(trap_model, MultipathConfig(mass_fraction=0.9, max_width=2, max_len=6))]
+    rng = random.Random(11)
+    for _ in range(300):
+        model, horizon = random_table_lm(rng)
+        cfg = MultipathConfig(
+            mass_fraction=rng.choice([0.5, 0.8, 0.9, 1.0]), max_width=rng.randint(1, 3), max_len=horizon,
+        )
+        cases.append((model, cfg))
+    for model, cfg in cases:
+        got = multipath_decode(model, (), cfg, record_trace=True).retained_trace
+        assert got == untrimmed_retained_trace(model, cfg)
+    # the per-parent trim must actually have dropped children
+    assert trims
 
 
 def test_multipath_truncation_falls_back_to_active_paths():
@@ -429,5 +409,5 @@ def test_multipath_invariants_on_random_models(seed):
     pool = out.finished_candidates if out.finished_candidates else out.truncated
     assert out.chosen in pool
     for p in out.finished_candidates:
-        p.validate()
+        assert p.cum_logprob == pytest.approx(sequence_logprob(model, (), p.tokens), rel=1e-12)
         assert p.finished

@@ -106,21 +106,11 @@ def test_path_extension_and_finish():
     assert done.tokens == (0, 2)
     assert done.cum_logprob == pytest.approx(math.log(0.125))
     assert len(done) == 2
-    done.validate()
 
 
 def test_path_ppl_matches_definition():
     path = SequencePath.empty().extended(0, math.log(0.25), eos_id=2)
     assert path.ppl() == pytest.approx(4.0)
-
-
-def test_path_validate_catches_corruption():
-    bad = SequencePath(tokens=(0,), token_logprobs=(), cum_logprob=0.0, finished=False)
-    with pytest.raises(AssertionError):
-        bad.validate()
-    bad = SequencePath(tokens=(0,), token_logprobs=(-1.0,), cum_logprob=-2.0, finished=False)
-    with pytest.raises(AssertionError):
-        bad.validate()
 
 
 # ---------------------------------------------------------------------------

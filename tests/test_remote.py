@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -219,6 +221,55 @@ def test_stream_client_bad_line_is_protocol_error():
     client = StreamModelClient(ABC, io.StringIO("{not json\n"), io.StringIO())
     with pytest.raises(ProtocolError, match="not valid JSON"):
         client.next_distribution((), ())
+
+
+def test_stream_client_is_safe_to_share_between_threads():
+    # The server answers each request with all mass on the request's first
+    # prefix token, so a reply paired with the wrong request shows.
+    to_server_r, to_server_w = os.pipe()
+    to_client_r, to_client_w = os.pipe()
+    with open(to_server_r, encoding="utf-8") as requests, open(to_server_w, "w", encoding="utf-8") as writer, \
+            open(to_client_r, encoding="utf-8") as reader, open(to_client_w, "w", encoding="utf-8") as replies:
+
+        def serve():
+            for line in requests:
+                token = json.loads(line)["prefix_tokens"][0]
+                replies.write(stream_reply(tuple(float(t == token) for t in range(3))))
+                replies.flush()
+
+        client = StreamModelClient(ABC, reader, writer)
+        wrong = []
+
+        def ask(token):
+            try:
+                for i in range(200):
+                    if client.next_distribution((0,) * i, (token,)).probs[token] != 1.0:
+                        wrong.append((token, i))
+            except (TransportError, ProtocolError) as exc:
+                wrong.append((token, exc))
+
+        server = threading.Thread(target=serve, daemon=True)
+        askers = [threading.Thread(target=ask, args=(token,), daemon=True) for token in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in [server, *askers]:
+                t.start()
+            for t in askers:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        hung = [t for t in askers if t.is_alive()]
+        # End of both streams: the server stops, and a reader stuck on a reply
+        # another thread consumed sees end of stream instead of hanging.
+        writer.close()
+        server.join(timeout=10)
+        replies.close()
+        for t in askers:
+            t.join(timeout=10)
+    assert not server.is_alive()
+    assert hung == []
+    assert wrong == []
 
 
 # ---------------------------------------------------------------------------

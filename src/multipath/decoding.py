@@ -249,9 +249,11 @@ def _expand(model, prompt_ids, actives, width_cap: int):
     """Single-token extensions of ``actives`` and the log of their total mass.
 
     Each parent keeps its top-``width_cap`` positive-probability children (by
-    probability, ties to the lower token id). Any child dropped this way has
-    at least width_cap stronger siblings, so it can never enter the global
-    top-width_cap prefix: the trim leaves every pruning outcome unchanged.
+    probability, ties to the lower token id), which StepDistribution.children
+    reads from the row without visiting the whole vocabulary. Any child
+    dropped this way has at least width_cap stronger siblings, so it can
+    never enter the global top-width_cap prefix: the trim leaves every
+    pruning outcome unchanged.
     Children are emitted in ascending token id per parent, so the candidate
     list stays lexicographically ordered by token path.
 
@@ -262,12 +264,7 @@ def _expand(model, prompt_ids, actives, width_cap: int):
     paths: list[SequencePath] = []
     for parent in actives:
         dist = model.next_distribution(prompt_ids, parent.tokens)
-        logprobs = dist.logprobs
-        positive = [t for t in range(len(logprobs)) if logprobs[t] != -math.inf]
-        if len(positive) > width_cap:
-            keep = kernels.topk_indices([logprobs[t] for t in positive], width_cap)
-            positive = sorted(positive[i] for i in keep)
-        paths.extend(parent.extended(t, logprobs[t], eos) for t in positive)
+        paths.extend(parent.extended(t, lp, eos) for t, lp in dist.children(width_cap))
     # Each row sums to 1, so the pool's total mass is the parents' mass even
     # when some children were trimmed away.
     return paths, kernels.log_sum_exp([p.cum_logprob for p in actives])

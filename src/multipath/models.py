@@ -20,6 +20,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from . import kernels
 from .errors import LoadError, TrainingError
 
 # Tolerance for "entries sum to 1" on any next-token distribution.
@@ -77,28 +78,126 @@ class Vocabulary:
         return cls(tokens=toks, eos_id=toks.index(eos_token))
 
 
-@dataclass
-class StepDistribution:
-    """Next-token probability vector for one decoding step (linear domain)."""
+def _log(p: float) -> float:
+    return math.log(p) if p > 0.0 else -math.inf
 
-    probs: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        self.probs = tuple(float(p) for p in self.probs)
-        for i, p in enumerate(self.probs):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability {p} at index {i} outside [0, 1]")
-        total = math.fsum(self.probs)
-        if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1 within {DISTRIBUTION_SUM_TOL}")
+class LogprobRow(Sequence[float]):
+    """Read-only natural-log view of a row: ``floor`` at every token except
+    the tokens in ``entries``. Indexing is O(1); nothing is densified."""
+
+    __slots__ = ("_size", "floor", "entries")
+
+    def __init__(self, size: int, floor: float, entries: dict[int, float]):
+        self._size = size
+        self.floor = floor
+        self.entries = entries
 
     def __len__(self) -> int:
-        return len(self.probs)
+        return self._size
+
+    def __getitem__(self, token: int) -> float:
+        if not -self._size <= token < self._size:
+            raise IndexError(f"token {token} out of range (V={self._size})")
+        return self.entries.get(token % self._size, self.floor)
+
+    def __iter__(self):
+        get, floor = self.entries.get, self.floor
+        return (get(t, floor) for t in range(self._size))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(other) == self._size and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class StepDistribution:
+    """Next-token distribution for one decoding step.
+
+    A row is held sparsely: every token has probability ``floor`` except the
+    tokens in ``entries`` (token -> probability). A dense table row has floor
+    0 and lists its positive entries; an add-k n-gram row has floor
+    add_k/denom and lists its seen successors. ``logprobs`` holds the same
+    row in the log domain; ``probs`` is the dense tuple, built on first use.
+
+    ``StepDistribution(probs=...)`` validates the row: every entry must lie
+    in [0, 1] and the entries must sum to 1 within DISTRIBUTION_SUM_TOL.
+    Models that build valid rows by construction use the unchecked
+    ``_trusted`` constructor instead.
+    """
+
+    def __init__(self, probs: Iterable[float]):
+        probs = tuple(float(p) for p in probs)
+        # The range check runs first: the fsum of a row holding NaN is NaN,
+        # which no tolerance comparison rejects.
+        for i, p in enumerate(probs):
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"probability {p} at index {i} outside [0, 1]")
+        total = math.fsum(probs)
+        if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
+            raise ValueError(
+                f"not normalized: row sum {total!r} != 1 (entries must sum to 1 within {DISTRIBUTION_SUM_TOL})"
+            )
+        self._hold(len(probs), 0.0, {t: p for t, p in enumerate(probs) if p > 0.0})
+        self.__dict__["probs"] = probs
+
+    @classmethod
+    def _trusted(cls, size: int, floor: float, entries: dict[int, float]) -> "StepDistribution":
+        """Unchecked sparse row; the caller guarantees it is a probability vector."""
+        row = cls.__new__(cls)
+        row._hold(size, floor, entries)
+        return row
+
+    def _hold(self, size: int, floor: float, entries: dict[int, float]) -> None:
+        self._floor = floor
+        self._entries = entries
+        self.logprobs = LogprobRow(size, _log(floor), {t: _log(p) for t, p in entries.items()})
+        # The positive entries in ascending token id, as (token, logprob).
+        self._support = tuple(sorted((t, v) for t, v in self.logprobs.entries.items() if v != -math.inf))
+
+    def __len__(self) -> int:
+        return len(self.logprobs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StepDistribution):
+            return NotImplemented
+        return self.probs == other.probs
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"StepDistribution(size={len(self)}, floor={self._floor!r}, entries={self._entries!r})"
 
     @cached_property
-    def logprobs(self) -> tuple[float, ...]:
-        """Natural-log probabilities; zero entries map to -inf."""
-        return tuple(math.log(p) if p > 0.0 else -math.inf for p in self.probs)
+    def probs(self) -> tuple[float, ...]:
+        """The row as a dense tuple of linear-domain probabilities."""
+        row = [self._floor] * len(self)
+        for t, p in self._entries.items():
+            row[t] = p
+        return tuple(row)
+
+    def children(self, k: int) -> tuple[tuple[int, float], ...]:
+        """The ``k`` most probable positive-probability tokens as (token,
+        logprob) pairs in ascending token id; ties go to the lower token id.
+
+        Only the entries and the ``k`` lowest-id floor tokens can qualify:
+        any other floor token has ``k`` equal-valued floor tokens with lower
+        ids ahead of it. The cost is O(entries + k), not O(V).
+        """
+        lp = self.logprobs
+        candidates = self._support
+        if lp.floor != -math.inf:
+            # At most len(entries) of the first k + len(entries) ids are
+            # entries, so the k lowest floor tokens lie among them.
+            scan = range(min(len(lp), k + len(lp.entries)))
+            floors = [(t, lp.floor) for t in scan if t not in lp.entries][:k]
+            candidates = tuple(sorted(candidates + tuple(floors)))
+        if len(candidates) <= k:
+            return candidates
+        keep = kernels.topk_indices([v for _, v in candidates], k)
+        return tuple(candidates[i] for i in sorted(keep))
 
     def entropy(self) -> float:
         """Shannon entropy in nats (0 * log 0 taken as 0)."""
@@ -225,7 +324,9 @@ class NGramLM(ModelInterface):
 
     ``order`` is the context length. Conditionals are
     (count(context, tok) + add_k) / (count(context) + add_k * V), which sum
-    to one by construction.
+    to one by construction, so rows are built unchecked: a row is the floor
+    add_k / denom plus one entry per seen successor, O(seen successors) per
+    call. The counts are checked once, here.
     """
 
     def __init__(
@@ -240,6 +341,11 @@ class NGramLM(ModelInterface):
             raise ValueError(f"order must be >= 1, got {order}")
         if add_k <= 0:
             raise ValueError(f"add_k must be > 0, got {add_k}")
+        size = vocabulary.size
+        for ctx, nexts in counts.items():
+            for tok, count in nexts.items():
+                if not 0 <= tok < size or count < 0:
+                    raise ValueError(f"context {list(ctx)}: bad count {count!r} for token {tok!r} (V={size})")
         self.order = order
         self.add_k = add_k
         self._counts = {ctx: dict(nexts) for ctx, nexts in counts.items()}
@@ -250,9 +356,10 @@ class NGramLM(ModelInterface):
         ctx = stream[max(0, len(stream) - self.order):]
         nexts = self._counts.get(ctx, {})
         total = self._totals.get(ctx, 0)
-        denom = total + self.add_k * self._vocabulary.size
-        probs = tuple((nexts.get(t, 0) + self.add_k) / denom for t in range(self._vocabulary.size))
-        return StepDistribution(probs=probs)
+        add_k = self.add_k
+        denom = total + add_k * self._vocabulary.size
+        entries = {t: (count + add_k) / denom for t, count in nexts.items()}
+        return StepDistribution._trusted(self._vocabulary.size, add_k / denom, entries)
 
 
 def train_ngram(
@@ -391,12 +498,9 @@ def load_table_lm(path: str | Path) -> TableLM:
     def parse_row(probs: list, what: str) -> StepDistribution:
         if not isinstance(probs, list) or len(probs) != vocabulary.size:
             raise LoadError(f"model file {path}: {what}: probs must be a list of length {vocabulary.size}")
-        total = math.fsum(float(p) for p in probs)
-        if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
-            raise LoadError(f"model file {path}: {what}: row sum {total:g} != 1")
         try:
-            return StepDistribution(probs=tuple(float(p) for p in probs))
-        except ValueError as exc:
+            return StepDistribution(probs=probs)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise LoadError(f"model file {path}: {what}: {exc}") from exc
 
     rows: dict[TokenIds, StepDistribution] = {}

@@ -12,11 +12,17 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import multipath
 from multipath.cli import main
 from multipath.correction import (
     CORRECTED,
@@ -285,6 +291,59 @@ def test_bench_outputs_reproducible(tmp_path, data_dir):
         1 for line in lines if json.loads(line)["final"]["stage"] == "corrected"
     )
     assert regenerated == report["regenerated"]
+
+
+# Runs the CLI with every task's stage 1 slowed down, so the test can kill it
+# while the run is still writing its attempts log.
+SLOW_CLI = """
+import sys, time
+import multipath.cli, multipath.correction
+stage1 = multipath.correction.run_stage1
+def slow_stage1(*args, **kwargs):
+    time.sleep(0.03)
+    return stage1(*args, **kwargs)
+multipath.correction.run_stage1 = slow_stage1
+sys.exit(multipath.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("kill_after", [1, 40])
+def test_bench_killed_by_sigkill_resumes_to_fresh_bytes(tmp_path, data_dir, kill_after):
+    bench = [
+        "bench",
+        "--model", str(data_dir / "toy_table_lm.json"),
+        "--dataset", str(data_dir / "toy_math.jsonl"),
+        "--strategy", "ftr_indicator",
+        "--seed", str(SEED),
+    ]
+    fresh, killed = tmp_path / "fresh", tmp_path / "killed"
+    assert main(bench + ["--out", str(fresh)]) == 0
+
+    env = dict(os.environ, PYTHONPATH=str(Path(multipath.__file__).resolve().parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", SLOW_CLI, *bench, "--out", str(killed), "--resume"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    log = killed / "attempts_ftr_indicator.jsonl"
+    try:
+        deadline = time.monotonic() + 60.0
+        while not (log.exists() and log.read_bytes().count(b"\n") >= kill_after):
+            assert proc.poll() is None, "the run ended before it could be killed"
+            assert time.monotonic() < deadline, "the run wrote no attempts"
+            time.sleep(0.005)
+        proc.send_signal(signal.SIGKILL)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == -signal.SIGKILL
+    assert sorted(p.name for p in killed.iterdir()) == ["attempts_ftr_indicator.jsonl"]
+    assert kill_after <= log.read_bytes().count(b"\n") < 100
+
+    assert main(bench + ["--out", str(killed), "--resume"]) == 0
+    names = ["attempts_ftr_indicator.jsonl", "report.csv", "report_ftr_indicator.json"]
+    assert sorted(p.name for p in killed.iterdir()) == names
+    for name in names:
+        assert (killed / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_checked_in_data_matches_its_generator(tmp_path, data_dir):

@@ -21,7 +21,7 @@ from multipath.decoding import (
     nucleus_sample,
     select_min_ppl,
 )
-from multipath.models import SequencePath, StepDistribution, TableLM, Vocabulary, sequence_logprob
+from multipath.models import SequencePath, StepDistribution, TableLM, Vocabulary, sequence_logprob, train_ngram
 from multipath.oracle import random_table_lm
 
 ABC = Vocabulary(tokens=("a", "b", "$"), eos_id=2)
@@ -294,6 +294,18 @@ def test_multipath_child_trim_matches_untrimmed_pool(trap_model, monkeypatch):
         model, horizon = random_table_lm(rng)
         cfg = MultipathConfig(
             mass_fraction=rng.choice([0.5, 0.8, 0.9, 1.0]), max_width=rng.randint(1, 3), max_len=horizon,
+        )
+        cases.append((model, cfg))
+    # Add-k n-gram rows are sparse: every token is positive, and the children
+    # come from the row's few entries plus its lowest-id floor tokens.
+    for _ in range(100):
+        letters = "abcd"[: rng.randint(1, 4)]
+        corpus = "\n".join(
+            " ".join(rng.choice(letters) for _ in range(rng.randint(1, 5))) for _ in range(rng.randint(1, 5))
+        )
+        model = train_ngram(corpus, order=rng.randint(1, 3), add_k=rng.choice([0.25, 0.5, 1, 2]))
+        cfg = MultipathConfig(
+            mass_fraction=rng.choice([0.5, 0.8, 0.9, 1.0]), max_width=rng.randint(1, 3), max_len=rng.randint(1, 4),
         )
         cases.append((model, cfg))
     for model, cfg in cases:

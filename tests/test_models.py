@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
+from multipath import kernels
 from multipath.errors import LoadError, TrainingError
 from multipath.models import (
     NGramLM,
@@ -87,6 +89,15 @@ def test_distribution_rejects_bad_sum():
 def test_distribution_logprobs_map_zero_to_neg_inf():
     dist = StepDistribution(probs=(0.5, 0.5, 0.0))
     assert dist.logprobs == (math.log(0.5), math.log(0.5), -math.inf)
+
+
+def test_distribution_equality_compares_values():
+    # A dense row and a floor-only row holding the same probabilities are equal.
+    assert StepDistribution(probs=(0.25,) * 4) == StepDistribution.uniform(4)
+    assert StepDistribution(probs=(0.5, 0.5, 0.0)) != StepDistribution(probs=(0.5, 0.0, 0.5))
+    assert StepDistribution(probs=(1.0, 0.0)) != StepDistribution(probs=(1.0, 0.0, 0.0))
+    with pytest.raises(TypeError):
+        hash(StepDistribution.uniform(2))
 
 
 def test_distribution_entropy():
@@ -237,6 +248,14 @@ def test_ngram_rejects_bad_params():
         NGramLM(vocabulary=ABC, order=0, add_k=1.0, counts={})
 
 
+def test_ngram_rejects_bad_counts():
+    # rows are built unchecked, so the counts are checked when the model is made
+    with pytest.raises(ValueError, match="token 3"):
+        NGramLM(vocabulary=ABC, order=1, add_k=1.0, counts={(0,): {3: 1}})
+    with pytest.raises(ValueError, match="bad count -1"):
+        NGramLM(vocabulary=ABC, order=1, add_k=1.0, counts={(0,): {1: -1}})
+
+
 def test_train_ngram_rejects_bad_corpus():
     with pytest.raises(TrainingError, match="empty"):
         train_ngram("   \n  ", order=1, add_k=1.0)
@@ -246,6 +265,88 @@ def test_train_ngram_rejects_bad_corpus():
         train_ngram("a z", order=1, add_k=1.0, vocabulary=ABC)
     with pytest.raises(TrainingError, match="eos"):
         train_ngram("a c", order=1, add_k=1.0, vocabulary=ABC)
+
+
+def random_corpus(rng):
+    letters = "abcd"[: rng.randint(1, 4)]
+    lines = [" ".join(rng.choice(letters) for _ in range(rng.randint(1, 6))) for _ in range(rng.randint(1, 6))]
+    return "\n".join(lines)
+
+
+def dense_ngram_row(corpus, order, add_k, vocab, ctx):
+    """The dense add-k row the n-gram model used to build token by token,
+    with its counts taken from the corpus here."""
+    counts = {}
+    for line in corpus.splitlines():
+        ids = list(vocab.encode(line))
+        for pos in range(len(ids) + 1):
+            if tuple(ids[max(0, pos - order):pos]) == ctx:
+                nxt = ids[pos] if pos < len(ids) else vocab.eos_id
+                counts[nxt] = counts.get(nxt, 0) + 1
+    denom = sum(counts.values()) + add_k * vocab.size
+    probs = tuple((counts.get(t, 0) + add_k) / denom for t in range(vocab.size))
+    return probs, tuple(math.log(p) if p > 0.0 else -math.inf for p in probs)
+
+
+def dense_children(logprobs, k):
+    """Every positive child, trimmed to the top k by kernels.topk_indices."""
+    positive = [t for t in range(len(logprobs)) if logprobs[t] != -math.inf]
+    if len(positive) > k:
+        keep = kernels.topk_indices([logprobs[t] for t in positive], k)
+        positive = sorted(positive[i] for i in keep)
+    return tuple((t, logprobs[t]) for t in positive)
+
+
+def test_sparse_row_children_match_dense_trim():
+    # Entries may lie above, below or on the floor, or be zero; small
+    # integer weights make value ties common.
+    rng = random.Random(9)
+    for _ in range(2000):
+        size = rng.randint(2, 12)
+        tokens = rng.sample(range(size), rng.randint(0, size - 1))
+        floor_weight = rng.randint(0, 4)
+        weights = {t: rng.randint(0, 6) for t in tokens}
+        total = sum(weights.values()) + floor_weight * (size - len(tokens))
+        if total == 0:
+            continue
+        row = StepDistribution._trusted(size, floor_weight / total, {t: w / total for t, w in weights.items()})
+        assert StepDistribution(probs=row.probs).logprobs == row.logprobs
+        for k in range(1, size + 2):
+            assert row.children(k) == dense_children(tuple(row.logprobs), k), (size, floor_weight, weights, k)
+
+
+def test_ngram_sparse_rows_match_dense_formula_bit_for_bit():
+    rng = random.Random(5)
+    unseen = tied = 0
+    for _ in range(150):
+        corpus = random_corpus(rng)
+        order = rng.randint(1, 3)
+        add_k = rng.choice([1, 0.5, 0.01, 2.5, 0.0005])
+        model = train_ngram(corpus, order=order, add_k=add_k)
+        vocab = model.vocabulary
+        contexts = set()
+        for line in corpus.splitlines():
+            ids = vocab.encode(line)
+            contexts.update(ids[max(0, pos - order):pos] for pos in range(len(ids) + 1))
+        # no training context ends in the end token
+        contexts.update({(vocab.eos_id,), (0, vocab.eos_id)})
+        for ctx in sorted(contexts):
+            dist = model.next_distribution((), ctx)
+            probs, logprobs = dense_ngram_row(corpus, order, add_k, vocab, ctx[-order:])
+            assert len(dist) == vocab.size
+            assert [dist.logprobs[t] for t in range(vocab.size)] == list(logprobs)
+            assert tuple(dist.logprobs) == logprobs
+            assert [dist.probs[t] for t in range(vocab.size)] == list(probs)
+            floor = min(logprobs)
+            seen = [v for v in logprobs if v != floor]
+            unseen += not seen
+            tied += len(set(seen)) < len(seen)
+            for k in range(1, vocab.size + 2):
+                assert dist.children(k) == dense_children(logprobs, k), (corpus, order, add_k, ctx, k)
+                if not seen:
+                    assert dist.children(k) == tuple((t, floor) for t in range(min(k, vocab.size)))
+    # both unseen contexts and successors with equal counts were exercised
+    assert unseen and tied
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +427,22 @@ def test_load_rejects_bad_row_sum(tmp_path):
     text = '{"vocab": ["a", "$"], "eos": "$", "rows": [{"context": [], "probs": [0.5, 0.4]}]}'
     with pytest.raises(LoadError, match=r"row 0 .*row sum"):
         load_table_lm(write_model(tmp_path, text))
+
+
+def test_load_rejects_nan_probability(tmp_path):
+    # Python's json module reads NaN; its row sum is NaN, which no sum check
+    # rejects, so the per-entry range check must
+    text = '{"vocab": ["a", "$"], "eos": "$", "rows": [{"context": [], "probs": [NaN, 1.0]}]}'
+    with pytest.raises(LoadError, match=r"row 0 .*nan"):
+        load_table_lm(write_model(tmp_path, text))
+
+
+def test_load_rejects_probability_float_cannot_read(tmp_path):
+    # float() raises TypeError on null and OverflowError on a huge integer
+    for probs in ('[null, 1.0]', '[1' + '0' * 400 + ', 1.0]'):
+        text = '{"vocab": ["a", "$"], "eos": "$", "rows": [{"context": [], "probs": %s}]}' % probs
+        with pytest.raises(LoadError, match=r"row 0 "):
+            load_table_lm(write_model(tmp_path, text))
 
 
 def test_load_rejects_wrong_row_length(tmp_path):

@@ -95,6 +95,25 @@ def test_parse_distribution_rejects_unnormalized_rows():
         _parse_distribution({"logprobs": [half, half, half]}, 3, "x")
 
 
+def test_parse_distribution_rejects_nan_logprob():
+    # fsum of a row holding NaN is NaN, which no sum check rejects; the
+    # per-entry range check must
+    with pytest.raises(ProtocolError, match="x: .*nan"):
+        _parse_distribution({"logprobs": [math.nan, 0.0, None]}, 3, "x")
+
+
+def test_parse_distribution_rejects_positive_logprob():
+    # exp(1e-12) exceeds 1 by less than the normalization tolerance, so
+    # only the range check catches it
+    with pytest.raises(ProtocolError, match="x: .*outside"):
+        _parse_distribution({"logprobs": [1e-12, None, None]}, 3, "x")
+
+
+def test_parse_distribution_rejects_logprob_whose_exp_overflows():
+    with pytest.raises(ProtocolError, match="x: logprob 0 is 1000.0"):
+        _parse_distribution({"logprobs": [1000.0, None, None]}, 3, "x")
+
+
 # ---------------------------------------------------------------------------
 # HTTP model client
 

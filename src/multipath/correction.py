@@ -1,18 +1,17 @@
 """Two-stage self-correction protocols and feedback providers.
 
-Stage 1 samples an initial response. What happens in stage 2 depends on the
-strategy kind:
+Stage 1 samples an initial response. run_protocol alone decides whether
+stage 2 runs: never for none; for ftr_indicator and feedback_as_prompt only
+on negative feedback, so positive feedback keeps the initial attempt
+untouched (zero extra tokens); always for the other prompt strategies. The
+stage-2 functions only regenerate:
 
-- none: nothing; the initial attempt is final.
-- ftr_indicator: feedback is a binary trigger. Positive feedback returns the
-  initial attempt untouched (zero extra tokens); negative feedback reruns
-  the multipath decoder on the original prompt, byte for byte, with no
-  appended instructions.
-- feedback_as_prompt: negative feedback is written INTO the prompt (the
-  packaged template) and the stage-1 sampler decodes the combined input;
-  positive feedback is identity.
-- critic_prompt / ioe_prompt: the packaged critique template is always
-  appended (these strategies get no feedback signal at all).
+- ftr_indicator: rerun the multipath decoder on the original prompt, byte
+  for byte, with no appended instructions.
+- feedback_as_prompt: the feedback is written INTO the prompt (the packaged
+  template) and the stage-1 sampler decodes the combined input.
+- critic_prompt / ioe_prompt: the packaged critique template is appended
+  (these strategies get no feedback signal at all).
 
 Feedback providers: ground truth (verify the attempt), a remote judge
 service, and a scripted judge that flips the true verdict with configured
@@ -33,17 +32,31 @@ from pathlib import Path
 from random import Random
 
 from .decoding import DecodeResult, MultipathConfig, SamplerConfig, multipath_decode, nucleus_sample
-from .errors import ConfigError, MultipathError
+from .errors import ConfigError, LoadError, MultipathError
 from .models import ModelInterface
 from .remote import JudgeClient
 from .tasks import Dataset, Task, extract_bracket_answer, verify
 from .templates import CRITIC, FEEDBACK_CODE, FEEDBACK_MATH, IOE, load_prompt
 
 STRATEGY_KINDS = ("none", "ftr_indicator", "feedback_as_prompt", "critic_prompt", "ioe_prompt")
-PROMPT_KINDS = ("feedback_as_prompt", "critic_prompt", "ioe_prompt")
 
 INITIAL = "initial"
 CORRECTED = "corrected"
+
+# The JSON types of each Attempt field, compared exactly (a JSON bool is not
+# an int), in serialization order.
+_ATTEMPT_FIELDS = {
+    "task_id": (str,),
+    "stage": (str,),
+    "strategy": (str,),
+    "decoder_input": (str,),
+    "text": (str,),
+    "answer": (int, float, type(None)),
+    "tokens_generated": (int,),
+    "steps": (int,),
+    "verdict": (bool, type(None)),
+}
+_PAIR_FIELDS = {"task_id", "initial", "final"}
 
 
 def derive_seed(base_seed: int, task_id: str, stage: int) -> int:
@@ -74,24 +87,18 @@ class Attempt:
             raise ValueError("token counters must be >= 0")
 
     def to_json_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "stage": self.stage,
-            "strategy": self.strategy,
-            "decoder_input": self.decoder_input,
-            "text": self.text,
-            "answer": self.answer,
-            "tokens_generated": self.tokens_generated,
-            "steps": self.steps,
-            "verdict": self.verdict,
-        }
+        return {key: getattr(self, key) for key in _ATTEMPT_FIELDS}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Attempt":
-        return cls(**{k: data[k] for k in (
-            "task_id", "stage", "strategy", "decoder_input", "text",
-            "answer", "tokens_generated", "steps", "verdict",
-        )})
+    def from_json_dict(cls, data: object) -> "Attempt":
+        """Inverse of to_json_dict. ValueError unless ``data`` is an object
+        with exactly the attempt fields, each of its JSON type."""
+        if not isinstance(data, dict) or data.keys() != _ATTEMPT_FIELDS.keys():
+            raise ValueError(f"an attempt must be an object with exactly the fields {list(_ATTEMPT_FIELDS)}")
+        for key, types in _ATTEMPT_FIELDS.items():
+            if type(data[key]) not in types:
+                raise ValueError(f"attempt field {key!r} has the wrong type: {data[key]!r}")
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -233,21 +240,12 @@ def collect_feedback(provider: FeedbackProvider, task: Task, attempt: Attempt) -
     return provider.feedback(task, attempt)
 
 
-def indicator_correct(
-    model: ModelInterface,
-    task: Task,
-    attempt: Attempt,
-    feedback: FeedbackSignal,
-    multipath_cfg: MultipathConfig,
-) -> Attempt:
-    """Stage 2 of the indicator strategy.
+def indicator_correct(model: ModelInterface, task: Task, attempt: Attempt, multipath_cfg: MultipathConfig) -> Attempt:
+    """Stage 2 of the indicator strategy, run after negative feedback.
 
-    Positive feedback: the initial attempt is final, nothing decoded.
-    Negative feedback: regenerate with the multipath decoder on the original
-    prompt, unmodified; the feedback text never reaches the model.
+    Regenerates with the multipath decoder on the original prompt,
+    unmodified; the feedback text never reaches the model.
     """
-    if not feedback.negative:
-        return attempt
     result = multipath_decode(model, model.vocabulary.encode(task.prompt), multipath_cfg)
     return _attempt_from(result, task, CORRECTED, attempt.strategy, task.prompt)
 
@@ -258,20 +256,15 @@ def prompt_correct(
     attempt: Attempt,
     strategy: CorrectionStrategy,
     sampler_cfg: SamplerConfig,
-    feedback: FeedbackSignal | None = None,
 ) -> Attempt:
     """Stage 2 of the prompt-based strategies.
 
     The stage-2 input is prompt, initial response, and correction prompt
     joined by newlines, decoded by the stage-1 sampler under a stage-2 seed.
-    feedback_as_prompt applies only on negative feedback (identity
-    otherwise) and picks its template by task domain.
+    feedback_as_prompt, run after negative feedback, picks its template by
+    task domain.
     """
     if strategy.kind == "feedback_as_prompt":
-        if feedback is None:
-            raise ConfigError("feedback_as_prompt requires a feedback signal")
-        if not feedback.negative:
-            return attempt
         p_cor = load_prompt(FEEDBACK_MATH if task.domain == "math" else FEEDBACK_CODE)
     elif strategy.kind == "critic_prompt":
         p_cor = load_prompt(CRITIC)
@@ -317,7 +310,8 @@ def _load_resume(path: Path, strategy_kind: str) -> dict[str, tuple[Attempt, Att
 
     A run killed mid-write leaves an unterminated last line; it is dropped
     and the file truncated to its last newline, so appends start on a clean
-    line. Any other malformed line raises.
+    line. Any other malformed line raises LoadError naming the file and the
+    line.
     """
     done: dict[str, tuple[Attempt, Attempt]] = {}
     if not path.exists():
@@ -326,14 +320,21 @@ def _load_resume(path: Path, strategy_kind: str) -> dict[str, tuple[Attempt, Att
     complete = data.rfind(b"\n") + 1
     if complete < len(data):
         os.truncate(path, complete)
-    for line in data[:complete].decode("utf-8").splitlines():
+    for number, line in enumerate(data[:complete].split(b"\n"), start=1):
         if not line.strip():
             continue
-        record = json.loads(line)
-        initial = Attempt.from_json_dict(record["initial"])
-        final = Attempt.from_json_dict(record["final"])
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict) or record.keys() != _PAIR_FIELDS:
+                raise ValueError(f"a record must be an object with exactly the fields {sorted(_PAIR_FIELDS)}")
+            initial = Attempt.from_json_dict(record["initial"])
+            final = Attempt.from_json_dict(record["final"])
+            if not record["task_id"] == initial.task_id == final.task_id:
+                raise ValueError(f"task ids differ: {record['task_id']!r}, {initial.task_id!r}, {final.task_id!r}")
+        except ValueError as exc:
+            raise LoadError(f"attempts log {path}, line {number}: {exc}") from exc
         if initial.strategy == strategy_kind:
-            done[record["task_id"]] = (initial, final)
+            done[initial.task_id] = (initial, final)
     return done
 
 
@@ -372,16 +373,12 @@ def run_protocol(
         initial = run_stage1(model, task, sampler_cfg, strategy=strategy.kind)
         if strategy.kind == "none":
             return initial, initial
+        # The feedback gate: stage 2 runs only on negative feedback.
+        if strategy.needs_feedback and not collect_feedback(provider, task, initial).negative:
+            return initial, initial
         if strategy.kind == "ftr_indicator":
-            signal = collect_feedback(provider, task, initial)
-            final = indicator_correct(model, task, initial, signal, strategy.multipath_cfg)
-            return initial, final
-        if strategy.kind == "feedback_as_prompt":
-            signal = collect_feedback(provider, task, initial)
-            final = prompt_correct(model, task, initial, strategy, sampler_cfg, feedback=signal)
-            return initial, final
-        final = prompt_correct(model, task, initial, strategy, sampler_cfg)
-        return initial, final
+            return initial, indicator_correct(model, task, initial, strategy.multipath_cfg)
+        return initial, prompt_correct(model, task, initial, strategy, sampler_cfg)
 
     pending = [t for t in dataset.tasks if t.id not in resume]
     results: dict[str, tuple[Attempt, Attempt]] = dict(resume)

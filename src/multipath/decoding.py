@@ -219,7 +219,7 @@ def _draw(rng: random.Random, probs: Sequence[float], support: list[int]) -> int
 
 def _walk(model, prompt, max_len: int, pick) -> DecodeResult:
     """Shared single-path loop: pick one token per step until EOS or max_len."""
-    prompt_ids = tuple(prompt)
+    prompt_ids = model.vocabulary.check_ids(prompt, "prompt")
     eos = model.vocabulary.eos_id
     path = SequencePath.empty()
     steps = 0
@@ -271,7 +271,7 @@ def _expand(model, prompt_ids, actives, width_cap: int):
 
 
 def _multi_walk(model, prompt, max_len, retain, record_trace, width_cap):
-    prompt_ids = tuple(prompt)
+    prompt_ids = model.vocabulary.check_ids(prompt, "prompt")
     actives = [SequencePath.empty()]
     finished: list[SequencePath] = []
     k_trace: list[int] = []

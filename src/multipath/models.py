@@ -66,6 +66,15 @@ class Vocabulary:
             ids.append(tid)
         return tuple(ids)
 
+    def check_ids(self, ids: Iterable[int], what: str) -> TokenIds:
+        """``ids`` as a tuple, after checking each lies in [0, V)."""
+        ids = tuple(ids)
+        size = len(self.tokens)
+        for tid in ids:
+            if not 0 <= tid < size:
+                raise ValueError(f"{what} token id {tid} out of range (V={size})")
+        return ids
+
     def decode(self, ids: Sequence[int]) -> str:
         """Space-join token strings, end-of-sequence token included."""
         return " ".join(self.tokens[i] for i in ids)
@@ -250,14 +259,11 @@ class ModelInterface(ABC):
         """Distribution over the next token given prompt and generated prefix.
 
         Pure: identical arguments always return the identical vector.
+        Callers pass ids of this model's vocabulary; nothing is range-checked
+        here. The decoders check a caller's prompt once, where it enters
+        (``Vocabulary.check_ids``), and extend it only with ids read from a
+        row.
         """
-        size = self._vocabulary.size
-        for tid in prompt:
-            if not 0 <= tid < size:
-                raise ValueError(f"prompt token id {tid} out of range (V={size})")
-        for tid in prefix:
-            if not 0 <= tid < size:
-                raise ValueError(f"prefix token id {tid} out of range (V={size})")
         return self._distribution(tuple(prompt), tuple(prefix))
 
     @abstractmethod
@@ -376,10 +382,6 @@ def train_ngram(
     ends with a transition to the end-of-sequence token. When ``vocabulary``
     is omitted it is built from the corpus tokens (sorted) plus ``eos_token``.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if add_k <= 0:
-        raise ValueError(f"add_k must be > 0, got {add_k}")
     lines = [line.split() for line in corpus.splitlines() if line.split()]
     if not lines:
         raise TrainingError("corpus is empty")
@@ -414,7 +416,9 @@ def sequence_logprob(model: ModelInterface, prompt: Sequence[int], continuation:
     Sum of per-step conditional log-probabilities; -inf if any step assigns
     the next token zero probability.
     """
-    continuation = tuple(continuation)
+    vocab = model.vocabulary
+    prompt = vocab.check_ids(prompt, "prompt")
+    continuation = vocab.check_ids(continuation, "continuation")
     if not continuation:
         raise ValueError("continuation must be non-empty")
     total = 0.0

@@ -76,6 +76,7 @@ def random_table_lm(rng: random.Random, max_vocab: int = 4, max_len: int = 5) ->
 
 def enumerate_finished(model: ModelInterface, prompt: Sequence[int], max_len: int) -> list[SequencePath]:
     """Every positive-probability sequence that reaches EOS within max_len tokens."""
+    prompt = model.vocabulary.check_ids(prompt, "prompt")
     eos = model.vocabulary.eos_id
     out: list[SequencePath] = []
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import threading
-import time
 import urllib.error
 import urllib.request
 from typing import IO
@@ -74,17 +73,14 @@ def _http_post_json(url: str, payload: dict, timeout: float) -> object:
         raise ProtocolError(f"POST {url}: response is not valid JSON: {exc}") from exc
 
 
-def _with_retries(call, retries: int, backoff: float):
-    attempts = retries + 1
-    for attempt in range(attempts):
+def _with_retries(call, retries: int):
+    """``call()``, made up to ``retries`` + 1 times; only TransportError is retried."""
+    for _ in range(retries):
         try:
             return call()
         except TransportError:
-            if attempt + 1 == attempts:
-                raise
-            if backoff > 0.0:
-                time.sleep(backoff * (attempt + 1))
-    raise AssertionError("unreachable")
+            pass
+    return call()
 
 
 class HttpModelClient(ModelInterface):
@@ -97,7 +93,6 @@ class HttpModelClient(ModelInterface):
         url: str,
         timeout: float = 10.0,
         retries: int = 2,
-        backoff: float = 0.0,
     ):
         super().__init__(vocabulary)
         if retries < 0:
@@ -105,7 +100,6 @@ class HttpModelClient(ModelInterface):
         self._url = url
         self._timeout = timeout
         self._retries = retries
-        self._backoff = backoff
         self._cache: dict[tuple[tuple[int, ...], tuple[int, ...]], StepDistribution] = {}
 
     def _distribution(self, prompt, prefix):
@@ -114,11 +108,7 @@ class HttpModelClient(ModelInterface):
         if hit is not None:
             return hit
         payload = {"prompt_tokens": list(prompt), "prefix_tokens": list(prefix)}
-        reply = _with_retries(
-            lambda: _http_post_json(self._url, payload, self._timeout),
-            self._retries,
-            self._backoff,
-        )
+        reply = _with_retries(lambda: _http_post_json(self._url, payload, self._timeout), self._retries)
         dist = _parse_distribution(reply, self._vocabulary.size, f"model at {self._url}")
         self._cache[key] = dist
         return dist
@@ -165,13 +155,12 @@ class StreamModelClient(ModelInterface):
 class JudgeClient:
     """Client for the judge service; returns verdicts, never guesses them."""
 
-    def __init__(self, base_url: str, timeout: float = 10.0, retries: int = 2, backoff: float = 0.0):
+    def __init__(self, base_url: str, timeout: float = 10.0, retries: int = 2):
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self._url = base_url.rstrip("/") + "/judge"
         self._timeout = timeout
         self._retries = retries
-        self._backoff = backoff
 
     @property
     def url(self) -> str:
@@ -180,11 +169,7 @@ class JudgeClient:
     def judge(self, task_id: str, prompt: str, response: str) -> tuple[str, str | None]:
         """Returns (verdict, category); verdict is "correct" or "incorrect"."""
         payload = {"task_id": task_id, "prompt": prompt, "response": response}
-        reply = _with_retries(
-            lambda: _http_post_json(self._url, payload, self._timeout),
-            self._retries,
-            self._backoff,
-        )
+        reply = _with_retries(lambda: _http_post_json(self._url, payload, self._timeout), self._retries)
         if not isinstance(reply, dict) or "verdict" not in reply:
             raise ProtocolError(f"judge at {self._url}: response must be an object with 'verdict'")
         verdict = reply["verdict"]

@@ -302,6 +302,22 @@ def test_bench_resume_skips_completed_tasks(tmp_path, toy_model_path, toy_datase
     assert (out / "attempts_none.jsonl").read_bytes() == first
 
 
+def test_bench_resume_from_a_malformed_log_exits_2(tmp_path, toy_model_path, toy_dataset_path, capsys):
+    out = tmp_path / "out"
+    argv = [
+        "bench", "--model", toy_model_path, "--dataset", toy_dataset_path,
+        "--strategy", "none", "--out", str(out), "--seed", "3", "--resume",
+    ]
+    assert main(argv) == 0
+    log = out / "attempts_none.jsonl"
+    log.write_text('{"task_id":"t000"}\n' + log.read_text(encoding="utf-8"), encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"attempts log {log}, line 1:" in err
+    assert "Traceback" not in err
+
+
 def test_bench_leaves_no_temp_files(tmp_path, toy_model_path, toy_dataset_path, capsys):
     out = tmp_path / "out"
     rc = main([

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 
+from multipath import correction
 from multipath.correction import (
     CORRECTED,
     INITIAL,
@@ -26,7 +28,7 @@ from multipath.correction import (
     run_stage1,
 )
 from multipath.decoding import MultipathConfig, SamplerConfig, multipath_decode
-from multipath.errors import ConfigError
+from multipath.errors import ConfigError, LoadError
 from multipath.models import ModelInterface
 from multipath.tasks import Dataset, Task
 from multipath.templates import CRITIC, FEEDBACK_CODE, FEEDBACK_MATH, IOE, load_prompt
@@ -60,6 +62,30 @@ class CountingModel(ModelInterface):
     def _distribution(self, prompt, prefix):
         self.calls += 1
         return self._inner.next_distribution(prompt, prefix)
+
+
+class FixedFeedback(FeedbackProvider):
+    """Stub provider that gives every task the same polarity."""
+
+    source = "scripted"
+
+    def __init__(self, polarity):
+        self.polarity = polarity
+        self.asked = []
+
+    def feedback(self, task, attempt):
+        self.asked.append(task.id)
+        return FeedbackSignal(polarity=self.polarity, source=self.source)
+
+
+def refuse_stage2(*args, **kwargs):
+    raise AssertionError("stage 2 ran on positive feedback")
+
+
+GATED_STRATEGIES = [
+    CorrectionStrategy(kind="ftr_indicator", multipath_cfg=MPCFG),
+    CorrectionStrategy(kind="feedback_as_prompt"),
+]
 
 
 class StubJudgeClient:
@@ -223,20 +249,12 @@ def test_run_stage1_seed_is_per_task(small_digit_model, small_digit_dataset):
     assert len(set(texts.values())) > 1
 
 
-def test_indicator_positive_feedback_is_identity(small_digit_model, small_digit_dataset):
-    task = small_digit_dataset.tasks[0]
-    attempt = run_stage1(small_digit_model, task, SAMPLER, strategy="ftr_indicator")
-    signal = FeedbackSignal(polarity="positive", source="ground_truth")
-    assert indicator_correct(small_digit_model, task, attempt, signal, MPCFG) is attempt
-
-
 def test_indicator_negative_feedback_regenerates_on_original_prompt(
     small_digit_model, small_digit_dataset
 ):
     task = small_digit_dataset.tasks[0]
     attempt = run_stage1(small_digit_model, task, SAMPLER, strategy="ftr_indicator")
-    signal = FeedbackSignal(polarity="negative", source="ground_truth")
-    corrected = indicator_correct(small_digit_model, task, attempt, signal, MPCFG)
+    corrected = indicator_correct(small_digit_model, task, attempt, MPCFG)
     assert corrected.stage == CORRECTED
     assert corrected.decoder_input == task.prompt
 
@@ -270,38 +288,17 @@ def test_prompt_correct_ioe_uses_its_own_template(small_digit_model, small_digit
     assert load_prompt(IOE) != load_prompt(CRITIC)
 
 
-def test_feedback_as_prompt_requires_a_signal(small_digit_model, small_digit_dataset):
-    task = small_digit_dataset.tasks[0]
-    attempt = make_attempt(task_id=task.id, strategy="feedback_as_prompt")
-    with pytest.raises(ConfigError, match="requires a feedback signal"):
-        prompt_correct(
-            small_digit_model, task, attempt, CorrectionStrategy(kind="feedback_as_prompt"), SAMPLER
-        )
-
-
-def test_feedback_as_prompt_positive_is_identity(small_digit_model, small_digit_dataset):
-    task = small_digit_dataset.tasks[0]
-    attempt = make_attempt(task_id=task.id, strategy="feedback_as_prompt")
-    signal = FeedbackSignal(polarity="positive", source="ground_truth")
-    out = prompt_correct(
-        small_digit_model, task, attempt,
-        CorrectionStrategy(kind="feedback_as_prompt"), SAMPLER, feedback=signal,
-    )
-    assert out is attempt
-
-
 def test_feedback_as_prompt_picks_template_by_domain(small_digit_model, small_digit_dataset):
-    negative = FeedbackSignal(polarity="negative", source="ground_truth")
     strategy = CorrectionStrategy(kind="feedback_as_prompt")
 
     math_task = small_digit_dataset.tasks[0]
     attempt = make_attempt(task_id=math_task.id, strategy="feedback_as_prompt")
-    out = prompt_correct(small_digit_model, math_task, attempt, strategy, SAMPLER, feedback=negative)
+    out = prompt_correct(small_digit_model, math_task, attempt, strategy, SAMPLER)
     assert out.decoder_input.endswith("\n" + load_prompt(FEEDBACK_MATH))
 
     code_task = Task(id="c1", prompt="solve item 5", domain="code", verify_cmd=("true",))
     attempt = make_attempt(task_id="c1", strategy="feedback_as_prompt")
-    out = prompt_correct(small_digit_model, code_task, attempt, strategy, SAMPLER, feedback=negative)
+    out = prompt_correct(small_digit_model, code_task, attempt, strategy, SAMPLER)
     assert out.decoder_input.endswith("\n" + load_prompt(FEEDBACK_CODE))
     assert load_prompt(FEEDBACK_CODE) != load_prompt(FEEDBACK_MATH)
 
@@ -337,6 +334,39 @@ def test_protocol_none_keeps_initial_as_final(small_digit_model, small_digit_dat
     for initial, final in run.pairs:
         assert final is initial
     assert [p[0].task_id for p in run.pairs] == [t.id for t in small_digit_dataset.tasks]
+
+
+def check_positive_feedback_keeps_initial(monkeypatch, model, dataset, strategy, stage2_name):
+    monkeypatch.setattr(correction, stage2_name, refuse_stage2)
+    provider = FixedFeedback("positive")
+    run = run_protocol(model, dataset, strategy, provider, SAMPLER)
+    assert provider.asked == [t.id for t in dataset.tasks]
+    assert run.errors == ()
+    assert len(run.pairs) == dataset.size
+    for initial, final in run.pairs:
+        assert final is initial
+
+
+def test_indicator_positive_feedback_is_identity(monkeypatch, small_digit_model, small_digit_dataset):
+    check_positive_feedback_keeps_initial(
+        monkeypatch, small_digit_model, small_digit_dataset, GATED_STRATEGIES[0], "indicator_correct"
+    )
+
+
+def test_feedback_as_prompt_positive_is_identity(monkeypatch, small_digit_model, small_digit_dataset):
+    check_positive_feedback_keeps_initial(
+        monkeypatch, small_digit_model, small_digit_dataset, GATED_STRATEGIES[1], "prompt_correct"
+    )
+
+
+@pytest.mark.parametrize("strategy", GATED_STRATEGIES, ids=lambda s: s.kind)
+def test_protocol_negative_feedback_always_regenerates(small_digit_model, small_digit_dataset, strategy):
+    run = run_protocol(small_digit_model, small_digit_dataset, strategy, FixedFeedback("negative"), SAMPLER)
+    assert run.errors == ()
+    assert len(run.pairs) == small_digit_dataset.size
+    for initial, final in run.pairs:
+        assert initial.stage == INITIAL
+        assert final.stage == CORRECTED
 
 
 def test_protocol_requires_provider_when_feedback_gated(small_digit_model, small_digit_dataset):
@@ -489,7 +519,50 @@ def test_protocol_resume_rejects_a_malformed_complete_line(tmp_path, small_digit
     fresh = run_protocol(small_digit_model, small_digit_dataset, strategy, None, SAMPLER)
     log = tmp_path / "attempts.jsonl"
     log.write_text("{torn\n" + fresh.to_json_lines(), encoding="utf-8")
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(LoadError, match="line 1:"):
+        run_protocol(small_digit_model, small_digit_dataset, strategy, None, SAMPLER, resume_path=log)
+
+
+def without_initial_stage(record):
+    del record["initial"]["stage"]
+    return record
+
+
+def with_text_token_count(record):
+    record["final"]["tokens_generated"] = "2"
+    return record
+
+
+def with_bool_step_count(record):
+    record["final"]["steps"] = True
+    return record
+
+
+def with_other_task_id(record):
+    record["final"]["task_id"] = "t999"
+    return record
+
+
+@pytest.mark.parametrize("malform", [
+    lambda record: {"task_id": record["task_id"]},
+    lambda record: [1, 2],
+    without_initial_stage,
+    with_text_token_count,
+    with_bool_step_count,
+    with_other_task_id,
+], ids=[
+    "no-attempts", "not-an-object", "attempt-without-stage", "token-count-as-text",
+    "step-count-as-bool", "task-ids-differ",
+])
+def test_protocol_resume_names_the_file_and_line_of_a_malformed_record(
+    tmp_path, small_digit_model, small_digit_dataset, malform
+):
+    strategy = CorrectionStrategy(kind="none")
+    lines = run_protocol(small_digit_model, small_digit_dataset, strategy, None, SAMPLER).to_json_lines().splitlines()
+    lines[2] = json.dumps(malform(json.loads(lines[2])))
+    log = tmp_path / "attempts.jsonl"
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(LoadError, match=re.escape(f"attempts log {log}, line 3: ")):
         run_protocol(small_digit_model, small_digit_dataset, strategy, None, SAMPLER, resume_path=log)
 
 

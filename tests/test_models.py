@@ -8,6 +8,17 @@ import random
 import pytest
 
 from multipath import kernels
+from multipath.decoding import (
+    AdaptiveConfig,
+    BeamConfig,
+    MultipathConfig,
+    SamplerConfig,
+    adaptive_decode,
+    beam_search,
+    greedy_decode,
+    multipath_decode,
+    nucleus_sample,
+)
 from multipath.errors import LoadError, TrainingError
 from multipath.models import (
     NGramLM,
@@ -24,6 +35,7 @@ from multipath.models import (
     table_lm_to_json,
     train_ngram,
 )
+from multipath.oracle import enumerate_finished
 
 ABC = Vocabulary(tokens=("a", "b", "c"), eos_id=2)
 
@@ -128,11 +140,26 @@ def test_path_ppl_matches_definition():
 # model contract
 
 
-def test_next_distribution_validates_token_ids(trap_model):
-    with pytest.raises(ValueError, match="prompt token id"):
-        trap_model.next_distribution((99,), ())
-    with pytest.raises(ValueError, match="prefix token id"):
-        trap_model.next_distribution((), (-1,))
+def test_token_ids_are_checked_where_they_enter(trap_model):
+    entries = (
+        lambda prompt: greedy_decode(trap_model, prompt),
+        lambda prompt: nucleus_sample(trap_model, prompt, SamplerConfig()),
+        lambda prompt: adaptive_decode(trap_model, prompt, AdaptiveConfig()),
+        lambda prompt: multipath_decode(trap_model, prompt, MultipathConfig()),
+        lambda prompt: beam_search(trap_model, prompt, BeamConfig()),
+        lambda prompt: enumerate_finished(trap_model, prompt, 3),
+        lambda prompt: sequence_logprob(trap_model, prompt, (0, 2)),
+    )
+    size = trap_model.vocabulary.size
+    for enter in entries:
+        enter((0, 1))
+        for bad in (size, -1):
+            with pytest.raises(ValueError, match=rf"prompt token id {bad} out of range \(V={size}\)"):
+                enter((0, bad, 1))
+    # Without its own check, -3 would wrap to token 0 and score (0, 0).
+    for continuation in ((0, -3), (size, 2), (0, -1)):
+        with pytest.raises(ValueError, match=r"continuation token id -?\d+ out of range"):
+            sequence_logprob(trap_model, (), continuation)
 
 
 def test_next_distribution_is_pure(trap_model):

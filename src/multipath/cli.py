@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -44,7 +45,7 @@ from .decoding import (
 )
 from .errors import ConfigError, LoadError, MultipathError, ProtocolError, TransportError, VerificationError
 from .evaluation import reports_to_csv, score_run
-from .models import ModelInterface, Vocabulary, load_table_lm, train_ngram
+from .models import ModelInterface, load_table_lm, train_ngram, vocabulary_from_spec
 from .oracle import check_exactness, check_pruning, check_reductions
 from .remote import HttpModelClient, JudgeClient
 from .tasks import load_tasks
@@ -126,6 +127,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_types() -> dict[str, tuple[type, bool]]:
+    """Config-file key -> (the type argparse converts that flag's value to,
+    whether the flag repeats), over the value-taking flags of every command."""
+    [commands] = [action.choices for action in build_parser()._actions if isinstance(action.choices, dict)]
+    return {
+        action.dest: (action.type or str, isinstance(action, argparse._AppendAction))
+        for command in commands.values() for action in command._actions if action.nargs != 0
+    }
+
+
+def _is_a(value: object, kind: type) -> bool:
+    """Whether a JSON value has type ``kind``: a float may also be an int,
+    and a bool is never a number."""
+    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_config_types(config: dict, path: Path) -> None:
+    types = _flag_types()
+    for key, value in config.items():
+        if key not in types or value is None:
+            continue
+        kind, repeats = types[key]
+        if _is_a(value, kind) or (repeats and isinstance(value, list) and all(_is_a(v, kind) for v in value)):
+            continue
+        expected = f"a {kind.__name__} or a list of them" if repeats else f"a {kind.__name__}"
+        raise ConfigError(f"config {path}: {key!r} must be {expected}, got {value!r}")
+
+
 class Settings:
     """Flag value, else config-file value, else built-in default."""
 
@@ -142,6 +171,7 @@ class Settings:
                 raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
             if not isinstance(self._config, dict):
                 raise ConfigError(f"config {path}: top level must be an object")
+            _check_config_types(self._config, path)
 
     def get(self, key: str, required: bool = False):
         value = getattr(self._args, key, None)
@@ -152,6 +182,14 @@ class Settings:
         if value is None and required:
             raise ConfigError(f"missing required setting --{key.replace('_', '-')}")
         return value
+
+
+def _spec_number(data: dict, key: str, default: float, path: Path, kind: type = float):
+    """``data[key]``, else ``default``, checked to be a finite ``kind`` (see ``_is_a``)."""
+    value = data.get(key, default)
+    if not _is_a(value, kind) or (isinstance(value, float) and not math.isfinite(value)):
+        raise LoadError(f"model file {path}: {key!r} must be a finite {kind.__name__}, got {value!r}")
+    return value
 
 
 def load_model(path: str | Path) -> ModelInterface:
@@ -178,6 +216,8 @@ def load_model(path: str | Path) -> ModelInterface:
     if kind == "ngram":
         corpus = data.get("corpus")
         if corpus is None and "corpus_file" in data:
+            if not isinstance(data["corpus_file"], str):
+                raise LoadError(f"model file {path}: 'corpus_file' must be a string")
             corpus_path = Path(data["corpus_file"])
             if not corpus_path.is_absolute():
                 corpus_path = path.parent / corpus_path
@@ -187,30 +227,43 @@ def load_model(path: str | Path) -> ModelInterface:
                 raise LoadError(f"cannot read corpus {corpus_path}: {exc}") from exc
         if not isinstance(corpus, str):
             raise LoadError(f"model file {path}: ngram spec needs 'corpus' text or 'corpus_file'")
+        eos = data.get("eos", "</s>")
+        if not isinstance(eos, str):
+            raise LoadError(f"model file {path}: 'eos' must be a string")
+        order = _spec_number(data, "order", 2, path, int)
+        add_k = float(_spec_number(data, "add_k", 1.0, path))
         try:
-            return train_ngram(
-                corpus,
-                order=int(data.get("order", 2)),
-                add_k=float(data.get("add_k", 1.0)),
-                eos_token=data.get("eos", "</s>"),
-            )
+            return train_ngram(corpus, order=order, add_k=add_k, eos_token=eos)
         except (ValueError, MultipathError) as exc:
             raise LoadError(f"model file {path}: {exc}") from exc
     if kind == "remote":
         for key in ("url", "vocab", "eos"):
             if key not in data:
                 raise LoadError(f"model file {path}: remote spec missing {key!r}")
-        try:
-            vocab = Vocabulary.from_tokens(data["vocab"], data["eos"])
-        except ValueError as exc:
-            raise LoadError(f"model file {path}: {exc}") from exc
+        if not isinstance(data["url"], str):
+            raise LoadError(f"model file {path}: 'url' must be a string")
         return HttpModelClient(
-            vocab,
+            vocabulary_from_spec(data, path),
             data["url"],
-            timeout=float(data.get("timeout", 10.0)),
-            retries=int(data.get("retries", 2)),
+            timeout=float(_spec_number(data, "timeout", 10.0, path)),
+            retries=_spec_number(data, "retries", 2, path, int),
         )
     raise LoadError(f"model file {path}: unrecognized spec (no 'rows' and no known 'kind')")
+
+
+def _multipath_config(settings: Settings) -> MultipathConfig:
+    return MultipathConfig(
+        mass_fraction=settings.get("p_star"),
+        max_width=settings.get("k_star"),
+        max_len=settings.get("max_len"),
+    )
+
+
+def _sampler_config(settings: Settings) -> SamplerConfig:
+    return SamplerConfig(
+        top_p=settings.get("top_p"), top_k=settings.get("top_k"),
+        seed=settings.get("seed"), max_len=settings.get("max_len"),
+    )
 
 
 def _run_decoder(model: ModelInterface, prompt_ids, settings: Settings):
@@ -219,20 +272,11 @@ def _run_decoder(model: ModelInterface, prompt_ids, settings: Settings):
     if decoder == "greedy":
         return greedy_decode(model, prompt_ids, max_len=max_len)
     if decoder == "multipath":
-        cfg = MultipathConfig(
-            mass_fraction=settings.get("p_star"),
-            max_width=settings.get("k_star"),
-            max_len=max_len,
-        )
-        return multipath_decode(model, prompt_ids, cfg)
+        return multipath_decode(model, prompt_ids, _multipath_config(settings))
     if decoder == "beam":
         return beam_search(model, prompt_ids, BeamConfig(width=settings.get("beam"), max_len=max_len))
     if decoder == "nucleus":
-        cfg = SamplerConfig(
-            top_p=settings.get("top_p"), top_k=settings.get("top_k"),
-            seed=settings.get("seed"), max_len=max_len,
-        )
-        return nucleus_sample(model, prompt_ids, cfg)
+        return nucleus_sample(model, prompt_ids, _sampler_config(settings))
     if decoder == "adaptive":
         cfg = AdaptiveConfig(base_k=settings.get("k_star"), seed=settings.get("seed"), max_len=max_len)
         return adaptive_decode(model, prompt_ids, cfg)
@@ -268,21 +312,13 @@ def _build_provider(settings: Settings) -> FeedbackProvider:
 
 def _run_one_strategy(model, dataset, kind: str, settings: Settings, out_dir: Path, resume: bool):
     if kind == "ftr_indicator":
-        strategy = CorrectionStrategy(kind=kind, multipath_cfg=MultipathConfig(
-            mass_fraction=settings.get("p_star"),
-            max_width=settings.get("k_star"),
-            max_len=settings.get("max_len"),
-        ))
+        strategy = CorrectionStrategy(kind=kind, multipath_cfg=_multipath_config(settings))
     else:
         strategy = CorrectionStrategy(kind=kind)
     provider = _build_provider(settings) if strategy.needs_feedback else None
-    sampler_cfg = SamplerConfig(
-        top_p=settings.get("top_p"), top_k=settings.get("top_k"),
-        seed=settings.get("seed"), max_len=settings.get("max_len"),
-    )
     attempts_path = out_dir / f"attempts_{kind}.jsonl"
     run = run_protocol(
-        model, dataset, strategy, provider, sampler_cfg,
+        model, dataset, strategy, provider, _sampler_config(settings),
         workers=settings.get("workers"),
         resume_path=attempts_path if resume else None,
     )
@@ -319,7 +355,7 @@ def cmd_bench(settings: Settings, kinds: list[str], resume: bool) -> int:
         if run.errors:
             continue
         report = score_run(
-            run, dataset, strategy.kind,
+            run.pairs, dataset, strategy.kind,
             timeout=settings.get("timeout"), workers=settings.get("workers"),
         )
         reports.append(report)

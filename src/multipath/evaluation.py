@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-from .correction import CORRECTED, Attempt, ProtocolRun
+from .correction import CORRECTED, Attempt
 from .tasks import Dataset, Task, verify
 
 CSV_COLUMNS = (
@@ -57,15 +57,8 @@ class ChangeMatrix:
     def total(self) -> int:
         return self.cc + self.ci + self.ic + self.ii
 
-    def accuracy_before(self) -> float:
-        return (self.cc + self.ci) / self.total
-
     def accuracy_after(self) -> float:
         return (self.cc + self.ic) / self.total
-
-    def percentages(self) -> dict[str, float]:
-        n = self.total
-        return {"cc": self.cc / n, "ci": self.ci / n, "ic": self.ic / n, "ii": self.ii / n}
 
 
 @dataclass(frozen=True)
@@ -144,22 +137,8 @@ class RunReport:
             "measured_cost_ratio": self.measured_cost_ratio,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RunReport":
-        matrix = ChangeMatrix(**data["matrix"])
-        fields = {k: data[k] for k in (
-            "strategy", "dataset", "size", "accuracy", "tokens_stage1", "tokens_stage2",
-            "regenerated", "unit_tokens", "regen_fraction", "mean_width",
-            "est_cost_ratio", "measured_cost_ratio",
-        )}
-        return cls(matrix=matrix, **fields)
-
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls.from_json_dict(json.loads(text))
 
     def csv_row(self) -> str:
         m = self.matrix
@@ -179,7 +158,7 @@ def reports_to_csv(reports: Sequence[RunReport]) -> str:
 
 
 def score_run(
-    run: ProtocolRun | Sequence[tuple[Attempt, Attempt]],
+    pairs: Sequence[tuple[Attempt, Attempt]],
     dataset: Dataset,
     strategy_kind: str,
     timeout: float = 30.0,
@@ -190,7 +169,6 @@ def score_run(
     Verdicts always come from verify(), regardless of which provider gated
     stage 2 during the run. Requires exactly one pair per dataset task.
     """
-    pairs = run.pairs if isinstance(run, ProtocolRun) else tuple(run)
     by_task: dict[str, Task] = {t.id: t for t in dataset.tasks}
     seen = set()
     for initial, final in pairs:

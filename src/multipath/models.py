@@ -302,18 +302,6 @@ class TableLM(ModelInterface):
         if len(dist) != self._vocabulary.size:
             raise ValueError(f"{what}: row length {len(dist)} != vocabulary size {self._vocabulary.size}")
 
-    @property
-    def rows(self) -> dict[TokenIds, StepDistribution]:
-        return dict(self._rows)
-
-    @property
-    def default(self) -> StepDistribution | None:
-        return self._default
-
-    @property
-    def has_prompt_rows(self) -> bool:
-        return bool(self._prompt_rows)
-
     def _distribution(self, prompt: TokenIds, prefix: TokenIds) -> StepDistribution:
         dist = self._prompt_rows.get((prompt, prefix))
         if dist is None:
@@ -447,29 +435,39 @@ def perplexity(cum_logprob: float, num_tokens: int) -> float:
 # Table-model file format
 
 
-def _table_payload(model: TableLM) -> dict:
-    vocab = model.vocabulary
-    rows = []
-    for ctx_ids in sorted(model.rows):
-        rows.append({
-            "context": [vocab.tokens[i] for i in ctx_ids],
-            "probs": list(model.rows[ctx_ids].probs),
-        })
-    payload: dict = {"vocab": list(vocab.tokens), "eos": vocab.eos_token, "rows": rows}
-    if model.default is not None:
-        payload["default"] = list(model.default.probs)
-    return payload
-
-
 def table_lm_to_json(model: TableLM) -> str:
     """Canonical JSON text for a table model (stable bytes for round-trips)."""
-    if model.has_prompt_rows:
+    if model._prompt_rows:
         raise ValueError("prompt-keyed rows are not representable in the table file format")
-    return json.dumps(_table_payload(model), sort_keys=True, separators=(",", ":")) + "\n"
+    vocab = model.vocabulary
+    rows = [
+        {"context": [vocab.tokens[i] for i in ctx_ids], "probs": list(dist.probs)}
+        for ctx_ids, dist in sorted(model._rows.items())
+    ]
+    payload: dict = {"vocab": list(vocab.tokens), "eos": vocab.eos_token, "rows": rows}
+    if model._default is not None:
+        payload["default"] = list(model._default.probs)
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def dump_table_lm(model: TableLM, path: str | Path) -> None:
     Path(path).write_text(table_lm_to_json(model), encoding="utf-8")
+
+
+def _is_str_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def vocabulary_from_spec(data: dict, path: Path) -> Vocabulary:
+    """The vocabulary named by a model file's "vocab" and "eos" keys."""
+    if not _is_str_list(data["vocab"]):
+        raise LoadError(f"model file {path}: 'vocab' must be a list of strings")
+    if not isinstance(data["eos"], str):
+        raise LoadError(f"model file {path}: 'eos' must be a string")
+    try:
+        return Vocabulary.from_tokens(data["vocab"], data["eos"])
+    except ValueError as exc:
+        raise LoadError(f"model file {path}: {exc}") from exc
 
 
 def load_table_lm(path: str | Path) -> TableLM:
@@ -493,18 +491,18 @@ def load_table_lm(path: str | Path) -> TableLM:
     for key in ("vocab", "eos", "rows"):
         if key not in data:
             raise LoadError(f"model file {path}: missing key {key!r}")
-
-    try:
-        vocabulary = Vocabulary.from_tokens(data["vocab"], data["eos"])
-    except ValueError as exc:
-        raise LoadError(f"model file {path}: {exc}") from exc
+    vocabulary = vocabulary_from_spec(data, path)
+    if not isinstance(data["rows"], list):
+        raise LoadError(f"model file {path}: 'rows' must be a list")
 
     def parse_row(probs: list, what: str) -> StepDistribution:
         if not isinstance(probs, list) or len(probs) != vocabulary.size:
             raise LoadError(f"model file {path}: {what}: probs must be a list of length {vocabulary.size}")
+        if any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in probs):
+            raise LoadError(f"model file {path}: {what}: 'probs' must be numbers")
         try:
             return StepDistribution(probs=probs)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise LoadError(f"model file {path}: {what}: {exc}") from exc
 
     rows: dict[TokenIds, StepDistribution] = {}
@@ -512,6 +510,8 @@ def load_table_lm(path: str | Path) -> TableLM:
         what = f"row {idx}"
         if not isinstance(row, dict) or "context" not in row or "probs" not in row:
             raise LoadError(f"model file {path}: {what}: needs 'context' and 'probs'")
+        if not _is_str_list(row["context"]):
+            raise LoadError(f"model file {path}: {what}: 'context' must be a list of strings")
         try:
             ctx = vocabulary.encode(" ".join(row["context"]))
         except ValueError as exc:

@@ -1,8 +1,7 @@
 """Wire adapters: remote model servers and the judge service.
 
 Model protocol: request {"prompt_tokens": [ints], "prefix_tokens": [ints]}
-answered by {"logprobs": [numbers, length V]}, carried either over HTTP POST
-or as one JSON line each way on a byte stream (e.g. a subprocess pipe).
+answered by {"logprobs": [numbers, length V]}, carried over HTTP POST.
 Each reply row is validated once on receipt, for shape, range and
 normalization; a null entry stands for probability zero (JSON has no -inf).
 
@@ -18,10 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 import urllib.error
 import urllib.request
-from typing import IO
 
 from .errors import ProtocolError, TransportError
 from .models import ModelInterface, StepDistribution, Vocabulary
@@ -114,44 +111,6 @@ class HttpModelClient(ModelInterface):
         return dist
 
 
-class StreamModelClient(ModelInterface):
-    """Remote model over a line-delimited stream pair (one JSON object per line).
-
-    Requests and replies pair up by order on the stream, so a lock holds each
-    write and its reply's read together; threads may share one client.
-    """
-
-    def __init__(self, vocabulary: Vocabulary, reader: IO[str], writer: IO[str]):
-        super().__init__(vocabulary)
-        self._reader = reader
-        self._writer = writer
-        self._lock = threading.Lock()
-        self._cache: dict[tuple[tuple[int, ...], tuple[int, ...]], StepDistribution] = {}
-
-    def _distribution(self, prompt, prefix):
-        key = (prompt, prefix)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        line = json.dumps({"prompt_tokens": list(prompt), "prefix_tokens": list(prefix)})
-        try:
-            with self._lock:
-                self._writer.write(line + "\n")
-                self._writer.flush()
-                reply_line = self._reader.readline()
-        except (OSError, ValueError) as exc:
-            raise TransportError(f"model stream: {exc}") from exc
-        if not reply_line:
-            raise TransportError("model stream closed")
-        try:
-            reply = json.loads(reply_line)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"model stream: response is not valid JSON: {exc}") from exc
-        dist = _parse_distribution(reply, self._vocabulary.size, "model stream")
-        self._cache[key] = dist
-        return dist
-
-
 class JudgeClient:
     """Client for the judge service; returns verdicts, never guesses them."""
 
@@ -161,10 +120,6 @@ class JudgeClient:
         self._url = base_url.rstrip("/") + "/judge"
         self._timeout = timeout
         self._retries = retries
-
-    @property
-    def url(self) -> str:
-        return self._url
 
     def judge(self, task_id: str, prompt: str, response: str) -> tuple[str, str | None]:
         """Returns (verdict, category); verdict is "correct" or "incorrect"."""

@@ -15,7 +15,6 @@ import re
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 from .errors import LoadError, VerificationError
 from .templates import MATH_TEMPLATE, load_prompt
@@ -63,13 +62,6 @@ class Dataset:
         if len(set(ids)) != len(ids):
             dup = next(i for i in ids if ids.count(i) > 1)
             raise ValueError(f"duplicate task id {dup!r}")
-
-    @property
-    def size(self) -> int:
-        return len(self.tasks)
-
-    def __iter__(self):
-        return iter(self.tasks)
 
 
 def load_tasks(path: str | Path) -> Dataset:
@@ -186,8 +178,3 @@ def verify(task: Task, text: str, timeout: float = 30.0) -> bool:
         raise VerificationError(f"task {task.id!r}: cannot run verifier {task.verify_cmd}: {exc}") from exc
     return proc.returncode == 0
 
-
-def verify_all(tasks: Sequence[Task], texts: Sequence[str], timeout: float = 30.0) -> list[bool]:
-    if len(tasks) != len(texts):
-        raise ValueError(f"{len(tasks)} tasks but {len(texts)} texts")
-    return [verify(task, text, timeout=timeout) for task, text in zip(tasks, texts)]

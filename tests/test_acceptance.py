@@ -113,12 +113,12 @@ def test_greedy_trap_recovery(trap_model):
 
 
 def test_correction_never_corrupts_verified_answers(ftr_run, digit_dataset):
-    report = score_run(ftr_run, digit_dataset, "ftr_indicator")
+    report = score_run(ftr_run.pairs, digit_dataset, "ftr_indicator")
     matrix = report.matrix
     assert matrix.total == 100
     assert matrix.ci == 0
     assert matrix.ic > 0
-    assert matrix.accuracy_after() > matrix.accuracy_before()
+    assert matrix.accuracy_after() > (matrix.cc + matrix.ci) / matrix.total
     # positive feedback means the initial attempt is the final one
     for initial, final in ftr_run.pairs:
         if final.stage != CORRECTED:
@@ -163,7 +163,7 @@ def test_prompt_strategies_embed_exact_template_bytes(digit_model, digit_dataset
 
 
 def test_cost_model_tracks_measured_cost(ftr_run, digit_dataset):
-    report = score_run(ftr_run, digit_dataset, "ftr_indicator")
+    report = score_run(ftr_run.pairs, digit_dataset, "ftr_indicator")
     assert report.est_cost_ratio > 1.0
     rel_err = abs(report.measured_cost_ratio - report.est_cost_ratio) / report.est_cost_ratio
     assert rel_err <= 0.02

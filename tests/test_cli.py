@@ -51,6 +51,32 @@ def test_settings_bad_config_file(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command, values, key", [
+    ("decode", {"k_star": "7"}, "k_star"),
+    ("bench", {"workers": "2"}, "workers"),
+    ("decode", {"p_star": True}, "p_star"),
+    ("decode", {"max_len": 2.0}, "max_len"),
+    ("bench", {"strategy": ["none", 3]}, "strategy"),
+    ("decode", {"decoder": 1}, "decoder"),
+])
+def test_config_value_of_the_wrong_type_exits_2(capsys, tmp_path, trap_path, toy_dataset_path, command, values, key):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(values), encoding="utf-8")
+    argv = [command, "--model", trap_path, "--config", str(config)]
+    if command == "bench":
+        argv += ["--dataset", toy_dataset_path, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and str(config) in err
+
+
+def test_config_values_of_the_flag_types_are_accepted(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"p_star": 1, "k_star": 3, "strategy": ["none"], "resume": True}), encoding="utf-8")
+    settings = Settings(build_parser().parse_args(["compare", "--config", str(config)]))
+    assert (settings.get("p_star"), settings.get("k_star"), settings.get("strategy")) == (1, 3, ["none"])
+
+
 # ---------------------------------------------------------------------------
 # decode
 
@@ -182,6 +208,40 @@ def test_load_model_remote_spec_missing_field(tmp_path):
     spec.write_text(json.dumps({"kind": "remote", "url": "http://x"}))
     with pytest.raises(LoadError, match="missing 'vocab'"):
         load_model(spec)
+
+
+REMOTE_SPEC = {"kind": "remote", "url": "http://127.0.0.1:1/model", "vocab": ["a", "b", "$"], "eos": "$"}
+NGRAM_SPEC = {"kind": "ngram", "corpus": "a b a b"}
+TABLE_SPEC = {"vocab": ["a", "$"], "eos": "$", "rows": [{"context": [], "probs": [0.5, 0.5]}]}
+
+
+@pytest.mark.parametrize("spec, key", [
+    (dict(REMOTE_SPEC, timeout=None), "timeout"),
+    (dict(REMOTE_SPEC, timeout=True), "timeout"),
+    (dict(REMOTE_SPEC, retries=[1]), "retries"),
+    (dict(REMOTE_SPEC, retries=1.5), "retries"),
+    (dict(REMOTE_SPEC, vocab="ab$"), "vocab"),
+    (dict(REMOTE_SPEC, eos=["$"]), "eos"),
+    (dict(REMOTE_SPEC, url=80), "url"),
+    (dict(NGRAM_SPEC, order=None), "order"),
+    (dict(NGRAM_SPEC, order="2"), "order"),
+    (dict(NGRAM_SPEC, add_k=None), "add_k"),
+    (dict(NGRAM_SPEC, add_k=float("nan")), "add_k"),
+    (dict(NGRAM_SPEC, eos=0), "eos"),
+    (dict(NGRAM_SPEC, corpus=None, corpus_file=1), "corpus_file"),
+    (dict(TABLE_SPEC, vocab="a$"), "vocab"),
+    (dict(TABLE_SPEC, vocab=["a", 1, "$"]), "vocab"),
+    (dict(TABLE_SPEC, rows={}), "rows"),
+    (dict(TABLE_SPEC, rows=[{"context": "a", "probs": [0.5, 0.5]}]), "context"),
+    (dict(TABLE_SPEC, rows=[{"context": [], "probs": ["0.5", 0.5]}]), "probs"),
+    (dict(TABLE_SPEC, rows=[{"context": [], "probs": [True, False]}]), "probs"),
+])
+def test_load_model_rejects_wrong_json_types_with_exit_2(capsys, tmp_path, spec, key):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["decode", "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and str(path) in err
 
 
 def test_load_model_unrecognized_spec(tmp_path):

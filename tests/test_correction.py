@@ -329,7 +329,7 @@ def test_protocol_none_keeps_initial_as_final(small_digit_model, small_digit_dat
     run = run_protocol(
         small_digit_model, small_digit_dataset, CorrectionStrategy(kind="none"), None, SAMPLER
     )
-    assert len(run.pairs) == small_digit_dataset.size
+    assert len(run.pairs) == len(small_digit_dataset.tasks)
     assert run.errors == ()
     for initial, final in run.pairs:
         assert final is initial
@@ -342,7 +342,7 @@ def check_positive_feedback_keeps_initial(monkeypatch, model, dataset, strategy,
     run = run_protocol(model, dataset, strategy, provider, SAMPLER)
     assert provider.asked == [t.id for t in dataset.tasks]
     assert run.errors == ()
-    assert len(run.pairs) == dataset.size
+    assert len(run.pairs) == len(dataset.tasks)
     for initial, final in run.pairs:
         assert final is initial
 
@@ -363,7 +363,7 @@ def test_feedback_as_prompt_positive_is_identity(monkeypatch, small_digit_model,
 def test_protocol_negative_feedback_always_regenerates(small_digit_model, small_digit_dataset, strategy):
     run = run_protocol(small_digit_model, small_digit_dataset, strategy, FixedFeedback("negative"), SAMPLER)
     assert run.errors == ()
-    assert len(run.pairs) == small_digit_dataset.size
+    assert len(run.pairs) == len(small_digit_dataset.tasks)
     for initial, final in run.pairs:
         assert initial.stage == INITIAL
         assert final.stage == CORRECTED
@@ -573,7 +573,7 @@ def test_protocol_json_lines_are_canonical(small_digit_model, small_digit_datase
     text = run.to_json_lines()
     assert text.endswith("\n")
     lines = text.splitlines()
-    assert len(lines) == small_digit_dataset.size
+    assert len(lines) == len(small_digit_dataset.tasks)
     for line in lines:
         record = json.loads(line)
         assert set(record) == {"task_id", "initial", "final"}

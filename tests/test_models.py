@@ -185,7 +185,6 @@ def test_table_lookup_order_prompt_then_prefix_then_default():
     assert model.next_distribution((1,), (0,)).probs == row_prompt.probs
     assert model.next_distribution((0,), (0,)).probs == row_prefix.probs
     assert model.next_distribution((0,), (1,)).probs == row_default.probs
-    assert model.has_prompt_rows
 
 
 def test_table_missing_row_and_no_default():
@@ -465,7 +464,7 @@ def test_load_rejects_nan_probability(tmp_path):
 
 
 def test_load_rejects_probability_float_cannot_read(tmp_path):
-    # float() raises TypeError on null and OverflowError on a huge integer
+    # null is not a number, and float() overflows on a huge integer
     for probs in ('[null, 1.0]', '[1' + '0' * 400 + ', 1.0]'):
         text = '{"vocab": ["a", "$"], "eos": "$", "rows": [{"context": [], "probs": %s}]}' % probs
         with pytest.raises(LoadError, match=r"row 0 "):

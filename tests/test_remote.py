@@ -2,25 +2,19 @@
 
 from __future__ import annotations
 
-import io
 import json
 import math
-import os
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from multipath.decoding import greedy_decode
+from multipath.correction import CorrectionStrategy, GroundTruthProvider, run_protocol
+from multipath.decoding import MultipathConfig, SamplerConfig, greedy_decode
 from multipath.errors import ProtocolError, TransportError
-from multipath.models import StepDistribution, Vocabulary, greedy_trap_lm
-from multipath.remote import (
-    HttpModelClient,
-    JudgeClient,
-    StreamModelClient,
-    _parse_distribution,
-)
+from multipath.models import Vocabulary, greedy_trap_lm
+from multipath.remote import HttpModelClient, JudgeClient, _parse_distribution
 
 ABC = Vocabulary(tokens=("a", "b", "$"), eos_id=2)
 
@@ -63,11 +57,17 @@ def server():
     srv.server_close()
 
 
-def trap_responder(path, payload):
-    model = greedy_trap_lm()
-    dist = model.next_distribution(payload["prompt_tokens"], payload["prefix_tokens"])
-    logprobs = [math.log(p) if p > 0.0 else None for p in dist.probs]
-    return 200, {"logprobs": logprobs}
+def responder(model):
+    """Answers each model request with ``model``'s row for its context."""
+
+    def respond(path, payload):
+        dist = model.next_distribution(payload["prompt_tokens"], payload["prefix_tokens"])
+        return 200, {"logprobs": [math.log(p) if p > 0.0 else None for p in dist.probs]}
+
+    return respond
+
+
+trap_responder = responder(greedy_trap_lm())
 
 
 # ---------------------------------------------------------------------------
@@ -203,101 +203,39 @@ def test_http_client_rejects_negative_retries():
         HttpModelClient(ABC, "http://x", retries=-1)
 
 
-# ---------------------------------------------------------------------------
-# stream model client
+def test_http_client_is_safe_to_share_between_protocol_workers(server, small_digit_model, small_digit_dataset):
+    # run_protocol(workers > 1) hands one client to every worker thread; a
+    # reply cached under the wrong context, or lost, changes the attempts.
+    server.respond = responder(small_digit_model)
+    strategy = CorrectionStrategy(
+        kind="ftr_indicator",
+        multipath_cfg=MultipathConfig(mass_fraction=0.9, max_width=7, max_len=8),
+    )
+    sampler = SamplerConfig(top_p=0.95, top_k=15, seed=42, max_len=8)
 
+    def run(workers):
+        client = HttpModelClient(small_digit_model.vocabulary, server.url, timeout=10.0, retries=0)
+        return run_protocol(client, small_digit_dataset, strategy, GroundTruthProvider(), sampler, workers=workers)
 
-def stream_reply(probs):
-    logprobs = [math.log(p) if p > 0.0 else None for p in probs]
-    return json.dumps({"logprobs": logprobs}) + "\n"
-
-
-def test_stream_client_round_trip():
-    reader = io.StringIO(stream_reply((0.45, 0.55, 0.0)))
-    writer = io.StringIO()
-    client = StreamModelClient(ABC, reader, writer)
-    dist = client.next_distribution((0,), (1,))
-    assert dist.probs == pytest.approx((0.45, 0.55, 0.0))
-    assert json.loads(writer.getvalue()) == {"prompt_tokens": [0], "prefix_tokens": [1]}
-
-
-def test_stream_client_caches_repeat_contexts():
-    # exactly one reply available: the second identical call must not read
-    reader = io.StringIO(stream_reply((0.45, 0.55, 0.0)))
-    client = StreamModelClient(ABC, reader, io.StringIO())
-    first = client.next_distribution((), ())
-    second = client.next_distribution((), ())
-    assert first.probs == second.probs
-
-
-def test_stream_client_closed_stream_is_transport_error():
-    client = StreamModelClient(ABC, io.StringIO(""), io.StringIO())
-    with pytest.raises(TransportError, match="stream closed"):
-        client.next_distribution((), ())
-
-
-def test_stream_client_bad_line_is_protocol_error():
-    client = StreamModelClient(ABC, io.StringIO("{not json\n"), io.StringIO())
-    with pytest.raises(ProtocolError, match="not valid JSON"):
-        client.next_distribution((), ())
-
-
-def test_stream_client_is_safe_to_share_between_threads():
-    # The server answers each request with all mass on the request's first
-    # prefix token, so a reply paired with the wrong request shows.
-    to_server_r, to_server_w = os.pipe()
-    to_client_r, to_client_w = os.pipe()
-    with open(to_server_r, encoding="utf-8") as requests, open(to_server_w, "w", encoding="utf-8") as writer, \
-            open(to_client_r, encoding="utf-8") as reader, open(to_client_w, "w", encoding="utf-8") as replies:
-
-        def serve():
-            for line in requests:
-                token = json.loads(line)["prefix_tokens"][0]
-                replies.write(stream_reply(tuple(float(t == token) for t in range(3))))
-                replies.flush()
-
-        client = StreamModelClient(ABC, reader, writer)
-        wrong = []
-
-        def ask(token):
-            try:
-                for i in range(200):
-                    if client.next_distribution((0,) * i, (token,)).probs[token] != 1.0:
-                        wrong.append((token, i))
-            except (TransportError, ProtocolError) as exc:
-                wrong.append((token, exc))
-
-        server = threading.Thread(target=serve, daemon=True)
-        askers = [threading.Thread(target=ask, args=(token,), daemon=True) for token in range(3)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in [server, *askers]:
-                t.start()
-            for t in askers:
-                t.join(timeout=10)
-        finally:
-            sys.setswitchinterval(interval)
-        hung = [t for t in askers if t.is_alive()]
-        # End of both streams: the server stops, and a reader stuck on a reply
-        # another thread consumed sees end of stream instead of hanging.
-        writer.close()
-        server.join(timeout=10)
-        replies.close()
-        for t in askers:
-            t.join(timeout=10)
-    assert not server.is_alive()
-    assert hung == []
-    assert wrong == []
+    serial = run(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        shared = run(4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert serial.errors == () and shared.errors == ()
+    assert shared.to_json_lines() == serial.to_json_lines()
 
 
 # ---------------------------------------------------------------------------
 # judge client
 
 
-def test_judge_url_join():
-    assert JudgeClient("http://host:1234").url == "http://host:1234/judge"
-    assert JudgeClient("http://host:1234/").url == "http://host:1234/judge"
+def test_judge_url_join(server):
+    server.respond = lambda path, payload: (200, {"verdict": "correct"})
+    JudgeClient(server.url + "/", retries=0).judge("t1", "p", "r")
+    assert [path for path, _ in server.requests] == ["/judge"]
 
 
 def test_judge_happy_path(server):

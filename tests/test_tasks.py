@@ -14,7 +14,6 @@ from multipath.tasks import (
     load_tasks,
     numbers_match,
     verify,
-    verify_all,
 )
 from multipath.templates import MATH_TEMPLATE, load_prompt
 
@@ -56,8 +55,7 @@ def test_dataset_rejects_empty_and_duplicates():
 
 def test_dataset_iterates_in_order():
     ds = Dataset(name="d", tasks=(math_task("a"), math_task("b")))
-    assert [t.id for t in ds] == ["a", "b"]
-    assert ds.size == 2
+    assert [t.id for t in ds.tasks] == ["a", "b"]
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +234,3 @@ def test_verify_code_missing_binary_is_infrastructure_failure():
     with pytest.raises(VerificationError, match="cannot run verifier"):
         verify(broken, "x")
 
-
-def test_verify_all_checks_lengths():
-    tasks = [math_task("a", 1), math_task("b", 2)]
-    assert verify_all(tasks, ["[1]", "[3]"]) == [True, False]
-    with pytest.raises(ValueError, match="2 tasks but 1"):
-        verify_all(tasks, ["[1]"])

@@ -45,7 +45,7 @@ from .decoding import (
 )
 from .errors import ConfigError, LoadError, MultipathError, ProtocolError, TransportError, VerificationError
 from .evaluation import reports_to_csv, score_run
-from .models import ModelInterface, load_table_lm, train_ngram, vocabulary_from_spec
+from .models import ModelInterface, read_json_object, table_lm_from_spec, train_ngram, vocabulary_from_spec
 from .oracle import check_exactness, check_pruning, check_reductions
 from .remote import HttpModelClient, JudgeClient
 from .tasks import load_tasks
@@ -53,39 +53,28 @@ from .tasks import load_tasks
 DECODERS = ("greedy", "multipath", "beam", "nucleus", "adaptive")
 PROVIDERS = ("ground_truth", "scripted", "judge")
 
-DEFAULTS = {
-    "decoder": "multipath",
-    "strategy": ["ftr_indicator"],
-    "provider": "ground_truth",
-    "p_star": 0.9,
-    "k_star": 7,
-    "top_p": 0.95,
-    "top_k": 15,
-    "beam": 4,
-    "seed": 0,
-    "max_len": 128,
-    "fn_rate": 0.0,
-    "fp_rate": 0.0,
-    "workers": 1,
-    "timeout": 30.0,
-    "models": 200,
-    "trials": 10000,
-}
+DEFAULT_STRATEGY = "ftr_indicator"
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file supplying defaults for any flag")
-    parser.add_argument("--seed", type=int, help="base seed (default 0)")
+    parser.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
 
 
 def _add_decoder_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--decoder", choices=DECODERS, help="decoder for the decode command (default multipath)")
-    parser.add_argument("--p-star", dest="p_star", type=float, help="multipath retained mass fraction (default 0.9)")
-    parser.add_argument("--k-star", dest="k_star", type=int, help="multipath width cap (default 7)")
-    parser.add_argument("--top-p", dest="top_p", type=float, help="sampler nucleus mass (default 0.95)")
-    parser.add_argument("--top-k", dest="top_k", type=int, help="sampler candidate cap (default 15)")
-    parser.add_argument("--beam", type=int, help="beam width (default 4)")
-    parser.add_argument("--max-len", dest="max_len", type=int, help="maximum generated tokens (default 128)")
+    parser.add_argument("--decoder", choices=DECODERS, default="multipath",
+                        help="decoder for the decode command (default %(default)s)")
+    parser.add_argument("--p-star", dest="p_star", type=float, default=MultipathConfig.mass_fraction,
+                        help="multipath retained mass fraction (default %(default)s)")
+    parser.add_argument("--k-star", dest="k_star", type=int, default=MultipathConfig.max_width,
+                        help="multipath width cap (default %(default)s)")
+    parser.add_argument("--top-p", dest="top_p", type=float, default=SamplerConfig.top_p,
+                        help="sampler nucleus mass (default %(default)s)")
+    parser.add_argument("--top-k", dest="top_k", type=int, default=SamplerConfig.top_k,
+                        help="sampler candidate cap (default %(default)s)")
+    parser.add_argument("--beam", type=int, default=BeamConfig.width, help="beam width (default %(default)s)")
+    parser.add_argument("--max-len", dest="max_len", type=int, default=MultipathConfig.max_len,
+                        help="maximum generated tokens (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,35 +95,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", help="model spec file")
         p.add_argument("--dataset", help="dataset JSONL file")
         p.add_argument("--strategy", action="append",
-                       help="strategy kind (repeatable for compare)")
-        p.add_argument("--provider", choices=PROVIDERS, help="feedback provider (default ground_truth)")
+                       help=f"strategy kind (repeatable for compare; default {DEFAULT_STRATEGY})")
+        p.add_argument("--provider", choices=PROVIDERS, default="ground_truth",
+                       help="feedback provider (default %(default)s)")
         p.add_argument("--judge-url", dest="judge_url", help="judge service base URL")
-        p.add_argument("--fn-rate", dest="fn_rate", type=float, help="scripted judge false-negative rate")
-        p.add_argument("--fp-rate", dest="fp_rate", type=float, help="scripted judge false-positive rate")
+        p.add_argument("--fn-rate", dest="fn_rate", type=float, default=0.0,
+                       help="scripted judge false-negative rate (default %(default)s)")
+        p.add_argument("--fp-rate", dest="fp_rate", type=float, default=0.0,
+                       help="scripted judge false-positive rate (default %(default)s)")
         p.add_argument("--out", help="output directory (required)")
-        p.add_argument("--workers", type=int, help="parallel task workers (default 1)")
-        p.add_argument("--timeout", type=float, help="verifier/judge timeout in seconds (default 30)")
+        p.add_argument("--workers", type=int, default=1, help="parallel task workers (default %(default)s)")
+        p.add_argument("--timeout", type=float, default=30.0,
+                       help="verifier/judge timeout in seconds (default %(default)s)")
         p.add_argument("--resume", action="store_true", help="reuse completed tasks from the attempts log")
         _add_decoder_flags(p)
         _add_common(p)
 
     p_oracle = sub.add_parser("oracle-check", help="cross-check decoders against brute-force oracles")
-    p_oracle.add_argument("--models", type=int, help="random models per decoder check (default 200)")
-    p_oracle.add_argument("--trials", type=int, help="random pruning pools (default 10000)")
+    p_oracle.add_argument("--models", type=int, default=200,
+                          help="random models per decoder check (default %(default)s)")
+    p_oracle.add_argument("--trials", type=int, default=10000, help="random pruning pools (default %(default)s)")
     p_oracle.add_argument("--mutate", choices=("prune-off-by-one", "selection-max-prob"),
                           help="inject a deliberate defect; the check must then fail")
     _add_common(p_oracle)
     return parser
-
-
-def _flag_types() -> dict[str, tuple[type, bool]]:
-    """Config-file key -> (the type argparse converts that flag's value to,
-    whether the flag repeats), over the value-taking flags of every command."""
-    [commands] = [action.choices for action in build_parser()._actions if isinstance(action.choices, dict)]
-    return {
-        action.dest: (action.type or str, isinstance(action, argparse._AppendAction))
-        for command in commands.values() for action in command._actions if action.nargs != 0
-    }
 
 
 def _is_a(value: object, kind: type) -> bool:
@@ -143,45 +127,55 @@ def _is_a(value: object, kind: type) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
 
 
-def _check_config_types(config: dict, path: Path) -> None:
-    types = _flag_types()
-    for key, value in config.items():
-        if key not in types or value is None:
-            continue
-        kind, repeats = types[key]
-        if _is_a(value, kind) or (repeats and isinstance(value, list) and all(_is_a(v, kind) for v in value)):
-            continue
-        expected = f"a {kind.__name__} or a list of them" if repeats else f"a {kind.__name__}"
-        raise ConfigError(f"config {path}: {key!r} must be {expected}, got {value!r}")
+def _check_config_value(action: argparse.Action, value: object, path: Path) -> None:
+    """Raise ConfigError unless ``value`` is one the flag of ``action`` could
+    produce: of its type and among its choices, or, for a repeatable flag, a
+    string or a nonempty list of them."""
+    kind = action.type or str
+    repeats = isinstance(action, argparse._AppendAction)
+    items = value if repeats and isinstance(value, list) and value else [value]
+    if not all(_is_a(item, kind) for item in items):
+        expected = f"a {kind.__name__} or a nonempty list of them" if repeats else f"a {kind.__name__}"
+        raise ConfigError(f"config {path}: {action.dest!r} must be {expected}, got {value!r}")
+    if action.choices is not None and not all(item in action.choices for item in items):
+        raise ConfigError(f"config {path}: {action.dest!r} must be one of {list(action.choices)}, got {value!r}")
 
 
-class Settings:
-    """Flag value, else config-file value, else built-in default."""
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse ``argv``, taking each setting from its flag, else from the
+    --config file, else from the flag's default.
 
-    def __init__(self, args: argparse.Namespace):
-        self._args = args
-        self._config: dict = {}
-        if getattr(args, "config", None):
-            path = Path(args.config)
-            try:
-                self._config = json.loads(path.read_text(encoding="utf-8"))
-            except OSError as exc:
-                raise ConfigError(f"cannot read config {path}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-            if not isinstance(self._config, dict):
-                raise ConfigError(f"config {path}: top level must be an object")
-            _check_config_types(self._config, path)
+    Config keys are flag names with dashes as underscores; keys that name no
+    value-taking flag of the command are ignored.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        config = {}
+    else:
+        path = Path(args.config)
+        config = read_json_object(path, "config", ConfigError)
+        [commands] = [action.choices for action in parser._actions if isinstance(action.choices, dict)]
+        command = commands[args.command]
+        flags = {action.dest: action for action in command._actions if action.nargs != 0}
+        config = {key: value for key, value in config.items() if key in flags and value is not None}
+        for key, value in config.items():
+            _check_config_value(flags[key], value, path)
+        # An append flag extends its default, so the config's strategy list
+        # is applied after parsing: an explicit --strategy replaces it.
+        command.set_defaults(**{k: v for k, v in config.items() if k != "strategy"})
+        args = parser.parse_args(argv)
+    if "strategy" in args and args.strategy is None:
+        strategy = config.get("strategy", DEFAULT_STRATEGY)
+        args.strategy = [strategy] if isinstance(strategy, str) else strategy
+    return args
 
-    def get(self, key: str, required: bool = False):
-        value = getattr(self._args, key, None)
-        if value is None:
-            value = self._config.get(key)
-        if value is None:
-            value = DEFAULTS.get(key)
-        if value is None and required:
-            raise ConfigError(f"missing required setting --{key.replace('_', '-')}")
-        return value
+
+def _required(args: argparse.Namespace, key: str):
+    value = getattr(args, key)
+    if value is None:
+        raise ConfigError(f"missing required setting --{key.replace('_', '-')}")
+    return value
 
 
 def _spec_number(data: dict, key: str, default: float, path: Path, kind: type = float):
@@ -201,18 +195,10 @@ def load_model(path: str | Path) -> ModelInterface:
     "vocab", "eos", "timeout"?, "retries"?}).
     """
     path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise LoadError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise LoadError(f"model file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise LoadError(f"model file {path}: top level must be an object")
-
+    data = read_json_object(path, "model file", LoadError)
     kind = data.get("kind")
     if kind is None and "rows" in data:
-        return load_table_lm(path)
+        return table_lm_from_spec(data, path)
     if kind == "ngram":
         corpus = data.get("corpus")
         if corpus is None and "corpus_file" in data:
@@ -242,85 +228,63 @@ def load_model(path: str | Path) -> ModelInterface:
                 raise LoadError(f"model file {path}: remote spec missing {key!r}")
         if not isinstance(data["url"], str):
             raise LoadError(f"model file {path}: 'url' must be a string")
-        return HttpModelClient(
-            vocabulary_from_spec(data, path),
-            data["url"],
-            timeout=float(_spec_number(data, "timeout", 10.0, path)),
-            retries=_spec_number(data, "retries", 2, path, int),
-        )
+        timeout = float(_spec_number(data, "timeout", 10.0, path))
+        if timeout <= 0:
+            raise LoadError(f"model file {path}: 'timeout' must be > 0, got {timeout!r}")
+        retries = _spec_number(data, "retries", 2, path, int)
+        if retries < 0:
+            raise LoadError(f"model file {path}: 'retries' must be >= 0, got {retries!r}")
+        return HttpModelClient(vocabulary_from_spec(data, path), data["url"], timeout=timeout, retries=retries)
     raise LoadError(f"model file {path}: unrecognized spec (no 'rows' and no known 'kind')")
 
 
-def _multipath_config(settings: Settings) -> MultipathConfig:
-    return MultipathConfig(
-        mass_fraction=settings.get("p_star"),
-        max_width=settings.get("k_star"),
-        max_len=settings.get("max_len"),
-    )
+def _multipath_config(args: argparse.Namespace) -> MultipathConfig:
+    return MultipathConfig(mass_fraction=args.p_star, max_width=args.k_star, max_len=args.max_len)
 
 
-def _sampler_config(settings: Settings) -> SamplerConfig:
-    return SamplerConfig(
-        top_p=settings.get("top_p"), top_k=settings.get("top_k"),
-        seed=settings.get("seed"), max_len=settings.get("max_len"),
-    )
+def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
+    return SamplerConfig(top_p=args.top_p, top_k=args.top_k, seed=args.seed, max_len=args.max_len)
 
 
-def _run_decoder(model: ModelInterface, prompt_ids, settings: Settings):
-    decoder = settings.get("decoder")
-    max_len = settings.get("max_len")
-    if decoder == "greedy":
-        return greedy_decode(model, prompt_ids, max_len=max_len)
-    if decoder == "multipath":
-        return multipath_decode(model, prompt_ids, _multipath_config(settings))
-    if decoder == "beam":
-        return beam_search(model, prompt_ids, BeamConfig(width=settings.get("beam"), max_len=max_len))
-    if decoder == "nucleus":
-        return nucleus_sample(model, prompt_ids, _sampler_config(settings))
-    if decoder == "adaptive":
-        cfg = AdaptiveConfig(base_k=settings.get("k_star"), seed=settings.get("seed"), max_len=max_len)
-        return adaptive_decode(model, prompt_ids, cfg)
-    raise ConfigError(f"unknown decoder {decoder!r}")
+def _run_decoder(model: ModelInterface, prompt_ids, args: argparse.Namespace):
+    if args.decoder == "greedy":
+        return greedy_decode(model, prompt_ids, max_len=args.max_len)
+    if args.decoder == "multipath":
+        return multipath_decode(model, prompt_ids, _multipath_config(args))
+    if args.decoder == "beam":
+        return beam_search(model, prompt_ids, BeamConfig(width=args.beam, max_len=args.max_len))
+    if args.decoder == "nucleus":
+        return nucleus_sample(model, prompt_ids, _sampler_config(args))
+    return adaptive_decode(model, prompt_ids, AdaptiveConfig(base_k=args.k_star, seed=args.seed, max_len=args.max_len))
 
 
-def cmd_decode(settings: Settings) -> int:
-    model = load_model(settings.get("model", required=True))
-    prompt_text = settings.get("prompt") or ""
-    prompt_ids = model.vocabulary.encode(prompt_text)
-    result = _run_decoder(model, prompt_ids, settings)
+def cmd_decode(args: argparse.Namespace) -> int:
+    model = load_model(_required(args, "model"))
+    prompt_ids = model.vocabulary.encode(args.prompt)
+    result = _run_decoder(model, prompt_ids, args)
     print(json.dumps(result.to_json_dict(), sort_keys=True))
     return 0
 
 
-def _build_provider(settings: Settings) -> FeedbackProvider:
-    provider = settings.get("provider")
-    timeout = settings.get("timeout")
-    if provider == "ground_truth":
-        return GroundTruthProvider(timeout=timeout)
-    if provider == "scripted":
-        return ScriptedJudgeProvider(
-            fn_rate=settings.get("fn_rate"),
-            fp_rate=settings.get("fp_rate"),
-            seed=settings.get("seed"),
-            timeout=timeout,
-        )
-    if provider == "judge":
-        url = settings.get("judge_url", required=True)
-        return JudgeServiceProvider(JudgeClient(url, timeout=timeout))
-    raise ConfigError(f"unknown provider {provider!r}")
+def _build_provider(args: argparse.Namespace) -> FeedbackProvider:
+    if args.provider == "ground_truth":
+        return GroundTruthProvider(timeout=args.timeout)
+    if args.provider == "scripted":
+        return ScriptedJudgeProvider(fn_rate=args.fn_rate, fp_rate=args.fp_rate, seed=args.seed, timeout=args.timeout)
+    return JudgeServiceProvider(JudgeClient(_required(args, "judge_url"), timeout=args.timeout))
 
 
-def _run_one_strategy(model, dataset, kind: str, settings: Settings, out_dir: Path, resume: bool):
+def _run_one_strategy(model, dataset, kind: str, args: argparse.Namespace, out_dir: Path):
     if kind == "ftr_indicator":
-        strategy = CorrectionStrategy(kind=kind, multipath_cfg=_multipath_config(settings))
+        strategy = CorrectionStrategy(kind=kind, multipath_cfg=_multipath_config(args))
     else:
         strategy = CorrectionStrategy(kind=kind)
-    provider = _build_provider(settings) if strategy.needs_feedback else None
+    provider = _build_provider(args) if strategy.needs_feedback else None
     attempts_path = out_dir / f"attempts_{kind}.jsonl"
     run = run_protocol(
-        model, dataset, strategy, provider, _sampler_config(settings),
-        workers=settings.get("workers"),
-        resume_path=attempts_path if resume else None,
+        model, dataset, strategy, provider, _sampler_config(args),
+        workers=args.workers,
+        resume_path=attempts_path if args.resume else None,
     )
     # Rewrite the attempts log in dataset order so the artifact does not
     # depend on worker scheduling or on how many runs it took.
@@ -340,24 +304,24 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def cmd_bench(settings: Settings, kinds: list[str], resume: bool) -> int:
-    model = load_model(settings.get("model", required=True))
-    dataset = load_tasks(settings.get("dataset", required=True))
-    out_dir = Path(settings.get("out", required=True))
+def cmd_bench(args: argparse.Namespace) -> int:
+    kinds = args.strategy
+    if args.command == "bench" and len(kinds) != 1:
+        raise ConfigError("bench takes exactly one --strategy; use compare for several")
+    model = load_model(_required(args, "model"))
+    dataset = load_tasks(_required(args, "dataset"))
+    out_dir = Path(_required(args, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     reports = []
     failed_tasks: list[tuple[str, str, str]] = []
     for kind in kinds:
-        run, strategy = _run_one_strategy(model, dataset, kind, settings, out_dir, resume)
+        run, strategy = _run_one_strategy(model, dataset, kind, args, out_dir)
         for task_id, message in run.errors:
             failed_tasks.append((kind, task_id, message))
         if run.errors:
             continue
-        report = score_run(
-            run.pairs, dataset, strategy.kind,
-            timeout=settings.get("timeout"), workers=settings.get("workers"),
-        )
+        report = score_run(run.pairs, dataset, strategy.kind, timeout=args.timeout, workers=args.workers)
         reports.append(report)
         _write_atomic(out_dir / f"report_{kind}.json", report.to_json())
 
@@ -374,14 +338,14 @@ def cmd_bench(settings: Settings, kinds: list[str], resume: bool) -> int:
     return 0
 
 
-def cmd_oracle_check(settings: Settings, mutate: str | None) -> int:
-    models = settings.get("models")
-    trials = settings.get("trials")
-    seed = settings.get("seed")
+def cmd_oracle_check(args: argparse.Namespace) -> int:
+    mutate = args.mutate
     suites = (
-        ("decode-exactness", check_exactness(models, seed, mutate=mutate if mutate == "selection-max-prob" else None)),
-        ("prune-minimality", check_pruning(trials, seed, mutate=mutate if mutate == "prune-off-by-one" else None)),
-        ("reductions", check_reductions(max(1, models // 4), seed)),
+        ("decode-exactness",
+         check_exactness(args.models, args.seed, mutate=mutate if mutate == "selection-max-prob" else None)),
+        ("prune-minimality",
+         check_pruning(args.trials, args.seed, mutate=mutate if mutate == "prune-off-by-one" else None)),
+        ("reductions", check_reductions(max(1, args.models // 4), args.seed)),
     )
     failed = 0
     for name, failures in suites:
@@ -396,22 +360,13 @@ def cmd_oracle_check(settings: Settings, mutate: str | None) -> int:
     return 1 if failed else 0
 
 
+COMMANDS = {"decode": cmd_decode, "bench": cmd_bench, "compare": cmd_bench, "oracle-check": cmd_oracle_check}
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        settings = Settings(args)
-        if args.command == "decode":
-            return cmd_decode(settings)
-        if args.command in ("bench", "compare"):
-            kinds = settings.get("strategy")
-            if isinstance(kinds, str):
-                kinds = [kinds]
-            if args.command == "bench" and len(kinds) != 1:
-                raise ConfigError("bench takes exactly one --strategy; use compare for several")
-            return cmd_bench(settings, kinds, resume=bool(getattr(args, "resume", False)))
-        if args.command == "oracle-check":
-            return cmd_oracle_check(settings, args.mutate)
-        raise ConfigError(f"unknown command {args.command!r}")
+        args = parse_args(argv)
+        return COMMANDS[args.command](args)
     except (VerificationError, TransportError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

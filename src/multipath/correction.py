@@ -351,10 +351,13 @@ def run_protocol(
 
     Tasks run in parallel up to ``workers``; results are ordered by dataset
     position regardless, and per-task seeds make the output independent of
-    scheduling. A task that raises is recorded under errors and the run
-    continues. With ``resume_path``, previously completed tasks (matching
-    strategy) are reused and each new completion is appended and flushed as
-    it arrives, so a killed run keeps every pair it finished.
+    scheduling. A task that raises a MultipathError (a transport, protocol
+    or verification failure, which a rerun may not meet again) is recorded
+    under errors and the run continues; any other error, such as a prompt
+    the vocabulary cannot encode, ends the run. With ``resume_path``,
+    previously completed tasks (matching strategy) are reused and each new
+    completion is appended and flushed as it arrives, so a killed run keeps
+    every pair it finished.
     """
     if strategy.needs_feedback and provider is None:
         raise ConfigError(f"strategy {strategy.kind!r} requires a feedback provider")
@@ -387,7 +390,7 @@ def run_protocol(
     def run_one(task: Task):
         try:
             return task.id, one(task), None
-        except (MultipathError, ValueError) as exc:
+        except MultipathError as exc:
             return task.id, None, f"{type(exc).__name__}: {exc}"
 
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None

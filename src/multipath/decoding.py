@@ -92,15 +92,12 @@ class AdaptiveConfig:
     step distribution's entropy in bits, capped at base_k."""
 
     base_k: int = 7
-    entropy_scale: float = 1.0
     seed: int = 0
     max_len: int = 128
 
     def __post_init__(self) -> None:
         if self.base_k < 1:
             raise ValueError(f"base_k must be >= 1, got {self.base_k}")
-        if self.entropy_scale < 0.0:
-            raise ValueError(f"entropy_scale must be >= 0, got {self.entropy_scale}")
         if self.max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {self.max_len}")
 
@@ -186,7 +183,7 @@ def nucleus_sample(model: ModelInterface, prompt: Sequence[int], cfg: SamplerCon
 def adaptive_decode(model: ModelInterface, prompt: Sequence[int], cfg: AdaptiveConfig) -> DecodeResult:
     """Sample within a top-k set whose size tracks the step entropy.
 
-    k_step = clamp(round(entropy_scale * H_bits), 1, base_k), then a
+    k_step = clamp(round(H_bits), 1, base_k), then a
     probability-proportional draw among the k_step most probable tokens.
     """
     rng = random.Random(cfg.seed)
@@ -194,7 +191,7 @@ def adaptive_decode(model: ModelInterface, prompt: Sequence[int], cfg: AdaptiveC
 
     def pick(dist: StepDistribution, _step: int) -> int:
         bits = dist.entropy() / LN2
-        k_step = min(max(round(cfg.entropy_scale * bits), 1), cfg.base_k)
+        k_step = min(max(round(bits), 1), cfg.base_k)
         k_trace.append(k_step)
         support = kernels.topk_indices(dist.probs, k_step)
         return _draw(rng, dist.probs, support)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .correction import CORRECTED, Attempt
@@ -121,21 +121,7 @@ class RunReport:
     measured_cost_ratio: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "dataset": self.dataset,
-            "size": self.size,
-            "accuracy": self.accuracy,
-            "matrix": {"cc": self.matrix.cc, "ci": self.matrix.ci, "ic": self.matrix.ic, "ii": self.matrix.ii},
-            "tokens_stage1": self.tokens_stage1,
-            "tokens_stage2": self.tokens_stage2,
-            "regenerated": self.regenerated,
-            "unit_tokens": self.unit_tokens,
-            "regen_fraction": self.regen_fraction,
-            "mean_width": self.mean_width,
-            "est_cost_ratio": self.est_cost_ratio,
-            "measured_cost_ratio": self.measured_cost_ratio,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"

@@ -360,32 +360,23 @@ def train_ngram(
     corpus: str,
     order: int,
     add_k: float,
-    vocabulary: Vocabulary | None = None,
     eos_token: str = "</s>",
 ) -> NGramLM:
     """Train an add-k n-gram model on a newline-separated corpus.
 
     Each nonempty line is one token sequence; every position contributes a
     transition from the preceding min(order, position) tokens, and each line
-    ends with a transition to the end-of-sequence token. When ``vocabulary``
-    is omitted it is built from the corpus tokens (sorted) plus ``eos_token``.
+    ends with a transition to the end-of-sequence token. The vocabulary is
+    the corpus tokens (sorted) plus ``eos_token``.
     """
     lines = [line.split() for line in corpus.splitlines() if line.split()]
     if not lines:
         raise TrainingError("corpus is empty")
 
-    if vocabulary is None:
-        seen = sorted({tok for line in lines for tok in line})
-        if eos_token in seen:
-            raise TrainingError(f"eos token {eos_token!r} occurs in the corpus")
-        vocabulary = Vocabulary.from_tokens(seen + [eos_token], eos_token)
-    else:
-        for line in lines:
-            for tok in line:
-                if tok not in vocabulary.tokens:
-                    raise TrainingError(f"corpus token {tok!r} not in the given vocabulary")
-                if tok == vocabulary.eos_token:
-                    raise TrainingError("corpus must not contain the eos token")
+    seen = sorted({tok for line in lines for tok in line})
+    if eos_token in seen:
+        raise TrainingError(f"eos token {eos_token!r} occurs in the corpus")
+    vocabulary = Vocabulary.from_tokens(seen + [eos_token], eos_token)
 
     counts: dict[TokenIds, dict[int, int]] = {}
     for line in lines:
@@ -470,6 +461,20 @@ def vocabulary_from_spec(data: dict, path: Path) -> Vocabulary:
         raise LoadError(f"model file {path}: {exc}") from exc
 
 
+def read_json_object(path: Path, what: str, error: type[Exception]) -> dict:
+    """The JSON object in ``path``. Raises ``error``, naming ``what`` and the
+    file, when the file cannot be read, is not JSON or is not an object."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise error(f"{what} {path}: top level must be an object")
+    return data
+
+
 def load_table_lm(path: str | Path) -> TableLM:
     """Load a table model file, validating every row.
 
@@ -478,16 +483,12 @@ def load_table_lm(path: str | Path) -> TableLM:
     prefix token lists; the empty context is the step-0 row.
     """
     path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(f"cannot read model file {path}: {exc}") from exc
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise LoadError(f"model file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise LoadError(f"model file {path}: top level must be an object")
+    return table_lm_from_spec(read_json_object(path, "model file", LoadError), path)
+
+
+def table_lm_from_spec(data: dict, path: Path) -> TableLM:
+    """The table model described by ``data``, parsed from the file ``path``
+    (schema in ``load_table_lm``)."""
     for key in ("vocab", "eos", "rows"):
         if key not in data:
             raise LoadError(f"model file {path}: missing key {key!r}")

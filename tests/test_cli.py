@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
-from multipath.cli import DEFAULTS, Settings, build_parser, load_model, main
+from multipath.cli import load_model, main, parse_args
+from multipath.decoding import BeamConfig, MultipathConfig, SamplerConfig
 from multipath.errors import LoadError
 from multipath.models import NGramLM, TableLM
 from multipath.remote import HttpModelClient
@@ -34,14 +36,15 @@ def toy_dataset_path(data_dir):
 
 def test_settings_precedence_flag_config_default(tmp_path):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"top_k": 3, "top_p": 0.5}), encoding="utf-8")
-    args = build_parser().parse_args(
-        ["decode", "--config", str(config), "--top-k", "9"]
-    )
-    settings = Settings(args)
-    assert settings.get("top_k") == 9  # flag wins
-    assert settings.get("top_p") == 0.5  # config beats default
-    assert settings.get("beam") == DEFAULTS["beam"]  # default fallback
+    config.write_text(json.dumps({"top_k": 3, "top_p": 0.5, "strategy": ["none", "critic_prompt"]}), encoding="utf-8")
+    args = parse_args(["compare", "--config", str(config), "--top-k", "9"])
+    assert args.top_k == 9  # flag wins
+    assert args.top_p == 0.5  # config beats default
+    assert args.beam == BeamConfig.width  # default fallback
+    assert args.strategy == ["none", "critic_prompt"]
+    # an explicit --strategy replaces the config list rather than extending it
+    assert parse_args(["compare", "--config", str(config), "--strategy", "ioe_prompt"]).strategy == ["ioe_prompt"]
+    assert parse_args(["compare"]).strategy == ["ftr_indicator"]
 
 
 def test_settings_bad_config_file(tmp_path):
@@ -58,12 +61,15 @@ def test_settings_bad_config_file(tmp_path):
     ("decode", {"max_len": 2.0}, "max_len"),
     ("bench", {"strategy": ["none", 3]}, "strategy"),
     ("decode", {"decoder": 1}, "decoder"),
+    ("decode", {"decoder": "foo"}, "decoder"),
+    ("bench", {"provider": "foo"}, "provider"),
+    ("compare", {"strategy": []}, "strategy"),
 ])
 def test_config_value_of_the_wrong_type_exits_2(capsys, tmp_path, trap_path, toy_dataset_path, command, values, key):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(values), encoding="utf-8")
     argv = [command, "--model", trap_path, "--config", str(config)]
-    if command == "bench":
+    if command != "decode":
         argv += ["--dataset", toy_dataset_path, "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -73,8 +79,32 @@ def test_config_value_of_the_wrong_type_exits_2(capsys, tmp_path, trap_path, toy
 def test_config_values_of_the_flag_types_are_accepted(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"p_star": 1, "k_star": 3, "strategy": ["none"], "resume": True}), encoding="utf-8")
-    settings = Settings(build_parser().parse_args(["compare", "--config", str(config)]))
-    assert (settings.get("p_star"), settings.get("k_star"), settings.get("strategy")) == (1, 3, ["none"])
+    args = parse_args(["compare", "--config", str(config)])
+    # store-true flags are not read from the config
+    assert (args.p_star, args.k_star, args.strategy, args.resume) == (1, 3, ["none"], False)
+
+
+def test_config_prompt_is_decoded(capsys, tmp_path, trap_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"prompt": "zebra"}), encoding="utf-8")
+    assert main(["decode", "--model", trap_path, "--config", str(config)]) == 2
+    assert "'zebra' not in vocabulary" in capsys.readouterr().err
+
+
+def test_decode_defaults_are_the_decoder_config_defaults(capsys):
+    defaults = {
+        "p_star": MultipathConfig.mass_fraction, "k_star": MultipathConfig.max_width,
+        "top_p": SamplerConfig.top_p, "top_k": SamplerConfig.top_k,
+        "beam": BeamConfig.width, "max_len": MultipathConfig.max_len,
+    }
+    args = parse_args(["decode"])
+    assert {key: getattr(args, key) for key in defaults} == defaults
+    with pytest.raises(SystemExit):
+        main(["decode", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for key, value in defaults.items():
+        flag = f"--{key.replace('_', '-')} {key.upper()}"
+        assert re.search(rf"{flag} [^()]*\(default {re.escape(str(value))}\)", text), flag
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +265,8 @@ TABLE_SPEC = {"vocab": ["a", "$"], "eos": "$", "rows": [{"context": [], "probs":
     (dict(TABLE_SPEC, rows=[{"context": "a", "probs": [0.5, 0.5]}]), "context"),
     (dict(TABLE_SPEC, rows=[{"context": [], "probs": ["0.5", 0.5]}]), "probs"),
     (dict(TABLE_SPEC, rows=[{"context": [], "probs": [True, False]}]), "probs"),
+    (dict(REMOTE_SPEC, timeout=-1), "timeout"),
+    (dict(REMOTE_SPEC, retries=-1), "retries"),
 ])
 def test_load_model_rejects_wrong_json_types_with_exit_2(capsys, tmp_path, spec, key):
     path = tmp_path / "model.json"
@@ -303,19 +335,33 @@ def test_bench_task_failures_exit_1_and_suggest_resume(capsys, tmp_path, toy_mod
     dataset.write_text(
         json.dumps({"id": "t0", "prompt": "solve item 0", "answer": 0, "domain": "math"})
         + "\n"
-        + json.dumps({"id": "t1", "prompt": "unknown-word", "answer": 1, "domain": "math"})
+        + json.dumps({"id": "t1", "prompt": "solve item 1", "verify_cmd": ["/nonexistent/verifier"], "domain": "code"})
         + "\n",
         encoding="utf-8",
     )
     out = tmp_path / "out"
     rc = main([
         "bench", "--model", toy_model_path, "--dataset", str(dataset),
-        "--strategy", "none", "--out", str(out),
+        "--strategy", "ftr_indicator", "--out", str(out),
     ])
     assert rc == 1
     err = capsys.readouterr().err
     assert "task t1" in err
     assert "--resume" in err
+
+
+def test_bench_prompt_outside_the_vocabulary_exits_2(capsys, tmp_path, toy_model_path):
+    dataset = tmp_path / "zebra.jsonl"
+    task = {"id": "t0", "prompt": "zebra", "answer": 0, "domain": "math"}
+    dataset.write_text(json.dumps(task) + "\n", encoding="utf-8")
+    rc = main([
+        "bench", "--model", toy_model_path, "--dataset", str(dataset),
+        "--strategy", "none", "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'zebra' not in vocabulary" in err
+    assert "--resume" not in err
 
 
 def test_compare_joins_strategies(capsys, tmp_path, toy_model_path, toy_dataset_path):

@@ -383,16 +383,22 @@ def test_protocol_rejects_bad_worker_count(small_digit_model, small_digit_datase
         )
 
 
+def unverifiable_task(prompt: str) -> Task:
+    """A code task whose verifier cannot be spawned: feedback on it raises
+    VerificationError, a failure a rerun may not meet again."""
+    return Task(id="zz-bad", prompt=prompt, domain="code", verify_cmd=("/nonexistent/verifier",))
+
+
 def test_protocol_records_task_errors_and_continues(small_digit_model, small_digit_dataset):
     good = small_digit_dataset.tasks[:2]
-    bad = Task(id="zz-bad", prompt="unencodable-word", domain="math", answer=1)
-    dataset = Dataset(name="mixed", tasks=(good[0], bad, good[1]))
-    run = run_protocol(small_digit_model, dataset, CorrectionStrategy(kind="none"), None, SAMPLER)
+    dataset = Dataset(name="mixed", tasks=(good[0], unverifiable_task(good[0].prompt), good[1]))
+    strategy = CorrectionStrategy(kind="ftr_indicator", multipath_cfg=MPCFG)
+    run = run_protocol(small_digit_model, dataset, strategy, GroundTruthProvider(), SAMPLER)
     assert [p[0].task_id for p in run.pairs] == [good[0].id, good[1].id]
     assert len(run.errors) == 1
     task_id, message = run.errors[0]
     assert task_id == "zz-bad"
-    assert "ValueError" in message
+    assert "VerificationError" in message
 
 
 def test_protocol_worker_count_does_not_change_results(small_digit_model, small_digit_dataset):
@@ -443,19 +449,13 @@ def test_protocol_resume_ignores_other_strategies(tmp_path, small_digit_dataset)
 
 def test_protocol_resume_completes_after_partial_failure(tmp_path, small_digit_model):
     dataset = make_digit_dataset(10)
-    bad = Task(id="zz-bad", prompt="unencodable-word", domain="math", answer=1)
-    broken = Dataset(name=dataset.name, tasks=dataset.tasks + (bad,))
+    broken = Dataset(name=dataset.name, tasks=dataset.tasks + (unverifiable_task(dataset.tasks[0].prompt),))
+    strategy = CorrectionStrategy(kind="ftr_indicator", multipath_cfg=MPCFG)
     log = tmp_path / "attempts.jsonl"
-    first = run_protocol(
-        small_digit_model, broken, CorrectionStrategy(kind="none"), None, SAMPLER,
-        resume_path=log,
-    )
+    first = run_protocol(small_digit_model, broken, strategy, GroundTruthProvider(), SAMPLER, resume_path=log)
     assert first.errors and len(first.pairs) == 10
 
-    second = run_protocol(
-        small_digit_model, dataset, CorrectionStrategy(kind="none"), None, SAMPLER,
-        resume_path=log,
-    )
+    second = run_protocol(small_digit_model, dataset, strategy, GroundTruthProvider(), SAMPLER, resume_path=log)
     assert second.errors == ()
     assert second.pairs == first.pairs
 

@@ -42,6 +42,7 @@ def path_of(tokens, logprobs, eos_id=2):
     "make",
     [
         lambda: MultipathConfig(mass_fraction=1.5),
+        lambda: MultipathConfig(mass_fraction=-0.1),
         lambda: MultipathConfig(max_width=0),
         lambda: MultipathConfig(max_len=0),
         lambda: BeamConfig(width=0),
@@ -51,7 +52,6 @@ def path_of(tokens, logprobs, eos_id=2):
         lambda: SamplerConfig(top_k=0),
         lambda: SamplerConfig(max_len=0),
         lambda: AdaptiveConfig(base_k=0),
-        lambda: AdaptiveConfig(entropy_scale=-0.5),
         lambda: AdaptiveConfig(max_len=0),
     ],
 )
@@ -199,7 +199,7 @@ def test_adaptive_k_caps_at_base_k():
 def test_adaptive_low_entropy_step_is_argmax(trap_model):
     # step 0 entropy is just under 1 bit, so k=1 forces the greedy token "b"
     for seed in range(50):
-        out = adaptive_decode(trap_model, (), AdaptiveConfig(base_k=7, entropy_scale=1.0, seed=seed))
+        out = adaptive_decode(trap_model, (), AdaptiveConfig(base_k=7, seed=seed))
         assert out.chosen.tokens[0] == 1
 
 

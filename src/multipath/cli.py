@@ -7,7 +7,9 @@ Commands:
   oracle-check  cross-check the decoders against brute-force oracles
 
 A JSON config file (--config) can supply any flag value under its long name
-with dashes as underscores; explicit flags win. All outputs are
+with dashes as underscores; explicit flags win. A key that names no option
+of any command is an error; one that names another command's option is
+ignored, so commands can share a config file. All outputs are
 deterministic given config and seed: reports carry no timestamps, floats are
 shortest-round-trip, and rows follow dataset order.
 
@@ -145,8 +147,9 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     """Parse ``argv``, taking each setting from its flag, else from the
     --config file, else from the flag's default.
 
-    Config keys are flag names with dashes as underscores; keys that name no
-    value-taking flag of the command are ignored.
+    Config keys are flag names with dashes as underscores. A key that names
+    no option of any command is rejected as misspelt; one that names no
+    value-taking flag of this command is ignored.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -156,6 +159,13 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         path = Path(args.config)
         config = read_json_object(path, "config", ConfigError)
         [commands] = [action.choices for action in parser._actions if isinstance(action.choices, dict)]
+        known = {action.dest for sub in commands.values() for action in sub._actions}
+        unknown = sorted(set(config) - known)
+        if unknown:
+            raise ConfigError(
+                f"config {path}: unknown key(s) {', '.join(map(repr, unknown))}; "
+                "keys are long flag names with dashes as underscores"
+            )
         command = commands[args.command]
         flags = {action.dest: action for action in command._actions if action.nargs != 0}
         config = {key: value for key, value in config.items() if key in flags and value is not None}
@@ -168,6 +178,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     if "strategy" in args and args.strategy is None:
         strategy = config.get("strategy", DEFAULT_STRATEGY)
         args.strategy = [strategy] if isinstance(strategy, str) else strategy
+    if "timeout" in args and not args.timeout > 0:
+        raise ConfigError(f"--timeout (config key 'timeout') must be > 0 seconds, got {args.timeout!r}")
     return args
 
 

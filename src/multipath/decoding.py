@@ -2,12 +2,16 @@
 the multipath decoder with mass-threshold pruning and min-perplexity selection.
 
 The multipath decoder keeps a dynamically sized set of candidate sequences.
-Each step every active path is expanded over the vocabulary, the pool is
-pruned to the smallest high-probability prefix covering ``mass_fraction`` of
-the pool's total probability (capped at ``max_width``), finished paths move
-to a finished pool, and the final answer is the finished path with minimum
-perplexity. Width 1 reduces to greedy; mass_fraction 1.0 with cap B retains
-the same sets as beam search of width B.
+Each step pools the single-token extensions of every active path, prunes
+the pool to the smallest high-probability prefix covering
+``mass_fraction`` of its total probability (capped at ``max_width``), moves
+finished paths to a finished pool, and answers with the finished path of
+minimum perplexity. Width 1 reduces to greedy; mass_fraction 1.0 with cap B
+retains the same sets as beam search of width B.
+
+The pool is lazy: it holds each candidate as (parent, token, value), with
+value the candidate's cumulative logprob, and a SequencePath is built only
+for the candidates the step retains.
 
 Ordering discipline: active paths are kept sorted by token ids, and each
 parent's children are enumerated in ascending token id, so the candidate
@@ -243,7 +247,8 @@ def _walk(model, prompt, max_len: int, pick) -> DecodeResult:
 
 
 def _expand(model, prompt_ids, actives, width_cap: int):
-    """Single-token extensions of ``actives`` and the log of their total mass.
+    """The pool of single-token extensions of ``actives``, without building
+    a path for any of them, and the log of the pool's total mass.
 
     Each parent keeps its top-``width_cap`` positive-probability children (by
     probability, ties to the lower token id), which StepDistribution.children
@@ -254,21 +259,27 @@ def _expand(model, prompt_ids, actives, width_cap: int):
     Children are emitted in ascending token id per parent, so the candidate
     list stays lexicographically ordered by token path.
 
-    Returns (paths, total): the pool's candidate values are the paths'
-    ``cum_logprob``, and ``total`` is the log of the untrimmed pool's mass.
+    Returns (parents, tokens, values, total): candidate i extends
+    ``parents[i]`` by ``tokens[i]`` and has cumulative logprob ``values[i]``;
+    ``total`` is the log of the untrimmed pool's mass.
     """
-    eos = model.vocabulary.eos_id
-    paths: list[SequencePath] = []
+    parents: list[SequencePath] = []
+    tokens: list[int] = []
+    values: list[float] = []
     for parent in actives:
-        dist = model.next_distribution(prompt_ids, parent.tokens)
-        paths.extend(parent.extended(t, lp, eos) for t, lp in dist.children(width_cap))
+        cum = parent.cum_logprob
+        for t, lp in model.next_distribution(prompt_ids, parent.tokens).children(width_cap):
+            parents.append(parent)
+            tokens.append(t)
+            values.append(cum + lp)
     # Each row sums to 1, so the pool's total mass is the parents' mass even
     # when some children were trimmed away.
-    return paths, kernels.log_sum_exp([p.cum_logprob for p in actives])
+    return parents, tokens, values, kernels.log_sum_exp([p.cum_logprob for p in actives])
 
 
 def _multi_walk(model, prompt, max_len, retain, record_trace, width_cap):
     prompt_ids = model.vocabulary.check_ids(prompt, "prompt")
+    eos = model.vocabulary.eos_id
     actives = [SequencePath.empty()]
     finished: list[SequencePath] = []
     k_trace: list[int] = []
@@ -279,14 +290,19 @@ def _multi_walk(model, prompt, max_len, retain, record_trace, width_cap):
     while actives and steps < max_len:
         steps += 1
         tokens_generated += len(actives)
-        paths, total = _expand(model, prompt_ids, actives, width_cap)
-        retained_idx, k_i = retain([p.cum_logprob for p in paths], total)
-        retained = [paths[i] for i in retained_idx]
+        parents, tokens, values, total = _expand(model, prompt_ids, actives, width_cap)
+        retained_idx, k_i = retain(values, total)
+        retained = [
+            SequencePath(tokens=parents[i].tokens + (tokens[i],), cum_logprob=values[i], finished=tokens[i] == eos)
+            for i in retained_idx
+        ]
         k_trace.append(k_i)
         if record_trace:
             trace.append(tuple(p.tokens for p in retained))
         finished.extend(p for p in retained if p.finished)
-        actives = sorted((p for p in retained if not p.finished), key=lambda p: p.tokens)
+        # Pool order is lexicographic token order (see the module docstring),
+        # so ascending pool index keeps the actives sorted.
+        actives = [p for _, p in sorted(zip(retained_idx, retained)) if not p.finished]
 
     pool = finished if finished else actives
     return DecodeResult(
@@ -309,7 +325,7 @@ def multipath_decode(
 ) -> DecodeResult:
     """Mass-threshold tree decoding with min-perplexity selection.
 
-    Per step, all active paths expand over the vocabulary and the pool is
+    Per step, the children of all active paths are pooled and the pool is
     pruned to the smallest mass-covering prefix (see kernels.prune_prefix);
     retained finished paths move to the finished pool and stop expanding.
     The answer is the minimum-perplexity finished path, falling back to the

@@ -135,6 +135,9 @@ class StepDistribution:
     in [0, 1] and the entries must sum to 1 within DISTRIBUTION_SUM_TOL.
     Models that build valid rows by construction use the unchecked
     ``_trusted`` constructor instead.
+
+    A row is immutable, so it remembers its ``children(k)`` answer per ``k``;
+    models hand out one row object per context, so each is computed once.
     """
 
     def __init__(self, probs: Iterable[float]):
@@ -165,6 +168,9 @@ class StepDistribution:
         self.logprobs = LogprobRow(size, _log(floor), {t: _log(p) for t, p in entries.items()})
         # The positive entries in ascending token id, as (token, logprob).
         self._support = tuple(sorted((t, v) for t, v in self.logprobs.entries.items() if v != -math.inf))
+        # children(k) per k. Concurrent callers at worst compute an equal
+        # answer twice.
+        self._children: dict[int, tuple[tuple[int, float], ...]] = {}
 
     def __len__(self) -> int:
         return len(self.logprobs)
@@ -193,8 +199,14 @@ class StepDistribution:
 
         Only the entries and the ``k`` lowest-id floor tokens can qualify:
         any other floor token has ``k`` equal-valued floor tokens with lower
-        ids ahead of it. The cost is O(entries + k), not O(V).
+        ids ahead of it. The cost is O(entries + k), not O(V), once per ``k``.
         """
+        known = self._children.get(k)
+        if known is None:
+            known = self._children[k] = self._top_children(k)
+        return known
+
+    def _top_children(self, k: int) -> tuple[tuple[int, float], ...]:
         lp = self.logprobs
         candidates = self._support
         if lp.floor != -math.inf:
@@ -319,8 +331,13 @@ class NGramLM(ModelInterface):
     ``order`` is the context length. Conditionals are
     (count(context, tok) + add_k) / (count(context) + add_k * V), which sum
     to one by construction, so rows are built unchecked: a row is the floor
-    add_k / denom plus one entry per seen successor, O(seen successors) per
-    call. The counts are checked once, here.
+    add_k / denom plus one entry per seen successor. The counts are checked
+    once, here.
+
+    Rows are memoized by context, so every call with one context returns
+    the identical row object. All contexts absent from the counts share one
+    floor-only row, so the memo never holds more than ``len(counts) + 1``
+    rows: it is bounded by the model itself.
     """
 
     def __init__(
@@ -343,17 +360,26 @@ class NGramLM(ModelInterface):
         self.order = order
         self.add_k = add_k
         self._counts = {ctx: dict(nexts) for ctx, nexts in counts.items()}
-        self._totals = {ctx: sum(nexts.values()) for ctx, nexts in self._counts.items()}
+        self._rows: dict[TokenIds, StepDistribution] = {}
+        self._unseen = self._row({})
 
-    def _distribution(self, prompt: TokenIds, prefix: TokenIds) -> StepDistribution:
-        stream = prompt + prefix
-        ctx = stream[max(0, len(stream) - self.order):]
-        nexts = self._counts.get(ctx, {})
-        total = self._totals.get(ctx, 0)
+    def _row(self, nexts: dict[int, int]) -> StepDistribution:
         add_k = self.add_k
-        denom = total + add_k * self._vocabulary.size
+        denom = sum(nexts.values()) + add_k * self._vocabulary.size
         entries = {t: (count + add_k) / denom for t, count in nexts.items()}
         return StepDistribution._trusted(self._vocabulary.size, add_k / denom, entries)
+
+    def _distribution(self, prompt: TokenIds, prefix: TokenIds) -> StepDistribution:
+        ctx = (prefix if len(prefix) >= self.order else prompt + prefix)[-self.order:]
+        row = self._rows.get(ctx)
+        if row is None:
+            nexts = self._counts.get(ctx)
+            if nexts is None:
+                return self._unseen
+            # setdefault: threads that build one context's row at once all
+            # return the row stored first.
+            row = self._rows.setdefault(ctx, self._row(nexts))
+        return row
 
 
 def train_ngram(

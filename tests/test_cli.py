@@ -84,6 +84,50 @@ def test_config_values_of_the_flag_types_are_accepted(tmp_path):
     assert (args.p_star, args.k_star, args.strategy, args.resume) == (1, 3, ["none"], False)
 
 
+def test_misspelt_config_key_exits_2(capsys, tmp_path, trap_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kstar": 1, "k-star": 1}), encoding="utf-8")
+    assert main(["decode", "--model", trap_path, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "'kstar'" in err and "'k-star'" in err and str(config) in err
+
+
+def test_config_key_of_another_command_is_ignored(capsys, tmp_path, trap_path):
+    # one config file can serve every command
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"k_star": 1, "timeout": 5.0, "models": 3, "resume": True}), encoding="utf-8")
+    assert main(["decode", "--model", trap_path, "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["k_trace"] == [1, 1]
+
+
+def code_task_dataset(tmp_path):
+    dataset = tmp_path / "code.jsonl"
+    task = {"id": "c1", "prompt": "solve item 1", "verify_cmd": ["true"], "domain": "code"}
+    dataset.write_text(json.dumps(task) + "\n", encoding="utf-8")
+    return str(dataset)
+
+
+@pytest.mark.parametrize("timeout", [-1, 0, "nan"])
+def test_bench_timeout_flag_must_be_positive(capsys, tmp_path, toy_model_path, timeout):
+    argv = ["bench", "--model", toy_model_path, "--dataset", code_task_dataset(tmp_path), "--strategy", "ftr_indicator",
+            "--out", str(tmp_path / "out"), "--timeout", str(timeout)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "(config key 'timeout') must be > 0" in err and "--resume" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_timeout_config_must_be_positive(capsys, tmp_path, toy_model_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"timeout": -1}), encoding="utf-8")
+    argv = ["bench", "--model", toy_model_path, "--dataset", code_task_dataset(tmp_path), "--strategy", "ftr_indicator",
+            "--out", str(tmp_path / "out"), "--config", str(config)]
+    assert main(argv) == 2
+    assert "(config key 'timeout') must be > 0" in capsys.readouterr().err
+    # a valid flag wins over the bad config value
+    assert main(argv + ["--timeout", "5"]) == 0
+
+
 def test_config_prompt_is_decoded(capsys, tmp_path, trap_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"prompt": "zebra"}), encoding="utf-8")

@@ -5,10 +5,12 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
+import time
 
 import pytest
 
-from multipath import correction
+from multipath import correction, kernels
 from multipath.correction import (
     CORRECTED,
     INITIAL,
@@ -29,7 +31,7 @@ from multipath.correction import (
 )
 from multipath.decoding import MultipathConfig, SamplerConfig, multipath_decode
 from multipath.errors import ConfigError, LoadError
-from multipath.models import ModelInterface
+from multipath.models import ModelInterface, train_ngram
 from multipath.tasks import Dataset, Task
 from multipath.templates import CRITIC, FEEDBACK_CODE, FEEDBACK_MATH, IOE, load_prompt
 from multipath.toydata import make_digit_dataset, make_digit_model
@@ -411,6 +413,36 @@ def test_protocol_worker_count_does_not_change_results(small_digit_model, small_
     )
     assert serial.pairs == parallel.pairs
     assert serial.errors == parallel.errors
+
+
+def test_protocol_workers_share_one_ngram_model_safely(monkeypatch, digit_dataset):
+    # Every task regenerates with multipath on one shared bigram model, so
+    # worker threads meet on rows whose children are not computed yet. A
+    # slow ranking kernel and a 1 us switch interval make them interleave
+    # inside that computation.
+    corpus = "\n".join(f"{task.prompt} [{task.answer}]" for task in digit_dataset.tasks)
+    strategy = CorrectionStrategy(kind="ftr_indicator", multipath_cfg=MPCFG)
+
+    def run(workers):
+        model = train_ngram(corpus, order=1, add_k=0.5)
+        return run_protocol(model, digit_dataset, strategy, FixedFeedback("negative"), SAMPLER, workers=workers)
+
+    serial = run(1)
+    topk = kernels.topk_indices
+
+    def slow_topk(values, k):
+        time.sleep(0.001)
+        return topk(values, k)
+
+    monkeypatch.setattr(kernels, "topk_indices", slow_topk)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = run(4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not serial.errors
+    assert parallel.to_json_lines() == serial.to_json_lines()
 
 
 def test_protocol_resume_reuses_completed_tasks(tmp_path, small_digit_dataset):

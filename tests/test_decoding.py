@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from multipath import kernels, oracle
+from multipath import decoding, kernels, oracle
 from multipath.decoding import (
     AdaptiveConfig,
     BeamConfig,
@@ -313,6 +313,37 @@ def test_multipath_child_trim_matches_untrimmed_pool(trap_model, monkeypatch):
         assert got == untrimmed_retained_trace(model, cfg)
     # the per-parent trim must actually have dropped children
     assert trims
+
+
+def test_multipath_builds_a_path_only_for_each_retained_candidate(monkeypatch):
+    built = []
+
+    class CountingPath(SequencePath):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    pooled, kept = [], []
+    prune = kernels.prune_prefix
+    monkeypatch.setattr(decoding, "SequencePath", CountingPath)
+    monkeypatch.setattr(kernels, "prune_prefix", lambda values, *args: pooled.append(len(values)) or prune(values, *args))
+    rng = random.Random(3)
+    words = [f"w{i}" for i in range(40)]
+    corpus = "\n".join(" ".join(rng.choice(words) for _ in range(rng.randint(2, 9))) for _ in range(60))
+    model = train_ngram(corpus, order=2, add_k=0.01)
+    for prompt_text in ("w1", "w7 w3", "w12 w12 w5"):
+        prompt = model.vocabulary.encode(prompt_text)
+        for cfg in (MultipathConfig(mass_fraction=0.9, max_width=7, max_len=12), MultipathConfig(max_width=1)):
+            built.clear()
+            out = multipath_decode(model, prompt, cfg)
+            # the empty root plus one path per retained candidate
+            assert len(built) == 1 + sum(out.k_trace)
+            kept.append(sum(out.k_trace))
+        built.clear()
+        out = beam_search(model, prompt, BeamConfig(width=3, max_len=12))
+        assert len(built) == 1 + sum(out.k_trace)
+    # the decodes pooled far more candidates than they kept
+    assert sum(pooled) > 2 * sum(kept)
 
 
 def test_multipath_truncation_falls_back_to_active_paths():

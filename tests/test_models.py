@@ -321,8 +321,11 @@ def dense_children(logprobs, k):
 
 def test_sparse_row_children_match_dense_trim():
     # Entries may lie above, below or on the floor, or be zero; small
-    # integer weights make value ties common.
+    # integer weights make value ties common. Each k in 0..V+1 is asked
+    # twice, in shuffled order, of one row: a row remembers its children per
+    # k, and must never answer one k with another's.
     rng = random.Random(9)
+    ask_rng = random.Random(10)
     for _ in range(2000):
         size = rng.randint(2, 12)
         tokens = rng.sample(range(size), rng.randint(0, size - 1))
@@ -333,8 +336,31 @@ def test_sparse_row_children_match_dense_trim():
             continue
         row = StepDistribution._trusted(size, floor_weight / total, {t: w / total for t, w in weights.items()})
         assert StepDistribution(probs=row.probs).logprobs == row.logprobs
-        for k in range(1, size + 2):
+        ks = list(range(size + 2)) * 2
+        ask_rng.shuffle(ks)
+        for k in ks:
             assert row.children(k) == dense_children(tuple(row.logprobs), k), (size, floor_weight, weights, k)
+
+
+def test_ngram_hands_out_one_row_per_context():
+    corpus = "a b c d\nb c a\nd d a b c\nc"
+    for order in (1, 2, 3):
+        model = train_ngram(corpus, order=order, add_k=0.5)
+        vocab = model.vocabulary
+        a, b, c, d = vocab.encode("a b c d")
+        eos = vocab.eos_id
+        # the same context, split differently between prompt and prefix
+        assert model.next_distribution((a, b), (c,)) is model.next_distribution((), (d, a, b, c))
+        assert model.next_distribution((d, a, b), ()) is model.next_distribution((c,), (d, a, b))
+        # Contexts holding the end token never occur in training; they all
+        # share one floor-only row.
+        unseen = [(eos,), (a, eos), (eos, eos, eos), (eos, a, b)[-order:] + (eos,), (d, eos, eos)]
+        rows = [model.next_distribution(prompt[:1], prompt[1:]) for prompt in unseen]
+        assert all(row is rows[0] for row in rows)
+        floor = rows[0].logprobs.floor
+        assert rows[0].children(3) == tuple((t, floor) for t in range(3))
+        seen = model.next_distribution((), (a,))
+        assert seen is not rows[0] and seen.children(1) != rows[0].children(1)
 
 
 def test_ngram_sparse_rows_match_dense_formula_bit_for_bit():

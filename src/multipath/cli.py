@@ -64,8 +64,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_decoder_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--decoder", choices=DECODERS, default="multipath",
-                        help="decoder for the decode command (default %(default)s)")
     parser.add_argument("--p-star", dest="p_star", type=float, default=MultipathConfig.mass_fraction,
                         help="multipath retained mass fraction (default %(default)s)")
     parser.add_argument("--k-star", dest="k_star", type=int, default=MultipathConfig.max_width,
@@ -74,7 +72,6 @@ def _add_decoder_flags(parser: argparse.ArgumentParser) -> None:
                         help="sampler nucleus mass (default %(default)s)")
     parser.add_argument("--top-k", dest="top_k", type=int, default=SamplerConfig.top_k,
                         help="sampler candidate cap (default %(default)s)")
-    parser.add_argument("--beam", type=int, default=BeamConfig.width, help="beam width (default %(default)s)")
     parser.add_argument("--max-len", dest="max_len", type=int, default=MultipathConfig.max_len,
                         help="maximum generated tokens (default %(default)s)")
 
@@ -86,6 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_decode = sub.add_parser("decode", help="decode one prompt, print result JSON")
     p_decode.add_argument("--model", help="model spec file (table JSON, ngram spec, or remote spec)")
     p_decode.add_argument("prompt", nargs="?", default="", help="prompt text (default empty)")
+    p_decode.add_argument("--decoder", choices=DECODERS, default="multipath", help="decoder (default %(default)s)")
+    p_decode.add_argument("--beam", type=int, default=BeamConfig.width, help="beam width (default %(default)s)")
     _add_decoder_flags(p_decode)
     _add_common(p_decode)
 
@@ -338,7 +337,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         _write_atomic(out_dir / f"report_{kind}.json", report.to_json())
 
     csv_text = reports_to_csv(reports)
-    _write_atomic(out_dir / ("compare.csv" if len(kinds) > 1 else "report.csv"), csv_text)
+    _write_atomic(out_dir / ("compare.csv" if args.command == "compare" else "report.csv"), csv_text)
 
     if failed_tasks:
         for kind, task_id, message in failed_tasks:

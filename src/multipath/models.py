@@ -91,45 +91,16 @@ def _log(p: float) -> float:
     return math.log(p) if p > 0.0 else -math.inf
 
 
-class LogprobRow(Sequence[float]):
-    """Read-only natural-log view of a row: ``floor`` at every token except
-    the tokens in ``entries``. Indexing is O(1); nothing is densified."""
-
-    __slots__ = ("_size", "floor", "entries")
-
-    def __init__(self, size: int, floor: float, entries: dict[int, float]):
-        self._size = size
-        self.floor = floor
-        self.entries = entries
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, token: int) -> float:
-        if not -self._size <= token < self._size:
-            raise IndexError(f"token {token} out of range (V={self._size})")
-        return self.entries.get(token % self._size, self.floor)
-
-    def __iter__(self):
-        get, floor = self.entries.get, self.floor
-        return (get(t, floor) for t in range(self._size))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(other) == self._size and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None  # type: ignore[assignment]
-
-
 class StepDistribution:
     """Next-token distribution for one decoding step.
 
-    A row is held sparsely: every token has probability ``floor`` except the
-    tokens in ``entries`` (token -> probability). A dense table row has floor
-    0 and lists its positive entries; an add-k n-gram row has floor
-    add_k/denom and lists its seen successors. ``logprobs`` holds the same
-    row in the log domain; ``probs`` is the dense tuple, built on first use.
+    A row is held once, sparsely: every token has probability ``floor``
+    except the tokens in ``entries`` (token -> probability). A dense table
+    row has floor 0 and lists its positive entries; an add-k n-gram row has
+    floor add_k/denom and lists its seen successors. ``probs`` and
+    ``logprobs`` are the dense linear- and log-domain tuples, each built on
+    first read and kept; the multipath decoder reads neither, only
+    ``children(k)``.
 
     ``StepDistribution(probs=...)`` validates the row: every entry must lie
     in [0, 1] and the entries must sum to 1 within DISTRIBUTION_SUM_TOL.
@@ -163,17 +134,15 @@ class StepDistribution:
         return row
 
     def _hold(self, size: int, floor: float, entries: dict[int, float]) -> None:
+        self._size = size
         self._floor = floor
         self._entries = entries
-        self.logprobs = LogprobRow(size, _log(floor), {t: _log(p) for t, p in entries.items()})
-        # The positive entries in ascending token id, as (token, logprob).
-        self._support = tuple(sorted((t, v) for t, v in self.logprobs.entries.items() if v != -math.inf))
         # children(k) per k. Concurrent callers at worst compute an equal
         # answer twice.
         self._children: dict[int, tuple[tuple[int, float], ...]] = {}
 
     def __len__(self) -> int:
-        return len(self.logprobs)
+        return self._size
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StepDistribution):
@@ -185,13 +154,21 @@ class StepDistribution:
     def __repr__(self) -> str:
         return f"StepDistribution(size={len(self)}, floor={self._floor!r}, entries={self._entries!r})"
 
+    def _dense(self, floor: float, entries: Iterable[tuple[int, float]]) -> tuple[float, ...]:
+        row = [floor] * self._size
+        for t, v in entries:
+            row[t] = v
+        return tuple(row)
+
     @cached_property
     def probs(self) -> tuple[float, ...]:
         """The row as a dense tuple of linear-domain probabilities."""
-        row = [self._floor] * len(self)
-        for t, p in self._entries.items():
-            row[t] = p
-        return tuple(row)
+        return self._dense(self._floor, self._entries.items())
+
+    @cached_property
+    def logprobs(self) -> tuple[float, ...]:
+        """The row as a dense tuple of natural-log probabilities (-inf for 0)."""
+        return self._dense(_log(self._floor), ((t, _log(p)) for t, p in self._entries.items()))
 
     def children(self, k: int) -> tuple[tuple[int, float], ...]:
         """The ``k`` most probable positive-probability tokens as (token,
@@ -199,7 +176,8 @@ class StepDistribution:
 
         Only the entries and the ``k`` lowest-id floor tokens can qualify:
         any other floor token has ``k`` equal-valued floor tokens with lower
-        ids ahead of it. The cost is O(entries + k), not O(V), once per ``k``.
+        ids ahead of it. The cost is O(entries + k), not O(V), once per ``k``;
+        no dense row is built.
         """
         known = self._children.get(k)
         if known is None:
@@ -207,16 +185,17 @@ class StepDistribution:
         return known
 
     def _top_children(self, k: int) -> tuple[tuple[int, float], ...]:
-        lp = self.logprobs
-        candidates = self._support
-        if lp.floor != -math.inf:
+        entries = self._entries
+        candidates = [(t, _log(p)) for t, p in entries.items() if p > 0.0]
+        if self._floor > 0.0:
             # At most len(entries) of the first k + len(entries) ids are
             # entries, so the k lowest floor tokens lie among them.
-            scan = range(min(len(lp), k + len(lp.entries)))
-            floors = [(t, lp.floor) for t in scan if t not in lp.entries][:k]
-            candidates = tuple(sorted(candidates + tuple(floors)))
+            floor = _log(self._floor)
+            scan = range(min(self._size, k + len(entries)))
+            candidates += [(t, floor) for t in scan if t not in entries][:k]
+        candidates.sort()
         if len(candidates) <= k:
-            return candidates
+            return tuple(candidates)
         keep = kernels.topk_indices([v for _, v in candidates], k)
         return tuple(candidates[i] for i in sorted(keep))
 

@@ -36,7 +36,8 @@ def _parse_distribution(payload: object, vocab_size: int, origin: str) -> StepDi
         if lp is None:
             probs.append(0.0)
             continue
-        if not isinstance(lp, (int, float)):
+        # A JSON boolean loads as a bool, which Python counts as an int.
+        if isinstance(lp, bool) or not isinstance(lp, (int, float)):
             raise ProtocolError(f"{origin}: logprob {i} is not a number")
         try:
             probs.append(math.exp(lp))

@@ -47,7 +47,7 @@ from multipath.models import StepDistribution, TableLM, Vocabulary
 from multipath.oracle import check_exactness, check_pruning, check_reductions
 from multipath.tasks import Task, verify
 from multipath.templates import CRITIC, FEEDBACK_CODE, FEEDBACK_MATH, IOE, load_prompt
-from multipath.toydata import write_toy_data
+from multipath.toydata import make_digit_dataset, make_digit_model, write_toy_data
 
 SEED = 42
 SAMPLER = SamplerConfig(top_p=0.95, top_k=15, seed=SEED, max_len=8)
@@ -344,6 +344,26 @@ def test_bench_killed_by_sigkill_resumes_to_fresh_bytes(tmp_path, data_dir, kill
     assert sorted(p.name for p in killed.iterdir()) == names
     for name in names:
         assert (killed / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_attempts_log_cut_at_any_byte_resumes_to_fresh_bytes(tmp_path):
+    # A kill can land between any two bytes of the attempts log. Whatever
+    # prefix survives, resuming must end in the bytes a fresh run writes.
+    model, dataset = make_digit_model(3), make_digit_dataset(3)
+    strategy = CorrectionStrategy(kind="ftr_indicator", multipath_cfg=MPCFG)
+
+    def run(log):
+        result = run_protocol(model, dataset, strategy, GroundTruthProvider(), SAMPLER, resume_path=log)
+        report = score_run(result.pairs, dataset, strategy.kind).to_json()
+        return log.read_bytes(), result.to_json_lines(), report
+
+    fresh = run(tmp_path / "fresh.jsonl")
+    full = fresh[0]
+    assert full.decode("utf-8") == fresh[1] and full.count(b'"stage":"corrected"') > 0
+    log = tmp_path / "attempts.jsonl"
+    for cut in range(len(full) + 1):
+        log.write_bytes(full[:cut])
+        assert run(log) == fresh, cut
 
 
 def test_checked_in_data_matches_its_generator(tmp_path, data_dir):

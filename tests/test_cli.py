@@ -40,7 +40,7 @@ def test_settings_precedence_flag_config_default(tmp_path):
     args = parse_args(["compare", "--config", str(config), "--top-k", "9"])
     assert args.top_k == 9  # flag wins
     assert args.top_p == 0.5  # config beats default
-    assert args.beam == BeamConfig.width  # default fallback
+    assert args.max_len == MultipathConfig.max_len  # default fallback
     assert args.strategy == ["none", "critic_prompt"]
     # an explicit --strategy replaces the config list rather than extending it
     assert parse_args(["compare", "--config", str(config), "--strategy", "ioe_prompt"]).strategy == ["ioe_prompt"]
@@ -422,6 +422,39 @@ def test_compare_joins_strategies(capsys, tmp_path, toy_model_path, toy_dataset_
     assert lines[2].startswith("critic_prompt,")
     assert (out / "report_none.json").exists()
     assert (out / "report_critic_prompt.json").exists()
+
+
+def test_compare_of_one_strategy_writes_compare_csv(tmp_path, toy_model_path, toy_dataset_path):
+    out = tmp_path / "out"
+    rc = main([
+        "compare", "--model", toy_model_path, "--dataset", toy_dataset_path,
+        "--strategy", "none", "--out", str(out), "--seed", "3",
+    ])
+    assert rc == 0
+    assert sorted(p.name for p in out.iterdir()) == ["attempts_none.jsonl", "compare.csv", "report_none.json"]
+    assert (out / "compare.csv").read_text(encoding="utf-8").splitlines()[1].startswith("none,")
+
+
+@pytest.mark.parametrize("flags", [["--decoder", "beam"], ["--beam", "99"]])
+def test_bench_and_compare_take_no_decode_only_flag(capsys, tmp_path, toy_model_path, toy_dataset_path, flags):
+    # --decoder and --beam choose decode's decoder; bench and compare always
+    # run the strategy's own decoders.
+    for command in ("bench", "compare"):
+        argv = [command, "--model", toy_model_path, "--dataset", toy_dataset_path, "--strategy", "none",
+                "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flags)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_ignores_a_config_decoder(tmp_path):
+    # decode's keys are another command's keys for bench
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"decoder": "beam", "beam": 99}), encoding="utf-8")
+    args = parse_args(["bench", "--config", str(config)])
+    assert "decoder" not in args and "beam" not in args
 
 
 def test_bench_reruns_are_byte_identical(tmp_path, toy_model_path, toy_dataset_path):

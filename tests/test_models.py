@@ -357,7 +357,7 @@ def test_ngram_hands_out_one_row_per_context():
         unseen = [(eos,), (a, eos), (eos, eos, eos), (eos, a, b)[-order:] + (eos,), (d, eos, eos)]
         rows = [model.next_distribution(prompt[:1], prompt[1:]) for prompt in unseen]
         assert all(row is rows[0] for row in rows)
-        floor = rows[0].logprobs.floor
+        floor = rows[0].logprobs[0]
         assert rows[0].children(3) == tuple((t, floor) for t in range(3))
         seen = model.next_distribution((), (a,))
         assert seen is not rows[0] and seen.children(1) != rows[0].children(1)

@@ -109,6 +109,14 @@ def test_parse_distribution_rejects_positive_logprob():
         _parse_distribution({"logprobs": [1e-12, None, None]}, 3, "x")
 
 
+@pytest.mark.parametrize("reply, index", [('[false, null, null]', 0), ('[null, true, null]', 1)])
+def test_parse_distribution_rejects_boolean_logprob(reply, index):
+    # A JSON boolean loads as a Python bool, which is an int: false would
+    # read as logprob 0 (probability 1) and true as logprob 1.
+    with pytest.raises(ProtocolError, match=f"x: logprob {index} is not a number"):
+        _parse_distribution({"logprobs": json.loads(reply)}, 3, "x")
+
+
 def test_parse_distribution_rejects_logprob_whose_exp_overflows():
     with pytest.raises(ProtocolError, match="x: logprob 0 is 1000.0"):
         _parse_distribution({"logprobs": [1000.0, None, None]}, 3, "x")

@@ -26,9 +26,7 @@ from .models import (
     Vocabulary,
     dump_table_lm,
     greedy_trap_lm,
-    load_table_lm,
     perplexity,
-    scripted_lm,
     sequence_logprob,
     table_lm_to_json,
     train_ngram,
@@ -55,9 +53,7 @@ from .tasks import (
 )
 from .correction import (
     Attempt,
-    CorrectionStrategy,
     FeedbackProvider,
-    FeedbackSignal,
     GroundTruthProvider,
     JudgeServiceProvider,
     ProtocolRun,
@@ -88,12 +84,10 @@ __all__ = [
     "BeamConfig",
     "ChangeMatrix",
     "ConfigError",
-    "CorrectionStrategy",
     "CostModel",
     "Dataset",
     "DecodeResult",
     "FeedbackProvider",
-    "FeedbackSignal",
     "GroundTruthProvider",
     "HttpModelClient",
     "JudgeClient",
@@ -127,7 +121,6 @@ __all__ = [
     "greedy_decode",
     "greedy_trap_lm",
     "indicator_correct",
-    "load_table_lm",
     "load_tasks",
     "multipath_decode",
     "nucleus_sample",
@@ -137,7 +130,6 @@ __all__ = [
     "run_protocol",
     "run_stage1",
     "score_run",
-    "scripted_lm",
     "select_min_ppl",
     "sequence_logprob",
     "table_lm_to_json",

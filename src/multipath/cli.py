@@ -27,7 +27,8 @@ import sys
 from pathlib import Path
 
 from .correction import (
-    CorrectionStrategy,
+    FEEDBACK_GATED,
+    STRATEGY_KINDS,
     FeedbackProvider,
     GroundTruthProvider,
     JudgeServiceProvider,
@@ -95,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--model", help="model spec file")
         p.add_argument("--dataset", help="dataset JSONL file")
-        p.add_argument("--strategy", action="append",
+        p.add_argument("--strategy", action="append", choices=STRATEGY_KINDS,
                        help=f"strategy kind (repeatable for compare; default {DEFAULT_STRATEGY})")
         p.add_argument("--provider", choices=PROVIDERS, default="ground_truth",
                        help="feedback provider (default %(default)s)")
@@ -285,24 +286,6 @@ def _build_provider(args: argparse.Namespace) -> FeedbackProvider:
     return JudgeServiceProvider(JudgeClient(_required(args, "judge_url"), timeout=args.timeout))
 
 
-def _run_one_strategy(model, dataset, kind: str, args: argparse.Namespace, out_dir: Path):
-    if kind == "ftr_indicator":
-        strategy = CorrectionStrategy(kind=kind, multipath_cfg=_multipath_config(args))
-    else:
-        strategy = CorrectionStrategy(kind=kind)
-    provider = _build_provider(args) if strategy.needs_feedback else None
-    attempts_path = out_dir / f"attempts_{kind}.jsonl"
-    run = run_protocol(
-        model, dataset, strategy, provider, _sampler_config(args),
-        workers=args.workers,
-        resume_path=attempts_path if args.resume else None,
-    )
-    # Rewrite the attempts log in dataset order so the artifact does not
-    # depend on worker scheduling or on how many runs it took.
-    _write_atomic(attempts_path, run.to_json_lines())
-    return run, strategy
-
-
 def _write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` via ``<name>.tmp`` and a rename, so a killed
     run leaves the old file or the new one, never part of one."""
@@ -319,6 +302,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     kinds = args.strategy
     if args.command == "bench" and len(kinds) != 1:
         raise ConfigError("bench takes exactly one --strategy; use compare for several")
+    sampler_cfg = _sampler_config(args)
+    multipath_cfg = _multipath_config(args)
+    provider = _build_provider(args) if any(kind in FEEDBACK_GATED for kind in kinds) else None
     model = load_model(_required(args, "model"))
     dataset = load_tasks(_required(args, "dataset"))
     out_dir = Path(_required(args, "out"))
@@ -327,12 +313,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
     reports = []
     failed_tasks: list[tuple[str, str, str]] = []
     for kind in kinds:
-        run, strategy = _run_one_strategy(model, dataset, kind, args, out_dir)
+        attempts_path = out_dir / f"attempts_{kind}.jsonl"
+        run = run_protocol(
+            model, dataset, kind, provider, sampler_cfg, multipath_cfg,
+            workers=args.workers,
+            resume_path=attempts_path if args.resume else None,
+        )
+        # Rewrite the attempts log in dataset order so the artifact does not
+        # depend on worker scheduling or on how many runs it took.
+        _write_atomic(attempts_path, run.to_json_lines())
         for task_id, message in run.errors:
             failed_tasks.append((kind, task_id, message))
         if run.errors:
             continue
-        report = score_run(run.pairs, dataset, strategy.kind, timeout=args.timeout, workers=args.workers)
+        report = score_run(run.pairs, dataset, kind, timeout=args.timeout, workers=args.workers)
         reports.append(report)
         _write_atomic(out_dir / f"report_{kind}.json", report.to_json())
 

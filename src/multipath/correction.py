@@ -13,11 +13,12 @@ stage-2 functions only regenerate:
 - critic_prompt / ioe_prompt: the packaged critique template is appended
   (these strategies get no feedback signal at all).
 
-Feedback providers: ground truth (verify the attempt), a remote judge
-service, and a scripted judge that flips the true verdict with configured
-false-negative/false-positive rates. The scripted judge draws from a stream
-seeded per (seed, task id), so its verdict for a task does not depend on how
-many other tasks ran before it.
+Feedback providers answer with a bool, True for positive feedback: ground
+truth (verify the attempt), a remote judge service, and a scripted judge
+that flips the true verdict with configured false-negative/false-positive
+rates. The scripted judge draws from a stream seeded per (seed, task id), so
+its verdict for a task does not depend on how many other tasks ran before
+it.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from .tasks import Dataset, Task, extract_bracket_answer, verify
 from .templates import CRITIC, FEEDBACK_CODE, FEEDBACK_MATH, IOE, load_prompt
 
 STRATEGY_KINDS = ("none", "ftr_indicator", "feedback_as_prompt", "critic_prompt", "ioe_prompt")
+# The strategies whose stage 2 runs only on negative feedback.
+FEEDBACK_GATED = ("ftr_indicator", "feedback_as_prompt")
 
 INITIAL = "initial"
 CORRECTED = "corrected"
@@ -83,8 +86,11 @@ class Attempt:
     def __post_init__(self) -> None:
         if self.stage not in (INITIAL, CORRECTED):
             raise ValueError(f"stage must be 'initial' or 'corrected', got {self.stage!r}")
-        if self.tokens_generated < 0 or self.steps < 0:
-            raise ValueError("token counters must be >= 0")
+        if not 1 <= self.steps <= self.tokens_generated:
+            raise ValueError(
+                "token counters must satisfy 1 <= steps <= tokens_generated, "
+                f"got steps={self.steps!r}, tokens_generated={self.tokens_generated!r}"
+            )
 
     def to_json_dict(self) -> dict:
         return {key: getattr(self, key) for key in _ATTEMPT_FIELDS}
@@ -101,69 +107,24 @@ class Attempt:
         return cls(**data)
 
 
-@dataclass(frozen=True)
-class FeedbackSignal:
-    polarity: str  # "positive" | "negative"
-    source: str  # "ground_truth" | "judge_service" | "scripted"
-    category: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.polarity not in ("positive", "negative"):
-            raise ValueError(f"polarity must be 'positive' or 'negative', got {self.polarity!r}")
-
-    @property
-    def negative(self) -> bool:
-        return self.polarity == "negative"
-
-
-@dataclass(frozen=True)
-class CorrectionStrategy:
-    """Strategy kind plus its stage-2 decoder binding.
-
-    ftr_indicator regenerates with the multipath decoder and therefore
-    requires multipath_cfg; the prompt strategies reuse the stage-1 sampler
-    by contract, so multipath_cfg must be absent for them.
-    """
-
-    kind: str
-    multipath_cfg: MultipathConfig | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in STRATEGY_KINDS:
-            raise ConfigError(f"unknown strategy kind {self.kind!r}; expected one of {STRATEGY_KINDS}")
-        if self.kind == "ftr_indicator" and self.multipath_cfg is None:
-            raise ConfigError("ftr_indicator requires a multipath decoder config")
-        if self.kind != "ftr_indicator" and self.multipath_cfg is not None:
-            raise ConfigError(f"{self.kind} binds the stage-1 sampler; multipath_cfg must be None")
-
-    @property
-    def needs_feedback(self) -> bool:
-        return self.kind in ("ftr_indicator", "feedback_as_prompt")
-
-
 # ---------------------------------------------------------------------------
 # Feedback providers
 
 
 class FeedbackProvider(ABC):
-    source: str
-
     @abstractmethod
-    def feedback(self, task: Task, attempt: Attempt) -> FeedbackSignal:
-        ...
+    def feedback(self, task: Task, attempt: Attempt) -> bool:
+        """Whether the feedback on ``attempt`` is positive."""
 
 
 class GroundTruthProvider(FeedbackProvider):
     """Noiseless oracle: positive iff the attempt verifies."""
 
-    source = "ground_truth"
-
     def __init__(self, timeout: float = 30.0):
         self._timeout = timeout
 
-    def feedback(self, task: Task, attempt: Attempt) -> FeedbackSignal:
-        ok = verify(task, attempt.text, timeout=self._timeout)
-        return FeedbackSignal(polarity="positive" if ok else "negative", source=self.source)
+    def feedback(self, task: Task, attempt: Attempt) -> bool:
+        return verify(task, attempt.text, timeout=self._timeout)
 
 
 class ScriptedJudgeProvider(FeedbackProvider):
@@ -172,8 +133,6 @@ class ScriptedJudgeProvider(FeedbackProvider):
     A truly correct attempt is reported negative with probability fn_rate; a
     truly incorrect one positive with probability fp_rate.
     """
-
-    source = "scripted"
 
     def __init__(self, fn_rate: float, fp_rate: float, seed: int, timeout: float = 30.0):
         if not 0.0 <= fn_rate <= 1.0:
@@ -185,29 +144,21 @@ class ScriptedJudgeProvider(FeedbackProvider):
         self.seed = seed
         self._timeout = timeout
 
-    def feedback(self, task: Task, attempt: Attempt) -> FeedbackSignal:
+    def feedback(self, task: Task, attempt: Attempt) -> bool:
         truth = verify(task, attempt.text, timeout=self._timeout)
-        rng = Random(derive_seed(self.seed, task.id, stage=0))
-        r = rng.random()
-        if truth:
-            polarity = "negative" if r < self.fn_rate else "positive"
-        else:
-            polarity = "positive" if r < self.fp_rate else "negative"
-        return FeedbackSignal(polarity=polarity, source=self.source)
+        r = Random(derive_seed(self.seed, task.id, stage=0)).random()
+        return r >= self.fn_rate if truth else r < self.fp_rate
 
 
 class JudgeServiceProvider(FeedbackProvider):
     """Remote judge; transport failures propagate, they are not verdicts."""
 
-    source = "judge_service"
-
     def __init__(self, client: JudgeClient):
         self._client = client
 
-    def feedback(self, task: Task, attempt: Attempt) -> FeedbackSignal:
-        verdict, category = self._client.judge(task.id, task.prompt, attempt.text)
-        polarity = "positive" if verdict == "correct" else "negative"
-        return FeedbackSignal(polarity=polarity, source=self.source, category=category)
+    def feedback(self, task: Task, attempt: Attempt) -> bool:
+        verdict, _category = self._client.judge(task.id, task.prompt, attempt.text)
+        return verdict == "correct"
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +187,7 @@ def run_stage1(model: ModelInterface, task: Task, sampler_cfg: SamplerConfig, st
     return _attempt_from(result, task, INITIAL, strategy, task.prompt)
 
 
-def collect_feedback(provider: FeedbackProvider, task: Task, attempt: Attempt) -> FeedbackSignal:
+def collect_feedback(provider: FeedbackProvider, task: Task, attempt: Attempt) -> bool:
     return provider.feedback(task, attempt)
 
 
@@ -254,7 +205,7 @@ def prompt_correct(
     model: ModelInterface,
     task: Task,
     attempt: Attempt,
-    strategy: CorrectionStrategy,
+    kind: str,
     sampler_cfg: SamplerConfig,
 ) -> Attempt:
     """Stage 2 of the prompt-based strategies.
@@ -264,14 +215,14 @@ def prompt_correct(
     feedback_as_prompt, run after negative feedback, picks its template by
     task domain.
     """
-    if strategy.kind == "feedback_as_prompt":
+    if kind == "feedback_as_prompt":
         p_cor = load_prompt(FEEDBACK_MATH if task.domain == "math" else FEEDBACK_CODE)
-    elif strategy.kind == "critic_prompt":
+    elif kind == "critic_prompt":
         p_cor = load_prompt(CRITIC)
-    elif strategy.kind == "ioe_prompt":
+    elif kind == "ioe_prompt":
         p_cor = load_prompt(IOE)
     else:
-        raise ConfigError(f"{strategy.kind!r} is not a prompt strategy")
+        raise ConfigError(f"{kind!r} is not a prompt strategy")
 
     stage2_input = f"{task.prompt}\n{attempt.text}\n{p_cor}"
     seed = derive_seed(sampler_cfg.seed, task.id, stage=2)
@@ -341,13 +292,17 @@ def _load_resume(path: Path, strategy_kind: str) -> dict[str, tuple[Attempt, Att
 def run_protocol(
     model: ModelInterface,
     dataset: Dataset,
-    strategy: CorrectionStrategy,
+    kind: str,
     provider: FeedbackProvider | None,
     sampler_cfg: SamplerConfig,
+    multipath_cfg: MultipathConfig = MultipathConfig(),
     workers: int = 1,
     resume_path: str | Path | None = None,
 ) -> ProtocolRun:
-    """Run stage 1 and the strategy's stage 2 over the whole dataset.
+    """Run stage 1 and stage 2 of the strategy ``kind`` over the whole dataset.
+
+    Stage 2 of ftr_indicator decodes with ``multipath_cfg``; the prompt
+    strategies reuse ``sampler_cfg``.
 
     Tasks run in parallel up to ``workers``; results are ordered by dataset
     position regardless, and per-task seeds make the output independent of
@@ -359,8 +314,10 @@ def run_protocol(
     completion is appended and flushed as it arrives, so a killed run keeps
     every pair it finished.
     """
-    if strategy.needs_feedback and provider is None:
-        raise ConfigError(f"strategy {strategy.kind!r} requires a feedback provider")
+    if kind not in STRATEGY_KINDS:
+        raise ConfigError(f"unknown strategy kind {kind!r}; expected one of {STRATEGY_KINDS}")
+    if kind in FEEDBACK_GATED and provider is None:
+        raise ConfigError(f"strategy {kind!r} requires a feedback provider")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
 
@@ -368,20 +325,20 @@ def run_protocol(
     log_file = None
     if resume_path is not None:
         resume_path = Path(resume_path)
-        resume = _load_resume(resume_path, strategy.kind)
+        resume = _load_resume(resume_path, kind)
         resume_path.parent.mkdir(parents=True, exist_ok=True)
         log_file = resume_path.open("a", encoding="utf-8")
 
     def one(task: Task) -> tuple[Attempt, Attempt]:
-        initial = run_stage1(model, task, sampler_cfg, strategy=strategy.kind)
-        if strategy.kind == "none":
+        initial = run_stage1(model, task, sampler_cfg, strategy=kind)
+        if kind == "none":
             return initial, initial
         # The feedback gate: stage 2 runs only on negative feedback.
-        if strategy.needs_feedback and not collect_feedback(provider, task, initial).negative:
+        if kind in FEEDBACK_GATED and collect_feedback(provider, task, initial):
             return initial, initial
-        if strategy.kind == "ftr_indicator":
-            return initial, indicator_correct(model, task, initial, strategy.multipath_cfg)
-        return initial, prompt_correct(model, task, initial, strategy, sampler_cfg)
+        if kind == "ftr_indicator":
+            return initial, indicator_correct(model, task, initial, multipath_cfg)
+        return initial, prompt_correct(model, task, initial, kind, sampler_cfg)
 
     pending = [t for t in dataset.tasks if t.id not in resume]
     results: dict[str, tuple[Attempt, Attempt]] = dict(resume)

@@ -266,7 +266,7 @@ class TableLM(ModelInterface):
     """Model backed by an explicit context -> distribution table.
 
     Rows are keyed by the generated prefix; a row may additionally be pinned
-    to one exact prompt (programmatic fixtures, scripted responders). Lookup
+    to one exact prompt (programmatic fixtures such as the digit model). Lookup
     order: (prompt, prefix) row, then prompt-agnostic (prefix) row, then the
     default row.
     """
@@ -480,20 +480,14 @@ def read_json_object(path: Path, what: str, error: type[Exception]) -> dict:
     return data
 
 
-def load_table_lm(path: str | Path) -> TableLM:
-    """Load a table model file, validating every row.
+def table_lm_from_spec(data: dict, path: Path) -> TableLM:
+    """The table model described by ``data``, parsed from the file ``path``,
+    validating every row.
 
     Schema: {"vocab": [str], "eos": str, "rows": [{"context": [str],
     "probs": [num]}], "default": [num] (optional)}. Contexts are generated-
     prefix token lists; the empty context is the step-0 row.
     """
-    path = Path(path)
-    return table_lm_from_spec(read_json_object(path, "model file", LoadError), path)
-
-
-def table_lm_from_spec(data: dict, path: Path) -> TableLM:
-    """The table model described by ``data``, parsed from the file ``path``
-    (schema in ``load_table_lm``)."""
     for key in ("vocab", "eos", "rows"):
         if key not in data:
             raise LoadError(f"model file {path}: missing key {key!r}")
@@ -545,23 +539,3 @@ def greedy_trap_lm() -> TableLM:
     }
     return TableLM(vocabulary=vocab, rows=rows, default=StepDistribution.uniform(3))
 
-
-def scripted_lm(
-    vocabulary: Vocabulary,
-    responses: Mapping[str, str],
-    default: StepDistribution | None = None,
-) -> TableLM:
-    """Table model that deterministically emits a fixed response per prompt.
-
-    ``responses`` maps prompt text to continuation text; the continuation is
-    emitted one-hot, followed by the end-of-sequence token.
-    """
-    prompt_rows: dict[tuple[TokenIds, TokenIds], StepDistribution] = {}
-    for prompt_text, reply_text in responses.items():
-        prompt_ids = vocabulary.encode(prompt_text)
-        reply_ids = vocabulary.encode(reply_text) + (vocabulary.eos_id,)
-        for i, token in enumerate(reply_ids):
-            probs = [0.0] * vocabulary.size
-            probs[token] = 1.0
-            prompt_rows[(prompt_ids, reply_ids[:i])] = StepDistribution(probs=tuple(probs))
-    return TableLM(vocabulary=vocabulary, prompt_rows=prompt_rows, default=default)

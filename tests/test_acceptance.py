@@ -4,8 +4,8 @@ Each test pins one externally visible guarantee of the package: decoder
 exactness against brute force, reductions to classical decoders, pruning
 minimality at scale, the trap-recovery phenomenon, protocol safety on
 verified answers, byte purity of regeneration inputs, cost-model fidelity,
-scripted-judge error rates, sampler support containment, and bit-for-bit
-reproducibility of the benchmark pipeline.
+scripted-judge error rates, sampler support containment, bit-for-bit
+reproducibility of the benchmark pipeline, and the README quick start.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from multipath.correction import (
     CORRECTED,
     INITIAL,
     Attempt,
-    CorrectionStrategy,
     GroundTruthProvider,
     ScriptedJudgeProvider,
     run_protocol,
@@ -42,7 +41,7 @@ from multipath.decoding import (
     multipath_decode,
     nucleus_sample,
 )
-from multipath.evaluation import CostModel, breakeven_regen_fraction, cost_estimate, score_run
+from multipath.evaluation import ChangeMatrix, CostModel, breakeven_regen_fraction, cost_estimate, score_run
 from multipath.models import StepDistribution, TableLM, Vocabulary
 from multipath.oracle import check_exactness, check_pruning, check_reductions
 from multipath.tasks import Task, verify
@@ -56,8 +55,7 @@ MPCFG = MultipathConfig(mass_fraction=0.9, max_width=7, max_len=8)
 
 @pytest.fixture(scope="module")
 def ftr_run(digit_model, digit_dataset):
-    strategy = CorrectionStrategy(kind="ftr_indicator", multipath_cfg=MPCFG)
-    return run_protocol(digit_model, digit_dataset, strategy, GroundTruthProvider(), SAMPLER)
+    return run_protocol(digit_model, digit_dataset, "ftr_indicator", GroundTruthProvider(), SAMPLER, MPCFG)
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +145,7 @@ def test_regeneration_prompt_purity(ftr_run, digit_model, digit_dataset):
 
 def test_prompt_strategies_embed_exact_template_bytes(digit_model, digit_dataset):
     for kind, name in (("critic_prompt", CRITIC), ("ioe_prompt", IOE)):
-        run = run_protocol(
-            digit_model, digit_dataset, CorrectionStrategy(kind=kind), None, SAMPLER
-        )
+        run = run_protocol(digit_model, digit_dataset, kind, None, SAMPLER)
         template = load_prompt(name)
         by_id = {t.id: t for t in digit_dataset.tasks}
         for initial, final in run.pairs:
@@ -212,8 +208,8 @@ def test_scripted_judge_hits_configured_error_rates():
                 decoder_input="q", text=text, answer=None,
                 tokens_generated=1, steps=1,
             )
-            signal = provider.feedback(task, attempt)
-            hits += signal.negative if count_negative else not signal.negative
+            positive = provider.feedback(task, attempt)
+            hits += (not positive) if count_negative else positive
         return hits / trials
 
     observed_fn = rate("fn", "[3]", count_negative=True)
@@ -350,11 +346,10 @@ def test_attempts_log_cut_at_any_byte_resumes_to_fresh_bytes(tmp_path):
     # A kill can land between any two bytes of the attempts log. Whatever
     # prefix survives, resuming must end in the bytes a fresh run writes.
     model, dataset = make_digit_model(3), make_digit_dataset(3)
-    strategy = CorrectionStrategy(kind="ftr_indicator", multipath_cfg=MPCFG)
 
     def run(log):
-        result = run_protocol(model, dataset, strategy, GroundTruthProvider(), SAMPLER, resume_path=log)
-        report = score_run(result.pairs, dataset, strategy.kind).to_json()
+        result = run_protocol(model, dataset, "ftr_indicator", GroundTruthProvider(), SAMPLER, MPCFG, resume_path=log)
+        report = score_run(result.pairs, dataset, "ftr_indicator").to_json()
         return log.read_bytes(), result.to_json_lines(), report
 
     fresh = run(tmp_path / "fresh.jsonl")
@@ -373,6 +368,24 @@ def test_checked_in_data_matches_its_generator(tmp_path, data_dir):
     assert sorted(p.name for p in written) == ["greedy_trap.json", "toy_math.jsonl", "toy_table_lm.json"]
     for path in written:
         assert path.read_bytes() == (data_dir / path.name).read_bytes(), path.name
+
+
+# ---------------------------------------------------------------------------
+# 11. the README quick start runs as written and prints what it claims
+
+
+def test_readme_quick_start_runs_as_written(capsys):
+    # Executed from the README itself, so the call form and the numbers it
+    # shows cannot drift from the code.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    quick_start = readme.split("## Quick start", 1)[1]
+    code = quick_start.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    report = namespace["report"]
+    assert report.matrix == ChangeMatrix(cc=35, ci=0, ic=18, ii=47)
+    assert report.est_cost_ratio == report.measured_cost_ratio == 2.625
+    assert capsys.readouterr().out.splitlines() == ["ChangeMatrix(cc=35, ci=0, ic=18, ii=47)", "2.625"]
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,7 @@ def test_settings_bad_config_file(tmp_path):
     ("decode", {"decoder": "foo"}, "decoder"),
     ("bench", {"provider": "foo"}, "provider"),
     ("compare", {"strategy": []}, "strategy"),
+    ("compare", {"strategy": ["none", "bogus"]}, "strategy"),
 ])
 def test_config_value_of_the_wrong_type_exits_2(capsys, tmp_path, trap_path, toy_dataset_path, command, values, key):
     config = tmp_path / "cfg.json"
@@ -433,6 +434,25 @@ def test_compare_of_one_strategy_writes_compare_csv(tmp_path, toy_model_path, to
     assert rc == 0
     assert sorted(p.name for p in out.iterdir()) == ["attempts_none.jsonl", "compare.csv", "report_none.json"]
     assert (out / "compare.csv").read_text(encoding="utf-8").splitlines()[1].startswith("none,")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--strategy", "bogus"],
+    ["--p-star", "1.5"],
+    ["--provider", "judge", "--strategy", "ftr_indicator"],
+], ids=["unknown-strategy", "bad-p-star", "judge-without-url"])
+def test_compare_rejects_bad_input_before_any_strategy_runs(tmp_path, toy_model_path, toy_dataset_path, flags):
+    out = tmp_path / "out"
+    argv = [
+        "compare", "--model", toy_model_path, "--dataset", toy_dataset_path,
+        "--strategy", "none", "--strategy", "critic_prompt", "--out", str(out),
+    ] + flags
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value itself
+        code = exc.code
+    assert code == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [["--decoder", "beam"], ["--beam", "99"]])

@@ -14,10 +14,9 @@ from multipath import correction, kernels
 from multipath.correction import (
     CORRECTED,
     INITIAL,
+    FEEDBACK_GATED,
     Attempt,
-    CorrectionStrategy,
     FeedbackProvider,
-    FeedbackSignal,
     GroundTruthProvider,
     JudgeServiceProvider,
     ProtocolRun,
@@ -67,27 +66,19 @@ class CountingModel(ModelInterface):
 
 
 class FixedFeedback(FeedbackProvider):
-    """Stub provider that gives every task the same polarity."""
+    """Stub provider that gives every task the same feedback."""
 
-    source = "scripted"
-
-    def __init__(self, polarity):
-        self.polarity = polarity
+    def __init__(self, positive):
+        self.positive = positive
         self.asked = []
 
     def feedback(self, task, attempt):
         self.asked.append(task.id)
-        return FeedbackSignal(polarity=self.polarity, source=self.source)
+        return self.positive
 
 
 def refuse_stage2(*args, **kwargs):
     raise AssertionError("stage 2 ran on positive feedback")
-
-
-GATED_STRATEGIES = [
-    CorrectionStrategy(kind="ftr_indicator", multipath_cfg=MPCFG),
-    CorrectionStrategy(kind="feedback_as_prompt"),
-]
 
 
 class StubJudgeClient:
@@ -131,31 +122,18 @@ def test_attempt_round_trips_through_json():
 def test_attempt_validation():
     with pytest.raises(ValueError, match="stage"):
         make_attempt(stage="final")
-    with pytest.raises(ValueError, match="counters"):
-        Attempt(
-            task_id="t", stage=INITIAL, strategy="none", decoder_input="p",
-            text="x", answer=None, tokens_generated=-1, steps=0,
-        )
+    for tokens, steps in ((-1, 0), (0, 0), (2, 0), (2, 3)):
+        with pytest.raises(ValueError, match="counters"):
+            Attempt(
+                task_id="t", stage=INITIAL, strategy="none", decoder_input="p",
+                text="x", answer=None, tokens_generated=tokens, steps=steps,
+            )
 
 
-def test_feedback_signal_validation():
-    assert FeedbackSignal(polarity="negative", source="ground_truth").negative
-    assert not FeedbackSignal(polarity="positive", source="ground_truth").negative
-    with pytest.raises(ValueError, match="polarity"):
-        FeedbackSignal(polarity="maybe", source="ground_truth")
-
-
-def test_strategy_validation():
+def test_strategy_validation(small_digit_model, small_digit_dataset):
     with pytest.raises(ConfigError, match="unknown strategy"):
-        CorrectionStrategy(kind="rewrite")
-    with pytest.raises(ConfigError, match="requires a multipath"):
-        CorrectionStrategy(kind="ftr_indicator")
-    with pytest.raises(ConfigError, match="must be None"):
-        CorrectionStrategy(kind="critic_prompt", multipath_cfg=MPCFG)
-    assert CorrectionStrategy(kind="ftr_indicator", multipath_cfg=MPCFG).needs_feedback
-    assert CorrectionStrategy(kind="feedback_as_prompt").needs_feedback
-    assert not CorrectionStrategy(kind="critic_prompt").needs_feedback
-    assert not CorrectionStrategy(kind="none").needs_feedback
+        run_protocol(small_digit_model, small_digit_dataset, "rewrite", None, SAMPLER)
+    assert FEEDBACK_GATED == ("ftr_indicator", "feedback_as_prompt")
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +143,8 @@ def test_strategy_validation():
 def test_ground_truth_provider_polarity():
     provider = GroundTruthProvider()
     task = Task(id="t", prompt="q", domain="math", answer=3)
-    good = provider.feedback(task, make_attempt(text="[3]"))
-    bad = provider.feedback(task, make_attempt(text="[4]"))
-    assert good.polarity == "positive"
-    assert bad.polarity == "negative"
-    assert good.source == "ground_truth"
+    assert provider.feedback(task, make_attempt(text="[3]")) is True
+    assert provider.feedback(task, make_attempt(text="[4]")) is False
 
 
 def test_scripted_judge_noiseless_equals_ground_truth():
@@ -178,15 +153,15 @@ def test_scripted_judge_noiseless_equals_ground_truth():
     truth = GroundTruthProvider()
     for text in ("[3]", "[4]", "nothing"):
         attempt = make_attempt(text=text)
-        assert scripted.feedback(task, attempt).polarity == truth.feedback(task, attempt).polarity
+        assert scripted.feedback(task, attempt) is truth.feedback(task, attempt)
 
 
 def test_scripted_judge_extreme_rates_always_flip():
     task = Task(id="t9", prompt="q", domain="math", answer=3)
     always_fn = ScriptedJudgeProvider(fn_rate=1.0, fp_rate=0.0, seed=0)
-    assert always_fn.feedback(task, make_attempt(text="[3]")).negative
+    assert always_fn.feedback(task, make_attempt(text="[3]")) is False
     always_fp = ScriptedJudgeProvider(fn_rate=0.0, fp_rate=1.0, seed=0)
-    assert not always_fp.feedback(task, make_attempt(text="[4]")).negative
+    assert always_fp.feedback(task, make_attempt(text="[4]")) is True
 
 
 def test_scripted_judge_rate_validation():
@@ -201,8 +176,8 @@ def test_scripted_judge_is_order_independent():
     attempt_for = {t.id: make_attempt(task_id=t.id, text="[3]") for t in tasks}
     forward = ScriptedJudgeProvider(fn_rate=0.5, fp_rate=0.0, seed=7)
     backward = ScriptedJudgeProvider(fn_rate=0.5, fp_rate=0.0, seed=7)
-    got_forward = {t.id: forward.feedback(t, attempt_for[t.id]).polarity for t in tasks}
-    got_backward = {t.id: backward.feedback(t, attempt_for[t.id]).polarity for t in reversed(tasks)}
+    got_forward = {t.id: forward.feedback(t, attempt_for[t.id]) for t in tasks}
+    got_backward = {t.id: backward.feedback(t, attempt_for[t.id]) for t in reversed(tasks)}
     assert got_forward == got_backward
     assert len(set(got_forward.values())) == 2  # the rate actually fires
 
@@ -210,12 +185,9 @@ def test_scripted_judge_is_order_independent():
 def test_judge_service_provider_maps_verdicts():
     task = Task(id="t", prompt="q", domain="math", answer=3)
     positive = JudgeServiceProvider(StubJudgeClient("correct", "arith"))
-    signal = positive.feedback(task, make_attempt())
-    assert signal.polarity == "positive"
-    assert signal.category == "arith"
-    assert signal.source == "judge_service"
+    assert positive.feedback(task, make_attempt()) is True
     negative = JudgeServiceProvider(StubJudgeClient("incorrect"))
-    assert negative.feedback(task, make_attempt()).negative
+    assert negative.feedback(task, make_attempt()) is False
 
 
 def test_judge_service_provider_sends_task_fields():
@@ -274,7 +246,7 @@ def test_prompt_correct_concatenates_prompt_response_template(
     task = small_digit_dataset.tasks[0]
     attempt = run_stage1(small_digit_model, task, SAMPLER, strategy="critic_prompt")
     corrected = prompt_correct(
-        small_digit_model, task, attempt, CorrectionStrategy(kind="critic_prompt"), SAMPLER
+        small_digit_model, task, attempt, "critic_prompt", SAMPLER
     )
     assert corrected.stage == CORRECTED
     assert corrected.decoder_input == f"{task.prompt}\n{attempt.text}\n{load_prompt(CRITIC)}"
@@ -284,14 +256,14 @@ def test_prompt_correct_ioe_uses_its_own_template(small_digit_model, small_digit
     task = small_digit_dataset.tasks[0]
     attempt = run_stage1(small_digit_model, task, SAMPLER, strategy="ioe_prompt")
     corrected = prompt_correct(
-        small_digit_model, task, attempt, CorrectionStrategy(kind="ioe_prompt"), SAMPLER
+        small_digit_model, task, attempt, "ioe_prompt", SAMPLER
     )
     assert corrected.decoder_input.endswith("\n" + load_prompt(IOE))
     assert load_prompt(IOE) != load_prompt(CRITIC)
 
 
 def test_feedback_as_prompt_picks_template_by_domain(small_digit_model, small_digit_dataset):
-    strategy = CorrectionStrategy(kind="feedback_as_prompt")
+    strategy = "feedback_as_prompt"
 
     math_task = small_digit_dataset.tasks[0]
     attempt = make_attempt(task_id=math_task.id, strategy="feedback_as_prompt")
@@ -309,10 +281,7 @@ def test_prompt_correct_rejects_non_prompt_strategies(small_digit_model, small_d
     task = small_digit_dataset.tasks[0]
     attempt = make_attempt(task_id=task.id)
     with pytest.raises(ConfigError, match="not a prompt strategy"):
-        prompt_correct(
-            small_digit_model, task, attempt,
-            CorrectionStrategy(kind="ftr_indicator", multipath_cfg=MPCFG), SAMPLER,
-        )
+        prompt_correct(small_digit_model, task, attempt, "ftr_indicator", SAMPLER)
 
 
 def test_collect_feedback_delegates(small_digit_dataset):
@@ -329,7 +298,7 @@ def test_collect_feedback_delegates(small_digit_dataset):
 
 def test_protocol_none_keeps_initial_as_final(small_digit_model, small_digit_dataset):
     run = run_protocol(
-        small_digit_model, small_digit_dataset, CorrectionStrategy(kind="none"), None, SAMPLER
+        small_digit_model, small_digit_dataset, "none", None, SAMPLER
     )
     assert len(run.pairs) == len(small_digit_dataset.tasks)
     assert run.errors == ()
@@ -340,8 +309,8 @@ def test_protocol_none_keeps_initial_as_final(small_digit_model, small_digit_dat
 
 def check_positive_feedback_keeps_initial(monkeypatch, model, dataset, strategy, stage2_name):
     monkeypatch.setattr(correction, stage2_name, refuse_stage2)
-    provider = FixedFeedback("positive")
-    run = run_protocol(model, dataset, strategy, provider, SAMPLER)
+    provider = FixedFeedback(True)
+    run = run_protocol(model, dataset, strategy, provider, SAMPLER, MPCFG)
     assert provider.asked == [t.id for t in dataset.tasks]
     assert run.errors == ()
     assert len(run.pairs) == len(dataset.tasks)
@@ -351,19 +320,19 @@ def check_positive_feedback_keeps_initial(monkeypatch, model, dataset, strategy,
 
 def test_indicator_positive_feedback_is_identity(monkeypatch, small_digit_model, small_digit_dataset):
     check_positive_feedback_keeps_initial(
-        monkeypatch, small_digit_model, small_digit_dataset, GATED_STRATEGIES[0], "indicator_correct"
+        monkeypatch, small_digit_model, small_digit_dataset, "ftr_indicator", "indicator_correct"
     )
 
 
 def test_feedback_as_prompt_positive_is_identity(monkeypatch, small_digit_model, small_digit_dataset):
     check_positive_feedback_keeps_initial(
-        monkeypatch, small_digit_model, small_digit_dataset, GATED_STRATEGIES[1], "prompt_correct"
+        monkeypatch, small_digit_model, small_digit_dataset, "feedback_as_prompt", "prompt_correct"
     )
 
 
-@pytest.mark.parametrize("strategy", GATED_STRATEGIES, ids=lambda s: s.kind)
+@pytest.mark.parametrize("strategy", FEEDBACK_GATED)
 def test_protocol_negative_feedback_always_regenerates(small_digit_model, small_digit_dataset, strategy):
-    run = run_protocol(small_digit_model, small_digit_dataset, strategy, FixedFeedback("negative"), SAMPLER)
+    run = run_protocol(small_digit_model, small_digit_dataset, strategy, FixedFeedback(False), SAMPLER, MPCFG)
     assert run.errors == ()
     assert len(run.pairs) == len(small_digit_dataset.tasks)
     for initial, final in run.pairs:
@@ -372,7 +341,7 @@ def test_protocol_negative_feedback_always_regenerates(small_digit_model, small_
 
 
 def test_protocol_requires_provider_when_feedback_gated(small_digit_model, small_digit_dataset):
-    strategy = CorrectionStrategy(kind="ftr_indicator", multipath_cfg=MPCFG)
+    strategy = "ftr_indicator"
     with pytest.raises(ConfigError, match="requires a feedback provider"):
         run_protocol(small_digit_model, small_digit_dataset, strategy, None, SAMPLER)
 
@@ -381,7 +350,7 @@ def test_protocol_rejects_bad_worker_count(small_digit_model, small_digit_datase
     with pytest.raises(ConfigError, match="workers"):
         run_protocol(
             small_digit_model, small_digit_dataset,
-            CorrectionStrategy(kind="none"), None, SAMPLER, workers=0,
+            "none", None, SAMPLER, workers=0,
         )
 
 
@@ -394,8 +363,8 @@ def unverifiable_task(prompt: str) -> Task:
 def test_protocol_records_task_errors_and_continues(small_digit_model, small_digit_dataset):
     good = small_digit_dataset.tasks[:2]
     dataset = Dataset(name="mixed", tasks=(good[0], unverifiable_task(good[0].prompt), good[1]))
-    strategy = CorrectionStrategy(kind="ftr_indicator", multipath_cfg=MPCFG)
-    run = run_protocol(small_digit_model, dataset, strategy, GroundTruthProvider(), SAMPLER)
+    strategy = "ftr_indicator"
+    run = run_protocol(small_digit_model, dataset, strategy, GroundTruthProvider(), SAMPLER, MPCFG)
     assert [p[0].task_id for p in run.pairs] == [good[0].id, good[1].id]
     assert len(run.errors) == 1
     task_id, message = run.errors[0]
@@ -404,12 +373,12 @@ def test_protocol_records_task_errors_and_continues(small_digit_model, small_dig
 
 
 def test_protocol_worker_count_does_not_change_results(small_digit_model, small_digit_dataset):
-    strategy = CorrectionStrategy(kind="ftr_indicator", multipath_cfg=MPCFG)
+    strategy = "ftr_indicator"
     serial = run_protocol(
-        small_digit_model, small_digit_dataset, strategy, GroundTruthProvider(), SAMPLER, workers=1
+        small_digit_model, small_digit_dataset, strategy, GroundTruthProvider(), SAMPLER, MPCFG, workers=1
     )
     parallel = run_protocol(
-        small_digit_model, small_digit_dataset, strategy, GroundTruthProvider(), SAMPLER, workers=4
+        small_digit_model, small_digit_dataset, strategy, GroundTruthProvider(), SAMPLER, MPCFG, workers=4
     )
     assert serial.pairs == parallel.pairs
     assert serial.errors == parallel.errors
@@ -421,11 +390,11 @@ def test_protocol_workers_share_one_ngram_model_safely(monkeypatch, digit_datase
     # slow ranking kernel and a 1 us switch interval make them interleave
     # inside that computation.
     corpus = "\n".join(f"{task.prompt} [{task.answer}]" for task in digit_dataset.tasks)
-    strategy = CorrectionStrategy(kind="ftr_indicator", multipath_cfg=MPCFG)
+    strategy = "ftr_indicator"
 
     def run(workers):
         model = train_ngram(corpus, order=1, add_k=0.5)
-        return run_protocol(model, digit_dataset, strategy, FixedFeedback("negative"), SAMPLER, workers=workers)
+        return run_protocol(model, digit_dataset, strategy, FixedFeedback(False), SAMPLER, MPCFG, workers=workers)
 
     serial = run(1)
     topk = kernels.topk_indices
@@ -449,14 +418,14 @@ def test_protocol_resume_reuses_completed_tasks(tmp_path, small_digit_dataset):
     log = tmp_path / "attempts.jsonl"
     model = make_digit_model(10)
     first = run_protocol(
-        model, small_digit_dataset, CorrectionStrategy(kind="none"), None, SAMPLER,
+        model, small_digit_dataset, "none", None, SAMPLER,
         resume_path=log,
     )
     assert log.exists()
 
     counting = CountingModel(make_digit_model(10))
     second = run_protocol(
-        counting, small_digit_dataset, CorrectionStrategy(kind="none"), None, SAMPLER,
+        counting, small_digit_dataset, "none", None, SAMPLER,
         resume_path=log,
     )
     assert counting.calls == 0
@@ -467,13 +436,13 @@ def test_protocol_resume_ignores_other_strategies(tmp_path, small_digit_dataset)
     log = tmp_path / "attempts.jsonl"
     model = make_digit_model(10)
     run_protocol(
-        model, small_digit_dataset, CorrectionStrategy(kind="none"), None, SAMPLER,
+        model, small_digit_dataset, "none", None, SAMPLER,
         resume_path=log,
     )
     counting = CountingModel(make_digit_model(10))
-    strategy = CorrectionStrategy(kind="ftr_indicator", multipath_cfg=MPCFG)
+    strategy = "ftr_indicator"
     run_protocol(
-        counting, small_digit_dataset, strategy, GroundTruthProvider(), SAMPLER,
+        counting, small_digit_dataset, strategy, GroundTruthProvider(), SAMPLER, MPCFG,
         resume_path=log,
     )
     assert counting.calls > 0
@@ -482,12 +451,12 @@ def test_protocol_resume_ignores_other_strategies(tmp_path, small_digit_dataset)
 def test_protocol_resume_completes_after_partial_failure(tmp_path, small_digit_model):
     dataset = make_digit_dataset(10)
     broken = Dataset(name=dataset.name, tasks=dataset.tasks + (unverifiable_task(dataset.tasks[0].prompt),))
-    strategy = CorrectionStrategy(kind="ftr_indicator", multipath_cfg=MPCFG)
+    strategy = "ftr_indicator"
     log = tmp_path / "attempts.jsonl"
-    first = run_protocol(small_digit_model, broken, strategy, GroundTruthProvider(), SAMPLER, resume_path=log)
+    first = run_protocol(small_digit_model, broken, strategy, GroundTruthProvider(), SAMPLER, MPCFG, resume_path=log)
     assert first.errors and len(first.pairs) == 10
 
-    second = run_protocol(small_digit_model, dataset, strategy, GroundTruthProvider(), SAMPLER, resume_path=log)
+    second = run_protocol(small_digit_model, dataset, strategy, GroundTruthProvider(), SAMPLER, MPCFG, resume_path=log)
     assert second.errors == ()
     assert second.pairs == first.pairs
 
@@ -513,26 +482,26 @@ class KilledOnTask(FeedbackProvider):
 def test_protocol_killed_run_keeps_finished_pairs_and_resumes_to_fresh_bytes(
     tmp_path, small_digit_model, small_digit_dataset, workers
 ):
-    strategy = CorrectionStrategy(kind="ftr_indicator", multipath_cfg=MPCFG)
-    fresh = run_protocol(small_digit_model, small_digit_dataset, strategy, GroundTruthProvider(), SAMPLER)
+    strategy = "ftr_indicator"
+    fresh = run_protocol(small_digit_model, small_digit_dataset, strategy, GroundTruthProvider(), SAMPLER, MPCFG)
     fresh_lines = fresh.to_json_lines().splitlines(keepends=True)
     log = tmp_path / "attempts.jsonl"
     with pytest.raises(Killed):
         run_protocol(
             small_digit_model, small_digit_dataset, strategy,
-            KilledOnTask(small_digit_dataset.tasks[3].id), SAMPLER, workers=workers, resume_path=log,
+            KilledOnTask(small_digit_dataset.tasks[3].id), SAMPLER, MPCFG, workers=workers, resume_path=log,
         )
     assert log.read_text(encoding="utf-8") == "".join(fresh_lines[:3])
 
     resumed = run_protocol(
-        small_digit_model, small_digit_dataset, strategy, GroundTruthProvider(), SAMPLER,
+        small_digit_model, small_digit_dataset, strategy, GroundTruthProvider(), SAMPLER, MPCFG,
         workers=workers, resume_path=log,
     )
     assert resumed.to_json_lines().encode("utf-8") == fresh.to_json_lines().encode("utf-8")
 
 
 def test_protocol_resume_drops_a_torn_last_line(tmp_path, small_digit_model, small_digit_dataset):
-    strategy = CorrectionStrategy(kind="none")
+    strategy = "none"
     fresh = run_protocol(small_digit_model, small_digit_dataset, strategy, None, SAMPLER)
     lines = fresh.to_json_lines().splitlines(keepends=True)
     log = tmp_path / "attempts.jsonl"
@@ -547,7 +516,7 @@ def test_protocol_resume_drops_a_torn_last_line(tmp_path, small_digit_model, sma
 
 
 def test_protocol_resume_rejects_a_malformed_complete_line(tmp_path, small_digit_model, small_digit_dataset):
-    strategy = CorrectionStrategy(kind="none")
+    strategy = "none"
     fresh = run_protocol(small_digit_model, small_digit_dataset, strategy, None, SAMPLER)
     log = tmp_path / "attempts.jsonl"
     log.write_text("{torn\n" + fresh.to_json_lines(), encoding="utf-8")
@@ -575,6 +544,16 @@ def with_other_task_id(record):
     return record
 
 
+def with_zero_steps(record):
+    record["final"]["steps"] = 0
+    return record
+
+
+def with_more_steps_than_tokens(record):
+    record["final"]["steps"] = record["final"]["tokens_generated"] + 1
+    return record
+
+
 @pytest.mark.parametrize("malform", [
     lambda record: {"task_id": record["task_id"]},
     lambda record: [1, 2],
@@ -582,14 +561,16 @@ def with_other_task_id(record):
     with_text_token_count,
     with_bool_step_count,
     with_other_task_id,
+    with_zero_steps,
+    with_more_steps_than_tokens,
 ], ids=[
     "no-attempts", "not-an-object", "attempt-without-stage", "token-count-as-text",
-    "step-count-as-bool", "task-ids-differ",
+    "step-count-as-bool", "task-ids-differ", "zero-steps", "more-steps-than-tokens",
 ])
 def test_protocol_resume_names_the_file_and_line_of_a_malformed_record(
     tmp_path, small_digit_model, small_digit_dataset, malform
 ):
-    strategy = CorrectionStrategy(kind="none")
+    strategy = "none"
     lines = run_protocol(small_digit_model, small_digit_dataset, strategy, None, SAMPLER).to_json_lines().splitlines()
     lines[2] = json.dumps(malform(json.loads(lines[2])))
     log = tmp_path / "attempts.jsonl"
@@ -600,7 +581,7 @@ def test_protocol_resume_names_the_file_and_line_of_a_malformed_record(
 
 def test_protocol_json_lines_are_canonical(small_digit_model, small_digit_dataset):
     run = run_protocol(
-        small_digit_model, small_digit_dataset, CorrectionStrategy(kind="none"), None, SAMPLER
+        small_digit_model, small_digit_dataset, "none", None, SAMPLER
     )
     text = run.to_json_lines()
     assert text.endswith("\n")
@@ -615,8 +596,8 @@ def test_protocol_json_lines_are_canonical(small_digit_model, small_digit_datase
 def test_protocol_run_round_trips_attempts(small_digit_model, small_digit_dataset):
     run = run_protocol(
         small_digit_model, small_digit_dataset,
-        CorrectionStrategy(kind="ftr_indicator", multipath_cfg=MPCFG),
-        GroundTruthProvider(), SAMPLER,
+        "ftr_indicator",
+        GroundTruthProvider(), SAMPLER, MPCFG,
     )
     for line in run.to_json_lines().splitlines():
         record = json.loads(line)

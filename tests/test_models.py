@@ -8,6 +8,7 @@ import random
 import pytest
 
 from multipath import kernels
+from multipath.cli import load_model
 from multipath.decoding import (
     AdaptiveConfig,
     BeamConfig,
@@ -28,9 +29,7 @@ from multipath.models import (
     Vocabulary,
     dump_table_lm,
     greedy_trap_lm,
-    load_table_lm,
     perplexity,
-    scripted_lm,
     sequence_logprob,
     table_lm_to_json,
     train_ngram,
@@ -211,17 +210,6 @@ def test_greedy_trap_rows():
     step0 = model.next_distribution((), ())
     assert step0.probs == (0.45, 0.55, 0.0)
     assert model.next_distribution((), (0,)).probs == (0.05, 0.05, 0.9)
-
-
-def test_scripted_lm_replays_responses():
-    from multipath.decoding import greedy_decode
-
-    vocab = Vocabulary(tokens=("hi", "there", "friend", "$"), eos_id=3)
-    model = scripted_lm(vocab, {"hi": "there friend", "there": "hi"})
-    out = greedy_decode(model, vocab.encode("hi"))
-    assert vocab.decode(out.chosen.tokens) == "there friend $"
-    out = greedy_decode(model, vocab.encode("there"))
-    assert vocab.decode(out.chosen.tokens) == "hi $"
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +417,13 @@ def test_perplexity_rejects_bad_inputs():
 
 
 # ---------------------------------------------------------------------------
-# table file format
+# table file format, read through cli.load_model
 
 
 def test_table_round_trip_is_byte_stable(tmp_path, trap_model):
     path = tmp_path / "model.json"
     dump_table_lm(trap_model, path)
-    loaded = load_table_lm(path)
+    loaded = load_model(path)
     assert table_lm_to_json(loaded) == table_lm_to_json(trap_model)
     assert loaded.vocabulary == trap_model.vocabulary
     assert loaded.next_distribution((), ()).probs == (0.45, 0.55, 0.0)
@@ -458,23 +446,23 @@ def write_model(tmp_path, text):
 
 def test_load_rejects_missing_file(tmp_path):
     with pytest.raises(LoadError, match="cannot read"):
-        load_table_lm(tmp_path / "absent.json")
+        load_model(tmp_path / "absent.json")
 
 
 def test_load_rejects_invalid_json(tmp_path):
     with pytest.raises(LoadError, match="not valid JSON"):
-        load_table_lm(write_model(tmp_path, "{nope"))
+        load_model(write_model(tmp_path, "{nope"))
 
 
 def test_load_rejects_missing_keys(tmp_path):
-    with pytest.raises(LoadError, match="missing key 'rows'"):
-        load_table_lm(write_model(tmp_path, '{"vocab": ["a", "$"], "eos": "$"}'))
+    with pytest.raises(LoadError, match="missing key 'vocab'"):
+        load_model(write_model(tmp_path, '{"eos": "$", "rows": []}'))
 
 
 def test_load_rejects_bad_row_sum(tmp_path):
     text = '{"vocab": ["a", "$"], "eos": "$", "rows": [{"context": [], "probs": [0.5, 0.4]}]}'
     with pytest.raises(LoadError, match=r"row 0 .*row sum"):
-        load_table_lm(write_model(tmp_path, text))
+        load_model(write_model(tmp_path, text))
 
 
 def test_load_rejects_nan_probability(tmp_path):
@@ -482,7 +470,7 @@ def test_load_rejects_nan_probability(tmp_path):
     # rejects, so the per-entry range check must
     text = '{"vocab": ["a", "$"], "eos": "$", "rows": [{"context": [], "probs": [NaN, 1.0]}]}'
     with pytest.raises(LoadError, match=r"row 0 .*nan"):
-        load_table_lm(write_model(tmp_path, text))
+        load_model(write_model(tmp_path, text))
 
 
 def test_load_rejects_probability_float_cannot_read(tmp_path):
@@ -490,13 +478,13 @@ def test_load_rejects_probability_float_cannot_read(tmp_path):
     for probs in ('[null, 1.0]', '[1' + '0' * 400 + ', 1.0]'):
         text = '{"vocab": ["a", "$"], "eos": "$", "rows": [{"context": [], "probs": %s}]}' % probs
         with pytest.raises(LoadError, match=r"row 0 "):
-            load_table_lm(write_model(tmp_path, text))
+            load_model(write_model(tmp_path, text))
 
 
 def test_load_rejects_wrong_row_length(tmp_path):
     text = '{"vocab": ["a", "$"], "eos": "$", "rows": [{"context": [], "probs": [1.0]}]}'
     with pytest.raises(LoadError, match=r"row 0 .*length 2"):
-        load_table_lm(write_model(tmp_path, text))
+        load_model(write_model(tmp_path, text))
 
 
 def test_load_rejects_duplicate_context(tmp_path):
@@ -506,22 +494,22 @@ def test_load_rejects_duplicate_context(tmp_path):
         '{"context": ["a"], "probs": [0.5, 0.5]}]}'
     )
     with pytest.raises(LoadError, match="row 1: duplicate context"):
-        load_table_lm(write_model(tmp_path, text))
+        load_model(write_model(tmp_path, text))
 
 
 def test_load_rejects_unknown_context_token(tmp_path):
     text = '{"vocab": ["a", "$"], "eos": "$", "rows": [{"context": ["z"], "probs": [0.5, 0.5]}]}'
     with pytest.raises(LoadError, match="row 0: token 'z'"):
-        load_table_lm(write_model(tmp_path, text))
+        load_model(write_model(tmp_path, text))
 
 
 def test_load_rejects_bad_default_row(tmp_path):
     text = '{"vocab": ["a", "$"], "eos": "$", "rows": [], "default": [0.9, 0.2]}'
     with pytest.raises(LoadError, match="default row"):
-        load_table_lm(write_model(tmp_path, text))
+        load_model(write_model(tmp_path, text))
 
 
 def test_load_accepts_default_row(tmp_path):
     text = '{"vocab": ["a", "$"], "eos": "$", "rows": [], "default": [0.25, 0.75]}'
-    model = load_table_lm(write_model(tmp_path, text))
+    model = load_model(write_model(tmp_path, text))
     assert model.next_distribution((), (0, 0)).probs == (0.25, 0.75)

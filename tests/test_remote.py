@@ -10,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from multipath.correction import CorrectionStrategy, GroundTruthProvider, run_protocol
+from multipath.correction import GroundTruthProvider, run_protocol
 from multipath.decoding import MultipathConfig, SamplerConfig, greedy_decode
 from multipath.errors import ProtocolError, TransportError
 from multipath.models import Vocabulary, greedy_trap_lm
@@ -215,15 +215,14 @@ def test_http_client_is_safe_to_share_between_protocol_workers(server, small_dig
     # run_protocol(workers > 1) hands one client to every worker thread; a
     # reply cached under the wrong context, or lost, changes the attempts.
     server.respond = responder(small_digit_model)
-    strategy = CorrectionStrategy(
-        kind="ftr_indicator",
-        multipath_cfg=MultipathConfig(mass_fraction=0.9, max_width=7, max_len=8),
-    )
+    mpcfg = MultipathConfig(mass_fraction=0.9, max_width=7, max_len=8)
     sampler = SamplerConfig(top_p=0.95, top_k=15, seed=42, max_len=8)
 
     def run(workers):
         client = HttpModelClient(small_digit_model.vocabulary, server.url, timeout=10.0, retries=0)
-        return run_protocol(client, small_digit_dataset, strategy, GroundTruthProvider(), sampler, workers=workers)
+        return run_protocol(
+            client, small_digit_dataset, "ftr_indicator", GroundTruthProvider(), sampler, mpcfg, workers=workers
+        )
 
     serial = run(1)
     interval = sys.getswitchinterval()

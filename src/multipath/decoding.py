@@ -170,16 +170,17 @@ def greedy_decode(model: ModelInterface, prompt: Sequence[int], max_len: int = 1
     """Highest-probability token at every step (ties to the lowest token id)."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    return _walk(model, prompt, max_len, lambda dist, _step: kernels.topk_indices(dist.probs, 1)[0])
+    return _walk(model, prompt, max_len, lambda dist: dist.ranked(1)[0][0])
 
 
 def nucleus_sample(model: ModelInterface, prompt: Sequence[int], cfg: SamplerConfig) -> DecodeResult:
     """Sample each token from the renormalized top-k / top-p support."""
     rng = random.Random(cfg.seed)
 
-    def pick(dist: StepDistribution, _step: int) -> int:
-        support = kernels.nucleus_prefix(dist.probs, cfg.top_p, cfg.top_k)
-        return _draw(rng, dist.probs, support)
+    def pick(dist: StepDistribution) -> int:
+        # The same support as kernels.nucleus_prefix(dist.probs, top_p, top_k).
+        top = dist.ranked(cfg.top_k)
+        return _draw(rng, top[: kernels.nucleus_count((p for _, p in top), cfg.top_p)])
 
     return _walk(model, prompt, cfg.max_len, pick)
 
@@ -193,29 +194,29 @@ def adaptive_decode(model: ModelInterface, prompt: Sequence[int], cfg: AdaptiveC
     rng = random.Random(cfg.seed)
     k_trace: list[int] = []
 
-    def pick(dist: StepDistribution, _step: int) -> int:
+    def pick(dist: StepDistribution) -> int:
         bits = dist.entropy() / LN2
         k_step = min(max(round(bits), 1), cfg.base_k)
         k_trace.append(k_step)
-        support = kernels.topk_indices(dist.probs, k_step)
-        return _draw(rng, dist.probs, support)
+        return _draw(rng, dist.ranked(k_step))
 
     result = _walk(model, prompt, cfg.max_len, pick)
     return replace(result, k_trace=tuple(k_trace))
 
 
-def _draw(rng: random.Random, probs: Sequence[float], support: list[int]) -> int:
-    """Probability-proportional draw over ``support`` (inverse CDF walk)."""
-    total = math.fsum(probs[t] for t in support)
+def _draw(rng: random.Random, support: Sequence[tuple[int, float]]) -> int:
+    """Probability-proportional draw over the (token, probability) pairs of
+    ``support`` (inverse CDF walk)."""
+    total = math.fsum(p for _, p in support)
     if total <= 0.0:
         raise ValueError("support carries no probability mass")
     r = rng.random() * total
     cum = 0.0
-    for t in support:
-        cum += probs[t]
+    for t, p in support:
+        cum += p
         if r < cum:
             return t
-    return support[-1]
+    return support[-1][0]
 
 
 def _walk(model, prompt, max_len: int, pick) -> DecodeResult:
@@ -226,8 +227,8 @@ def _walk(model, prompt, max_len: int, pick) -> DecodeResult:
     steps = 0
     for _ in range(max_len):
         dist = model.next_distribution(prompt_ids, path.tokens)
-        token = pick(dist, steps)
-        path = path.extended(token, dist.logprobs[token], eos)
+        token = pick(dist)
+        path = path.extended(token, dist.logprob(token), eos)
         steps += 1
         if path.finished:
             break

@@ -12,7 +12,7 @@ order get deterministic results.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 # Slack applied to cumulative-mass threshold comparisons, in the normalized
 # linear domain. Absorbs log-sum-exp and summation rounding.
@@ -88,6 +88,10 @@ def nucleus_prefix(probs: Sequence[float], top_p: float, top_k: int) -> list[int
     minimal set whose cumulative probability reaches top_p (within
     MASS_SLACK); with the shared tie order both sets are prefixes of the same
     ranking, so the intersection is the shorter prefix.
+
+    This is the dense reference: it sorts the whole row. The sampler cuts
+    the sparse row's ``ranked(top_k)`` with ``nucleus_count`` instead, and
+    the tests hold the two equal.
     """
     if not 0.0 < top_p <= 1.0:
         raise ValueError(f"top_p must be in (0, 1], got {top_p}")
@@ -100,18 +104,25 @@ def nucleus_prefix(probs: Sequence[float], top_p: float, top_k: int) -> list[int
     order = sorted(range(n), key=probs.__getitem__, reverse=True)
     if probs[order[0]] <= 0.0:
         raise ValueError("all probabilities are zero")
-    mass_count = n
+    return order[: min(nucleus_count(map(probs.__getitem__, order), top_p), top_k)]
+
+
+def nucleus_count(ranked_probs: Iterable[float], top_p: float) -> int:
+    """Length of the shortest prefix of ``ranked_probs`` (descending) whose
+    compensated cumulative sum reaches ``top_p`` within MASS_SLACK; all of
+    them when none does."""
+    count = 0
     cum = 0.0
-    comp = 0.0
-    for rank in range(n):
-        y = probs[order[rank]] - comp
+    comp = 0.0  # Kahan compensation
+    for p in ranked_probs:
+        count += 1
+        y = p - comp
         t = cum + y
         comp = (t - cum) - y
         cum = t
         if cum >= top_p - MASS_SLACK:
-            mass_count = rank + 1
             break
-    return order[: min(mass_count, top_k)]
+    return count
 
 
 def log_sum_exp(logprobs: Sequence[float]) -> float:

@@ -17,6 +17,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -58,13 +59,11 @@ class Vocabulary:
 
     def encode(self, text: str) -> TokenIds:
         """Whitespace-tokenize ``text`` into ids. Unknown tokens are an error."""
-        ids = []
-        for word in text.split():
-            tid = self._ids.get(word)
-            if tid is None:
-                raise ValueError(f"token {word!r} not in vocabulary")
-            ids.append(tid)
-        return tuple(ids)
+        words = text.split()
+        ids = tuple(map(self._ids.get, words))
+        if None in ids:
+            raise ValueError(f"token {words[ids.index(None)]!r} not in vocabulary")
+        return ids
 
     def check_ids(self, ids: Iterable[int], what: str) -> TokenIds:
         """``ids`` as a tuple, after checking each lies in [0, V)."""
@@ -99,16 +98,17 @@ class StepDistribution:
     row has floor 0 and lists its positive entries; an add-k n-gram row has
     floor add_k/denom and lists its seen successors. ``probs`` and
     ``logprobs`` are the dense linear- and log-domain tuples, each built on
-    first read and kept; the multipath decoder reads neither, only
-    ``children(k)``.
+    first read and kept; the decoders read neither: the multipath decoder
+    reads ``children(k)``, the single-path decoders ``ranked(k)``.
 
     ``StepDistribution(probs=...)`` validates the row: every entry must lie
     in [0, 1] and the entries must sum to 1 within DISTRIBUTION_SUM_TOL.
     Models that build valid rows by construction use the unchecked
     ``_trusted`` constructor instead.
 
-    A row is immutable, so it remembers its ``children(k)`` answer per ``k``;
-    models hand out one row object per context, so each is computed once.
+    A row is immutable, so it remembers its ``children(k)`` and ``ranked(k)``
+    answers per ``k``; models hand out one row object per context, so each
+    is computed once.
     """
 
     def __init__(self, probs: Iterable[float]):
@@ -137,9 +137,10 @@ class StepDistribution:
         self._size = size
         self._floor = floor
         self._entries = entries
-        # children(k) per k. Concurrent callers at worst compute an equal
-        # answer twice.
+        # children(k) and ranked(k) per k. Concurrent callers at worst
+        # compute an equal answer twice.
         self._children: dict[int, tuple[tuple[int, float], ...]] = {}
+        self._ranked: dict[int, tuple[tuple[int, float], ...]] = {}
 
     def __len__(self) -> int:
         return self._size
@@ -170,14 +171,27 @@ class StepDistribution:
         """The row as a dense tuple of natural-log probabilities (-inf for 0)."""
         return self._dense(_log(self._floor), ((t, _log(p)) for t, p in self._entries.items()))
 
+    def logprob(self, token: int) -> float:
+        """Natural-log probability of ``token`` (-inf for 0)."""
+        return _log(self._entries.get(token, self._floor))
+
+    def _candidates(self, k: int) -> list[tuple[int, float]]:
+        """(token, probability) of the entries and the ``k`` lowest-id floor
+        tokens: any other token has ``k`` floor tokens of equal probability
+        and lower id ahead of it in every ranking, so it is never in a top
+        ``k``. The cost is O(entries + k), not O(V)."""
+        entries = self._entries
+        # At most len(entries) of the first k + len(entries) ids are
+        # entries, so the k lowest floor tokens lie among them.
+        scan = range(min(self._size, k + len(entries)))
+        floor = self._floor
+        return [*entries.items(), *[(t, floor) for t in scan if t not in entries][:k]]
+
     def children(self, k: int) -> tuple[tuple[int, float], ...]:
         """The ``k`` most probable positive-probability tokens as (token,
         logprob) pairs in ascending token id; ties go to the lower token id.
 
-        Only the entries and the ``k`` lowest-id floor tokens can qualify:
-        any other floor token has ``k`` equal-valued floor tokens with lower
-        ids ahead of it. The cost is O(entries + k), not O(V), once per ``k``;
-        no dense row is built.
+        Read from ``_candidates(k)`` once per ``k``; no dense row is built.
         """
         known = self._children.get(k)
         if known is None:
@@ -185,23 +199,40 @@ class StepDistribution:
         return known
 
     def _top_children(self, k: int) -> tuple[tuple[int, float], ...]:
-        entries = self._entries
-        candidates = [(t, _log(p)) for t, p in entries.items() if p > 0.0]
-        if self._floor > 0.0:
-            # At most len(entries) of the first k + len(entries) ids are
-            # entries, so the k lowest floor tokens lie among them.
-            floor = _log(self._floor)
-            scan = range(min(self._size, k + len(entries)))
-            candidates += [(t, floor) for t in scan if t not in entries][:k]
-        candidates.sort()
+        candidates = sorted((t, _log(p)) for t, p in self._candidates(k) if p > 0.0)
         if len(candidates) <= k:
             return tuple(candidates)
         keep = kernels.topk_indices([v for _, v in candidates], k)
         return tuple(candidates[i] for i in sorted(keep))
 
+    def ranked(self, k: int) -> tuple[tuple[int, float], ...]:
+        """The first ``k`` tokens of the dense ranking as (token, probability)
+        pairs: descending probability, ties to the lower token id, zero-
+        probability tokens included, exactly as ``kernels.topk_indices(probs,
+        k)`` orders them.
+
+        Read from ``_candidates(k)`` once per ``k``; no dense row is built.
+        It ranks by linear probability, never by logprob: two different
+        probabilities can share a log, which would change the tie order.
+        """
+        known = self._ranked.get(k)
+        if known is None:
+            candidates = sorted(self._candidates(k), key=lambda c: (-c[1], c[0]))
+            known = self._ranked[k] = tuple(candidates[:k])
+        return known
+
     def entropy(self) -> float:
-        """Shannon entropy in nats (0 * log 0 taken as 0)."""
-        return -math.fsum(p * math.log(p) for p in self.probs if p > 0.0)
+        """Shannon entropy in nats (0 * log 0 taken as 0).
+
+        The floor term is repeated once per floor token, not multiplied by
+        their count: fsum rounds the exact sum of its terms once, whatever
+        their order, so this equals the sum over the dense row bit for bit.
+        """
+        terms = (p * math.log(p) for p in self._entries.values() if p > 0.0)
+        floor = self._floor
+        if floor > 0.0:
+            terms = chain(terms, repeat(floor * math.log(floor), self._size - len(self._entries)))
+        return -math.fsum(terms)
 
     @classmethod
     def uniform(cls, size: int) -> "StepDistribution":
@@ -385,7 +416,7 @@ def train_ngram(
 
     counts: dict[TokenIds, dict[int, int]] = {}
     for line in lines:
-        ids = [vocabulary.encode(tok)[0] for tok in line]
+        ids = vocabulary.encode(" ".join(line))
         for pos in range(len(ids) + 1):
             ctx = tuple(ids[max(0, pos - order):pos])
             nxt = ids[pos] if pos < len(ids) else vocabulary.eos_id

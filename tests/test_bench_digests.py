@@ -1,0 +1,26 @@
+"""The benchmark's recorded-digest gate on the workloads that run the samplers.
+
+``perfbench/run.py`` exits 1 when a workload's output bytes differ from the
+sha256 recorded in ``perfbench/expected_digests.json`` for that seed, so a
+change to the decoders that moves any output byte fails here.
+"""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("workload", ["digits_compare", "ngram_v2000_decode"])
+def test_benchmark_output_matches_recorded_digest(workload, seed):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", "0.3"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from multipath import decoding, kernels, oracle
 from multipath.decoding import (
@@ -201,6 +203,83 @@ def test_adaptive_low_entropy_step_is_argmax(trap_model):
     for seed in range(50):
         out = adaptive_decode(trap_model, (), AdaptiveConfig(base_k=7, seed=seed))
         assert out.chosen.tokens[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# the single-path samplers read the sparse row: their supports must equal
+# the dense kernels' on the dense row
+
+
+@st.composite
+def sparse_rows(draw):
+    """A _trusted row of V <= 40 with floor 0 or > 0; small integer weights
+    make ties among the entries (and with the floor) common."""
+    size = draw(st.integers(min_value=2, max_value=40))
+    tokens = draw(st.lists(st.integers(min_value=0, max_value=size - 1), unique=True, max_size=size))
+    floor_weight = draw(st.integers(min_value=0, max_value=3))
+    weights = {t: draw(st.integers(min_value=0, max_value=5)) for t in tokens}
+    total = sum(weights.values()) + floor_weight * (size - len(tokens))
+    assume(total > 0)
+    return StepDistribution._trusted(size, floor_weight / total, {t: w / total for t, w in weights.items()})
+
+
+def one_row_model(row):
+    """A model whose every row is ``row``."""
+    return TableLM(vocabulary=Vocabulary(tokens=tuple(f"t{i}" for i in range(len(row))), eos_id=0), default=row)
+
+
+def drawn_supports(decode, model, cfg):
+    """The result of ``decode`` and the (token, probability) support each of
+    its steps drew from."""
+    with mock.patch.object(decoding, "_draw", wraps=decoding._draw) as draw:
+        result = decode(model, (), cfg)
+    return result, [list(call.args[1]) for call in draw.call_args_list]
+
+
+@given(row=sparse_rows(), data=st.data(), top_p=st.floats(min_value=0.01, max_value=1.0))
+def test_sparse_supports_match_dense_kernels(row, data, top_p):
+    size = len(row)
+    k = data.draw(st.integers(min_value=1, max_value=size + 2), label="k")
+    probs = row.probs
+    dense = sorted(range(size), key=probs.__getitem__, reverse=True)
+    assert row.ranked(k) == tuple((t, probs[t]) for t in dense[:k])
+
+    model = one_row_model(row)
+    _, [support] = drawn_supports(nucleus_sample, model, SamplerConfig(top_p=top_p, top_k=k, max_len=1))
+    assert support == [(t, probs[t]) for t in kernels.nucleus_prefix(probs, top_p, k)]
+
+    assert greedy_decode(model, (), 1).chosen.tokens == (kernels.topk_indices(probs, 1)[0],)
+
+    result, [support] = drawn_supports(adaptive_decode, model, AdaptiveConfig(base_k=k, max_len=1))
+    bits = -math.fsum(p * math.log(p) for p in probs if p > 0.0) / math.log(2.0)
+    assert result.k_trace == (min(max(round(bits), 1), k),)
+    assert support == [(t, probs[t]) for t in kernels.topk_indices(probs, result.k_trace[0])]
+
+
+def test_single_path_decoders_build_no_dense_row():
+    # A V=1200 add-k bigram model: every row is sparse, and a decoder that
+    # read its dense probs or logprobs would leave them cached on the row.
+    rng = random.Random(4)
+    words = [f"w{i}" for i in range(1199)]
+    corpus = "\n".join(" ".join(words[i:i + 10] + rng.sample(words, 3)) for i in range(0, len(words), 10))
+    model = train_ngram(corpus, order=1, add_k=0.5)
+    assert model.vocabulary.size >= 1000
+    handed = []
+    next_distribution = model.next_distribution
+
+    def recording(prompt, prefix):
+        handed.append(next_distribution(prompt, prefix))
+        return handed[-1]
+
+    model.next_distribution = recording
+    for seed in range(3):
+        prompt = model.vocabulary.encode(f"w{seed * 7}")
+        nucleus_sample(model, prompt, SamplerConfig(seed=seed, max_len=20))
+        greedy_decode(model, prompt, max_len=20)
+        adaptive_decode(model, prompt, AdaptiveConfig(seed=seed, max_len=20))
+    assert handed
+    for row in handed:
+        assert not {"probs", "logprobs"} & vars(row).keys(), row
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,9 @@ def test_vocabulary_encode_decode_round_trip():
 def test_vocabulary_rejects_unknown_token():
     with pytest.raises(ValueError, match="'z' not in vocabulary"):
         ABC.encode("a z")
+    # the error names the first unknown token
+    with pytest.raises(ValueError, match="'z' not in vocabulary"):
+        ABC.encode("a z b y")
 
 
 def test_vocabulary_rejects_duplicates():
@@ -307,27 +310,62 @@ def dense_children(logprobs, k):
     return tuple((t, logprobs[t]) for t in positive)
 
 
+def random_sparse_row(rng, max_size):
+    """A sparse row whose entries lie above, below or on the floor, or are
+    zero; the floor is 0 for about one row in five. Small integer weights
+    make value ties common. None when every weight came out 0."""
+    size = rng.randint(2, max_size)
+    tokens = rng.sample(range(size), rng.randint(0, size - 1))
+    floor_weight = rng.randint(0, 4)
+    weights = {t: rng.randint(0, 6) for t in tokens}
+    total = sum(weights.values()) + floor_weight * (size - len(tokens))
+    if total == 0:
+        return None
+    return StepDistribution._trusted(size, floor_weight / total, {t: w / total for t, w in weights.items()})
+
+
 def test_sparse_row_children_match_dense_trim():
-    # Entries may lie above, below or on the floor, or be zero; small
-    # integer weights make value ties common. Each k in 0..V+1 is asked
-    # twice, in shuffled order, of one row: a row remembers its children per
-    # k, and must never answer one k with another's.
+    # Each k in 0..V+1 is asked twice, in shuffled order, of one row: a row
+    # remembers its children per k, and must never answer one k with
+    # another's.
     rng = random.Random(9)
     ask_rng = random.Random(10)
     for _ in range(2000):
-        size = rng.randint(2, 12)
-        tokens = rng.sample(range(size), rng.randint(0, size - 1))
-        floor_weight = rng.randint(0, 4)
-        weights = {t: rng.randint(0, 6) for t in tokens}
-        total = sum(weights.values()) + floor_weight * (size - len(tokens))
-        if total == 0:
+        row = random_sparse_row(rng, 12)
+        if row is None:
             continue
-        row = StepDistribution._trusted(size, floor_weight / total, {t: w / total for t, w in weights.items()})
+        size = len(row)
         assert StepDistribution(probs=row.probs).logprobs == row.logprobs
         ks = list(range(size + 2)) * 2
         ask_rng.shuffle(ks)
         for k in ks:
-            assert row.children(k) == dense_children(tuple(row.logprobs), k), (size, floor_weight, weights, k)
+            assert row.children(k) == dense_children(tuple(row.logprobs), k), (row, k)
+
+
+def test_ranked_orders_by_probability_not_by_logprob():
+    # Two adjacent floats that share one log: ranked by logprob they would
+    # tie, and the tie would go to the lower id.
+    low = 5 / 14
+    high = math.nextafter(low, 1.0)
+    assert math.log(low) == math.log(high)
+    row = StepDistribution._trusted(3, 0.0, {0: low, 1: high, 2: 1.0 - low - high})
+    assert row.ranked(2) == ((1, high), (0, low))
+
+
+def test_sparse_row_entropy_matches_dense_formula_bit_for_bit():
+    # adaptive_decode picks k by round(bits), so every bit counts. Rows up
+    # to V=300 repeat the floor term hundreds of times, where multiplying it
+    # by its count would round differently from summing it.
+    rng = random.Random(12)
+    floors = set()
+    for _ in range(1000):
+        row = random_sparse_row(rng, 300)
+        if row is None:
+            continue
+        dense = -math.fsum(p * math.log(p) for p in row.probs if p > 0.0)
+        assert row.entropy().hex() == dense.hex(), row
+        floors.add(row._floor > 0.0)
+    assert floors == {False, True}
 
 
 def test_ngram_hands_out_one_row_per_context():

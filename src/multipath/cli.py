@@ -48,7 +48,7 @@ from .decoding import (
 )
 from .errors import ConfigError, LoadError, MultipathError, ProtocolError, TransportError, VerificationError
 from .evaluation import reports_to_csv, score_run
-from .models import ModelInterface, read_json_object, table_lm_from_spec, train_ngram, vocabulary_from_spec
+from .models import ModelInterface, is_number, read_json_object, table_lm_from_spec, train_ngram, vocabulary_from_spec
 from .oracle import check_exactness, check_pruning, check_reductions
 from .remote import HttpModelClient, JudgeClient
 from .tasks import load_tasks
@@ -125,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _is_a(value: object, kind: type) -> bool:
     """Whether a JSON value has type ``kind``: a float may also be an int,
-    and a bool is never a number."""
-    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+    and a bool is never a number (see ``is_number``)."""
+    return isinstance(value, str) if kind is str else is_number(value) and (kind is float or isinstance(value, int))
 
 
 def _check_config_value(action: argparse.Action, value: object, path: Path) -> None:
@@ -178,8 +178,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     if "strategy" in args and args.strategy is None:
         strategy = config.get("strategy", DEFAULT_STRATEGY)
         args.strategy = [strategy] if isinstance(strategy, str) else strategy
-    if "timeout" in args and not args.timeout > 0:
-        raise ConfigError(f"--timeout (config key 'timeout') must be > 0 seconds, got {args.timeout!r}")
+    if "timeout" in args and not 0 < args.timeout < math.inf:
+        raise ConfigError(f"--timeout (config key 'timeout') must be > 0 seconds and finite, got {args.timeout!r}")
     return args
 
 
@@ -222,7 +222,7 @@ def load_model(path: str | Path) -> ModelInterface:
             try:
                 corpus = corpus_path.read_text(encoding="utf-8")
             except OSError as exc:
-                raise LoadError(f"cannot read corpus {corpus_path}: {exc}") from exc
+                raise LoadError(f"model file {path}: cannot read 'corpus_file' {corpus_path}: {exc}") from exc
         if not isinstance(corpus, str):
             raise LoadError(f"model file {path}: ngram spec needs 'corpus' text or 'corpus_file'")
         eos = data.get("eos", "</s>")
@@ -241,12 +241,11 @@ def load_model(path: str | Path) -> ModelInterface:
         if not isinstance(data["url"], str):
             raise LoadError(f"model file {path}: 'url' must be a string")
         timeout = float(_spec_number(data, "timeout", 10.0, path))
-        if timeout <= 0:
-            raise LoadError(f"model file {path}: 'timeout' must be > 0, got {timeout!r}")
         retries = _spec_number(data, "retries", 2, path, int)
-        if retries < 0:
-            raise LoadError(f"model file {path}: 'retries' must be >= 0, got {retries!r}")
-        return HttpModelClient(vocabulary_from_spec(data, path), data["url"], timeout=timeout, retries=retries)
+        try:
+            return HttpModelClient(vocabulary_from_spec(data, path), data["url"], timeout=timeout, retries=retries)
+        except ValueError as exc:
+            raise LoadError(f"model file {path}: {exc}") from exc
     raise LoadError(f"model file {path}: unrecognized spec (no 'rows' and no known 'kind')")
 
 

@@ -25,9 +25,7 @@ def backend_name() -> str:
 
 
 def topk_indices(values: Sequence[float], k: int) -> list[int]:
-    """Indices of the k largest values, descending, ties to the lower index."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    """Indices of the k (>= 0) largest values, descending, ties to the lower index."""
     order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
     return order[: min(k, len(values))]
 
@@ -43,7 +41,8 @@ def prune_prefix(
     Sorts candidates by descending log-probability (ties to lower index) and
     scans their normalized linear-domain cumulative sum until it reaches
     ``mass_fraction`` of the total mass, within MASS_SLACK. The retained count
-    is clamped to [1, max_width].
+    is clamped to [1, max_width]. ``mass_fraction`` in [0, 1] and
+    ``max_width`` >= 1 are not re-checked here: MultipathConfig checks them.
 
     ``total_logprob`` gives the log of the full candidate mass when
     ``logprobs`` holds only a (sufficiently large) top subset of it; by
@@ -54,10 +53,6 @@ def prune_prefix(
     n = len(logprobs)
     if n == 0:
         raise ValueError("candidate list is empty")
-    if not 0.0 <= mass_fraction <= 1.0:
-        raise ValueError(f"mass_fraction must be in [0, 1], got {mass_fraction}")
-    if max_width < 1:
-        raise ValueError(f"max_width must be >= 1, got {max_width}")
 
     if total_logprob is None:
         total_logprob = log_sum_exp(logprobs)

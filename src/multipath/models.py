@@ -439,7 +439,7 @@ def sequence_logprob(model: ModelInterface, prompt: Sequence[int], continuation:
     total = 0.0
     for i, token in enumerate(continuation):
         dist = model.next_distribution(prompt, continuation[:i])
-        total += dist.logprobs[token]
+        total += dist.logprob(token)
     return total
 
 
@@ -481,13 +481,9 @@ def dump_table_lm(model: TableLM, path: str | Path) -> None:
     Path(path).write_text(table_lm_to_json(model), encoding="utf-8")
 
 
-def _is_str_list(value: object) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
 def vocabulary_from_spec(data: dict, path: Path) -> Vocabulary:
     """The vocabulary named by a model file's "vocab" and "eos" keys."""
-    if not _is_str_list(data["vocab"]):
+    if not is_str_list(data["vocab"]):
         raise LoadError(f"model file {path}: 'vocab' must be a list of strings")
     if not isinstance(data["eos"], str):
         raise LoadError(f"model file {path}: 'eos' must be a string")
@@ -511,6 +507,17 @@ def read_json_object(path: Path, what: str, error: type[Exception]) -> dict:
     return data
 
 
+def is_number(value: object) -> bool:
+    """Whether a JSON value is a number: an int or a float, never a bool,
+    which JSON loads as a Python bool and Python counts as an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_str_list(value: object) -> bool:
+    """Whether a JSON value is a list of strings."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def table_lm_from_spec(data: dict, path: Path) -> TableLM:
     """The table model described by ``data``, parsed from the file ``path``,
     validating every row.
@@ -529,7 +536,7 @@ def table_lm_from_spec(data: dict, path: Path) -> TableLM:
     def parse_row(probs: list, what: str) -> StepDistribution:
         if not isinstance(probs, list) or len(probs) != vocabulary.size:
             raise LoadError(f"model file {path}: {what}: probs must be a list of length {vocabulary.size}")
-        if any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in probs):
+        if not all(map(is_number, probs)):
             raise LoadError(f"model file {path}: {what}: 'probs' must be numbers")
         try:
             return StepDistribution(probs=probs)
@@ -541,7 +548,7 @@ def table_lm_from_spec(data: dict, path: Path) -> TableLM:
         what = f"row {idx}"
         if not isinstance(row, dict) or "context" not in row or "probs" not in row:
             raise LoadError(f"model file {path}: {what}: needs 'context' and 'probs'")
-        if not _is_str_list(row["context"]):
+        if not is_str_list(row["context"]):
             raise LoadError(f"model file {path}: {what}: 'context' must be a list of strings")
         try:
             ctx = vocabulary.encode(" ".join(row["context"]))

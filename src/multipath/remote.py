@@ -21,7 +21,7 @@ import urllib.error
 import urllib.request
 
 from .errors import ProtocolError, TransportError
-from .models import ModelInterface, StepDistribution, Vocabulary
+from .models import ModelInterface, StepDistribution, Vocabulary, is_number
 
 
 def _parse_distribution(payload: object, vocab_size: int, origin: str) -> StepDistribution:
@@ -36,8 +36,7 @@ def _parse_distribution(payload: object, vocab_size: int, origin: str) -> StepDi
         if lp is None:
             probs.append(0.0)
             continue
-        # A JSON boolean loads as a bool, which Python counts as an int.
-        if isinstance(lp, bool) or not isinstance(lp, (int, float)):
+        if not is_number(lp):
             raise ProtocolError(f"{origin}: logprob {i} is not a number")
         try:
             probs.append(math.exp(lp))
@@ -71,6 +70,15 @@ def _http_post_json(url: str, payload: dict, timeout: float) -> object:
         raise ProtocolError(f"POST {url}: response is not valid JSON: {exc}") from exc
 
 
+def _check_settings(timeout: float, retries: int) -> None:
+    """Raise ValueError unless ``timeout`` is a finite number of seconds > 0
+    (a socket rejects an infinite one) and ``retries`` >= 0."""
+    if not 0 < timeout < math.inf:
+        raise ValueError(f"'timeout' must be finite and > 0 seconds, got {timeout!r}")
+    if retries < 0:
+        raise ValueError(f"'retries' must be >= 0, got {retries!r}")
+
+
 def _with_retries(call, retries: int):
     """``call()``, made up to ``retries`` + 1 times; only TransportError is retried."""
     for _ in range(retries):
@@ -93,8 +101,7 @@ class HttpModelClient(ModelInterface):
         retries: int = 2,
     ):
         super().__init__(vocabulary)
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
+        _check_settings(timeout, retries)
         self._url = url
         self._timeout = timeout
         self._retries = retries
@@ -116,8 +123,7 @@ class JudgeClient:
     """Client for the judge service; returns verdicts, never guesses them."""
 
     def __init__(self, base_url: str, timeout: float = 10.0, retries: int = 2):
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
+        _check_settings(timeout, retries)
         self._url = base_url.rstrip("/") + "/judge"
         self._timeout = timeout
         self._retries = retries

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import LoadError, VerificationError
+from .models import is_number, is_str_list
 from .templates import MATH_TEMPLATE, load_prompt
 
 DOMAINS = ("math", "code")
@@ -47,7 +48,7 @@ class Task:
         if self.domain == "code" and self.verify_cmd is None:
             raise ValueError(f"task {self.id!r}: code tasks verify via an external command")
         if self.verify_cmd is not None and not self.verify_cmd:
-            raise ValueError(f"task {self.id!r}: verify_cmd must not be empty")
+            raise ValueError(f"task {self.id!r}: 'verify_cmd' must be a non-empty list of strings")
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         if not self.tasks:
-            raise ValueError("dataset is empty")
+            raise ValueError("dataset is empty: no tasks")
         ids = [t.id for t in self.tasks]
         if len(set(ids)) != len(ids):
             dup = next(i for i in ids if ids.count(i) > 1)
@@ -69,8 +70,10 @@ def load_tasks(path: str | Path) -> Dataset:
 
     Line schema: {"id": str, "prompt": str, "domain": "math"|"code",
     "answer": number} for math, {"id", "prompt", "domain", "verify_cmd":
-    [str]} for code. Math prompts get the bracket-answer instruction template
-    prepended. Errors name the offending 1-based line.
+    [str]} for code; only the domain's own field is read. Math prompts get
+    the bracket-answer instruction template prepended. This reader checks the
+    JSON shape; the domain rules are Task's and Dataset's. Errors name the
+    offending 1-based line.
     """
     path = Path(path)
     try:
@@ -80,7 +83,6 @@ def load_tasks(path: str | Path) -> Dataset:
 
     template = load_prompt(MATH_TEMPLATE)
     tasks: list[Task] = []
-    seen: set[str] = set()
     for lineno, line in enumerate(raw.splitlines(), start=1):
         if not line.strip():
             continue
@@ -97,39 +99,24 @@ def load_tasks(path: str | Path) -> Dataset:
         task_id, prompt, domain = item["id"], item["prompt"], item["domain"]
         if not isinstance(task_id, str) or not isinstance(prompt, str):
             raise LoadError(f"{where}: 'id' and 'prompt' must be strings")
-        if domain not in DOMAINS:
-            raise LoadError(f"{where}: domain must be one of {DOMAINS}, got {domain!r}")
-        if task_id in seen:
-            raise LoadError(f"{where}: duplicate task id {task_id!r}")
-        seen.add(task_id)
-
-        if domain == "math":
-            if "answer" not in item:
-                raise LoadError(f"{where}: missing field 'answer'")
-            answer = item["answer"]
-            if isinstance(answer, bool) or not isinstance(answer, (int, float)):
-                raise LoadError(f"{where}: 'answer' must be a number, got {answer!r}")
-            tasks.append(Task(
-                id=task_id,
-                prompt=template + " " + prompt,
-                domain="math",
-                answer=answer,
-            ))
-        else:
-            if "verify_cmd" not in item:
-                raise LoadError(f"{where}: missing field 'verify_cmd'")
-            cmd = item["verify_cmd"]
-            if not isinstance(cmd, list) or not cmd or not all(isinstance(c, str) for c in cmd):
+        source = {}
+        if domain == "math" and "answer" in item:
+            if not is_number(item["answer"]):
+                raise LoadError(f"{where}: 'answer' must be a number, got {item['answer']!r}")
+            source["answer"] = item["answer"]
+            prompt = template + " " + prompt
+        elif domain == "code" and "verify_cmd" in item:
+            if not is_str_list(item["verify_cmd"]):
                 raise LoadError(f"{where}: 'verify_cmd' must be a non-empty list of strings")
-            tasks.append(Task(
-                id=task_id,
-                prompt=prompt,
-                domain="code",
-                verify_cmd=tuple(cmd),
-            ))
-    if not tasks:
-        raise LoadError(f"dataset {path}: no tasks")
-    return Dataset(name=path.stem, tasks=tuple(tasks))
+            source["verify_cmd"] = tuple(item["verify_cmd"])
+        try:
+            tasks.append(Task(id=task_id, prompt=prompt, domain=domain, **source))
+        except ValueError as exc:
+            raise LoadError(f"{where}: {exc}") from exc
+    try:
+        return Dataset(name=path.stem, tasks=tuple(tasks))
+    except ValueError as exc:
+        raise LoadError(f"dataset {path}: {exc}") from exc
 
 
 def extract_bracket_answer(text: str) -> int | float | None:

@@ -1,8 +1,8 @@
-"""The benchmark's recorded-digest gate on the workloads that run the samplers.
+"""The benchmark's recorded-digest gate on every workload.
 
 ``perfbench/run.py`` exits 1 when a workload's output bytes differ from the
 sha256 recorded in ``perfbench/expected_digests.json`` for that seed, so a
-change to the decoders that moves any output byte fails here.
+change that moves any output byte of a workload fails here.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("seed", [42, 7])
-@pytest.mark.parametrize("workload", ["digits_compare", "ngram_v2000_decode"])
+@pytest.mark.parametrize("workload", ["trap_decode", "ngram_v2000_decode", "digits_compare", "remote_trap_decode"])
 def test_benchmark_output_matches_recorded_digest(workload, seed):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", "0.3"],

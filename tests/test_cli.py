@@ -9,10 +9,19 @@ import re
 import pytest
 
 from multipath.cli import load_model, main, parse_args
-from multipath.decoding import BeamConfig, MultipathConfig, SamplerConfig
+from multipath.correction import ScriptedJudgeProvider, run_protocol
+from multipath.decoding import (
+    AdaptiveConfig,
+    BeamConfig,
+    MultipathConfig,
+    SamplerConfig,
+    adaptive_decode,
+    nucleus_sample,
+)
 from multipath.errors import LoadError
 from multipath.models import NGramLM, TableLM
 from multipath.remote import HttpModelClient
+from multipath.tasks import load_tasks
 
 
 @pytest.fixture
@@ -108,7 +117,7 @@ def code_task_dataset(tmp_path):
     return str(dataset)
 
 
-@pytest.mark.parametrize("timeout", [-1, 0, "nan"])
+@pytest.mark.parametrize("timeout", [-1, 0, "nan", "inf"])
 def test_bench_timeout_flag_must_be_positive(capsys, tmp_path, toy_model_path, timeout):
     argv = ["bench", "--model", toy_model_path, "--dataset", code_task_dataset(tmp_path), "--strategy", "ftr_indicator",
             "--out", str(tmp_path / "out"), "--timeout", str(timeout)]
@@ -184,6 +193,27 @@ def test_decode_respects_max_len_and_width(capsys, trap_path):
     data = json.loads(capsys.readouterr().out)
     assert data["k_trace"] == [2, 4]
     assert data["tokens_generated"] == 3
+
+
+# On the trap model these flags give a result that differs from the one
+# each decoder gives at its defaults.
+@pytest.mark.parametrize("decoder, flags, decode", [
+    ("nucleus", ["--top-p", "0.8", "--top-k", "2", "--seed", "1", "--max-len", "6"],
+     lambda model: nucleus_sample(model, (), SamplerConfig(top_p=0.8, top_k=2, seed=1, max_len=6))),
+    ("adaptive", ["--k-star", "2", "--seed", "1", "--max-len", "6"],
+     lambda model: adaptive_decode(model, (), AdaptiveConfig(base_k=2, seed=1, max_len=6))),
+])
+def test_decode_samplers_print_the_library_result(capsys, trap_path, decoder, flags, decode):
+    assert main(["decode", "--model", trap_path, "--decoder", decoder, *flags]) == 0
+    expected = decode(load_model(trap_path)).to_json_dict()
+    assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(expected))
+
+
+def test_decode_unreachable_remote_model_exits_1(capsys, tmp_path):
+    spec = tmp_path / "remote.json"
+    spec.write_text(json.dumps(dict(REMOTE_SPEC, url="http://127.0.0.1:9/model", timeout=0.5, retries=0)))
+    assert main(["decode", "--model", str(spec)]) == 1
+    assert capsys.readouterr().err.startswith("error: POST http://127.0.0.1:9/model")
 
 
 def test_decode_with_prompt_argument(capsys, toy_model_path):
@@ -312,6 +342,8 @@ TABLE_SPEC = {"vocab": ["a", "$"], "eos": "$", "rows": [{"context": [], "probs":
     (dict(TABLE_SPEC, rows=[{"context": [], "probs": [True, False]}]), "probs"),
     (dict(REMOTE_SPEC, timeout=-1), "timeout"),
     (dict(REMOTE_SPEC, retries=-1), "retries"),
+    (dict(TABLE_SPEC, rows=[["a"]]), "context"),
+    (dict(NGRAM_SPEC, corpus=None, corpus_file="absent.txt"), "corpus_file"),
 ])
 def test_load_model_rejects_wrong_json_types_with_exit_2(capsys, tmp_path, spec, key):
     path = tmp_path / "model.json"
@@ -319,6 +351,18 @@ def test_load_model_rejects_wrong_json_types_with_exit_2(capsys, tmp_path, spec,
     assert main(["decode", "--model", str(path)]) == 2
     err = capsys.readouterr().err
     assert repr(key) in err and str(path) in err
+
+
+@pytest.mark.parametrize("spec, match", [
+    ([REMOTE_SPEC], "top level must be an object"),
+    (dict(TABLE_SPEC, vocab=["a", "a", "$"]), "vocabulary tokens must be unique"),
+    (dict(NGRAM_SPEC, corpus=""), "corpus is empty"),
+])
+def test_load_model_rejects_bad_values_with_exit_2(capsys, tmp_path, spec, match):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["decode", "--model", str(path)]) == 2
+    assert f"error: model file {path}: {match}" in capsys.readouterr().err
 
 
 def test_load_model_unrecognized_spec(tmp_path):
@@ -364,6 +408,17 @@ def test_bench_indicator_strategy_costs_match(tmp_path, toy_model_path, toy_data
     assert report["est_cost_ratio"] == pytest.approx(report["measured_cost_ratio"])
     attempts = (out / "attempts_ftr_indicator.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(attempts) == 100
+
+
+def test_bench_scripted_provider_runs_the_library_protocol(capsys, tmp_path, toy_model_path, toy_dataset_path):
+    flags = ["--provider", "scripted", "--fn-rate", "0.5", "--fp-rate", "0.25", "--seed", "5"]
+    rc = main(["bench", "--model", toy_model_path, "--dataset", toy_dataset_path, "--out", str(tmp_path), *flags])
+    assert rc == 0
+    provider = ScriptedJudgeProvider(fn_rate=0.5, fp_rate=0.25, seed=5)
+    run = run_protocol(
+        load_model(toy_model_path), load_tasks(toy_dataset_path), "ftr_indicator", provider, SamplerConfig(seed=5)
+    )
+    assert (tmp_path / "attempts_ftr_indicator.jsonl").read_text(encoding="utf-8") == run.to_json_lines()
 
 
 def test_bench_rejects_multiple_strategies(capsys, toy_model_path, toy_dataset_path, tmp_path):

@@ -441,6 +441,29 @@ def test_sequence_logprob_rejects_empty(trap_model):
         sequence_logprob(trap_model, (), ())
 
 
+def test_sequence_logprob_builds_no_dense_row():
+    # An add-k n-gram model's rows are sparse; reading a row's dense
+    # logprobs would leave them cached on it.
+    model = train_ngram("a b c d\nb c a\nd d a b\n", order=2, add_k=0.5)
+    handed = []
+    next_distribution = model.next_distribution
+
+    def recording(prompt, prefix):
+        handed.append(next_distribution(prompt, prefix))
+        return handed[-1]
+
+    model.next_distribution = recording
+    ids = model.vocabulary.encode("a b c d") + (model.vocabulary.eos_id,)
+    got = sequence_logprob(model, ids[:1], ids[1:])
+    assert len(handed) == len(ids) - 1
+    for row in handed:
+        assert not {"probs", "logprobs"} & vars(row).keys(), row
+    want = 0.0
+    for row, token in zip(handed, ids[1:]):
+        want += row.logprobs[token]
+    assert got == want
+
+
 def test_perplexity_definition():
     assert perplexity(0.0, 5) == 1.0
     assert perplexity(math.log(0.25), 2) == pytest.approx(2.0)

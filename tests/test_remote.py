@@ -211,6 +211,21 @@ def test_http_client_rejects_negative_retries():
         HttpModelClient(ABC, "http://x", retries=-1)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("timeout", 0), ("timeout", -1), ("timeout", math.nan), ("timeout", math.inf), ("retries", -1),
+])
+@pytest.mark.parametrize("make", [
+    lambda url, **settings: HttpModelClient(ABC, url, **settings),
+    lambda url, **settings: JudgeClient(url, **settings),
+], ids=["HttpModelClient", "JudgeClient"])
+def test_clients_check_their_settings_at_construction(server, make, key, value):
+    # A library caller gets the error here, not a retried TransportError (or a
+    # bare ValueError or OverflowError from the socket) at the first request.
+    with pytest.raises(ValueError, match=f"'{key}' must be"):
+        make(server.url, **{key: value})
+    assert server.requests == []
+
+
 def test_http_client_is_safe_to_share_between_protocol_workers(server, small_digit_model, small_digit_dataset):
     # run_protocol(workers > 1) hands one client to every worker thread; a
     # reply cached under the wrong context, or lost, changes the attempts.

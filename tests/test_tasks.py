@@ -46,6 +46,11 @@ def test_task_domain_consistency():
         Task(id="x", prompt="p", domain="code", answer=1)
 
 
+def test_task_rejects_empty_verify_cmd():
+    with pytest.raises(ValueError, match="'verify_cmd' must be a non-empty list of strings"):
+        Task(id="x", prompt="p", domain="code", verify_cmd=())
+
+
 def test_dataset_rejects_empty_and_duplicates():
     with pytest.raises(ValueError, match="empty"):
         Dataset(name="d", tasks=())
@@ -110,6 +115,21 @@ def test_load_tasks_errors_name_the_line(tmp_path):
     path = write_jsonl(tmp_path, [good, "{broken"])
     with pytest.raises(LoadError, match="line 2: invalid JSON"):
         load_tasks(path)
+
+
+@pytest.mark.parametrize("line, match", [
+    ('["t2", "q", "math", 1]', "expected an object"),
+    ('{"id": 2, "prompt": "q", "domain": "math", "answer": 1}', "'id' and 'prompt' must be strings"),
+    # Only the domain's own field is read, so the other one does not stand in for it.
+    ('{"id": "t2", "prompt": "q", "domain": "math", "verify_cmd": ["true"]}', "exactly one of answer/verify_cmd"),
+    ('{"id": "t2", "prompt": "q", "domain": "code", "answer": 1}', "exactly one of answer/verify_cmd"),
+], ids=["not-an-object", "non-string-id", "math-without-answer", "code-without-verify_cmd"])
+def test_load_tasks_rejects_malformed_line_naming_it(tmp_path, line, match):
+    good = json.dumps({"id": "t1", "prompt": "q", "domain": "math", "answer": 1})
+    path = write_jsonl(tmp_path, [good, line])
+    with pytest.raises(LoadError, match=match) as exc:
+        load_tasks(path)
+    assert f"dataset {path} line 2: " in str(exc.value)
 
 
 def test_load_tasks_rejects_duplicate_ids(tmp_path):

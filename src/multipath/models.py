@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -392,6 +393,18 @@ class NGramLM(ModelInterface):
         return row
 
 
+class _FirstSeen(dict):
+    """Word -> provisional id: the word's rank of first appearance."""
+
+    def __missing__(self, word: str) -> int:
+        self[word] = rank = len(self)
+        return rank
+
+
+# Provisional id of the end-of-sequence token while training.
+_EOS = -1
+
+
 def train_ngram(
     corpus: str,
     order: int,
@@ -404,24 +417,38 @@ def train_ngram(
     transition from the preceding min(order, position) tokens, and each line
     ends with a transition to the end-of-sequence token. The vocabulary is
     the corpus tokens (sorted) plus ``eos_token``.
+
+    Training is one pass over the lines: each word gets a provisional id, its
+    rank of first appearance, and each line's n-grams are counted as flat
+    (context..., next) tuples. Only the distinct n-grams are then mapped to
+    the final ids, so training holds the corpus text and the distinct
+    n-grams, never a list of the corpus's words.
     """
-    lines = [line.split() for line in corpus.splitlines() if line.split()]
-    if not lines:
+    first_seen = _FirstSeen()
+    grams: Counter[TokenIds] = Counter()
+    for line in corpus.splitlines():
+        ids = list(map(first_seen.__getitem__, line.split()))
+        if not ids:
+            continue
+        ids.append(_EOS)
+        # The first ``order`` positions have the shorter contexts.
+        grams.update(tuple(ids[:pos + 1]) for pos in range(min(order, len(ids))))
+        grams.update(zip(*(ids[shift:] for shift in range(order + 1))))
+    if not first_seen:
         raise TrainingError("corpus is empty")
-
-    seen = sorted({tok for line in lines for tok in line})
-    if eos_token in seen:
+    if eos_token in first_seen:
         raise TrainingError(f"eos token {eos_token!r} occurs in the corpus")
-    vocabulary = Vocabulary.from_tokens(seen + [eos_token], eos_token)
 
+    words = sorted(first_seen)
+    vocabulary = Vocabulary.from_tokens(words + [eos_token], eos_token)
+    final = {first_seen[word]: tid for tid, word in enumerate(words)}
+    final[_EOS] = vocabulary.eos_id
+    # Counter keeps first-seen order, so contexts and their successors are
+    # inserted in corpus order.
     counts: dict[TokenIds, dict[int, int]] = {}
-    for line in lines:
-        ids = vocabulary.encode(" ".join(line))
-        for pos in range(len(ids) + 1):
-            ctx = tuple(ids[max(0, pos - order):pos])
-            nxt = ids[pos] if pos < len(ids) else vocabulary.eos_id
-            counts.setdefault(ctx, {})
-            counts[ctx][nxt] = counts[ctx].get(nxt, 0) + 1
+    for gram, count in grams.items():
+        *ctx, nxt = map(final.__getitem__, gram)
+        counts.setdefault(tuple(ctx), {})[nxt] = count
     return NGramLM(vocabulary=vocabulary, order=order, add_k=add_k, counts=counts)
 
 

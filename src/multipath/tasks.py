@@ -41,12 +41,12 @@ class Task:
     def __post_init__(self) -> None:
         if self.domain not in DOMAINS:
             raise ValueError(f"domain must be one of {DOMAINS}, got {self.domain!r}")
-        if (self.answer is None) == (self.verify_cmd is None):
-            raise ValueError(f"task {self.id!r}: exactly one of answer/verify_cmd required")
         if self.domain == "math" and self.answer is None:
             raise ValueError(f"task {self.id!r}: math tasks verify against a numeric answer")
         if self.domain == "code" and self.verify_cmd is None:
             raise ValueError(f"task {self.id!r}: code tasks verify via an external command")
+        if self.answer is not None and self.verify_cmd is not None:
+            raise ValueError(f"task {self.id!r}: exactly one of answer/verify_cmd required")
         if self.verify_cmd is not None and not self.verify_cmd:
             raise ValueError(f"task {self.id!r}: 'verify_cmd' must be a non-empty list of strings")
 

@@ -222,6 +222,35 @@ def test_decode_with_prompt_argument(capsys, toy_model_path):
     assert json.loads(capsys.readouterr().out)["text"] == "[3] $"
 
 
+# The n-gram model is trained from the corpus file at load time, so these
+# bytes pin the trained vocabulary order (the log/mat tie goes to the lower
+# id) and the rows the decoder reads.
+NGRAM_DECODE_OUT = (
+    '{"candidates": ['
+    '{"cum_logprob": -7.393263094763838, "ppl": 4.387030694931628, "text": "sat on the log </s>", '
+    '"tokens": ["sat", "on", "the", "log", "</s>"]}, '
+    '{"cum_logprob": -7.393263094763838, "ppl": 4.387030694931628, "text": "sat on the mat </s>", '
+    '"tokens": ["sat", "on", "the", "mat", "</s>"]}, '
+    '{"cum_logprob": -6.1515499624550545, "ppl": 4.654746681256313, "text": "saw the dog </s>", '
+    '"tokens": ["saw", "the", "dog", "</s>"]}, '
+    '{"cum_logprob": -3.2188758248682006, "ppl": 4.999999999999999, "text": "sat </s>", '
+    '"tokens": ["sat", "</s>"]}], '
+    '"cum_logprob": -7.393263094763838, "k_trace": [5, 5, 5, 5, 5, 5], '
+    '"ppl": 4.387030694931628, "text": "sat on the log </s>", "tokens": ["sat", "on", "the", "log", "</s>"], '
+    '"tokens_generated": 22}\n'
+)
+
+
+def test_decode_ngram_corpus_file_prints_pinned_bytes(capsys, tmp_path):
+    corpus = b"the cat sat on the mat\n\nthe dog sat on the log\n   \nthe cat saw the dog\r\na dog and a cat sat\n\n"
+    (tmp_path / "corpus.txt").write_bytes(corpus)
+    spec = tmp_path / "ngram.json"
+    spec.write_text(json.dumps({"kind": "ngram", "corpus_file": "corpus.txt", "order": 2, "add_k": 0.5}))
+    rc = main(["decode", "--model", str(spec), "--p-star", "0.9", "--k-star", "5", "--max-len", "6", "the cat"])
+    assert rc == 0
+    assert capsys.readouterr().out == NGRAM_DECODE_OUT
+
+
 def test_decode_missing_model_file_exits_2(capsys):
     rc = main(["decode", "--model", "/nonexistent/model.json"])
     assert rc == 2

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -278,6 +279,82 @@ def test_train_ngram_rejects_bad_corpus():
         train_ngram("   \n  ", order=1, add_k=1.0)
     with pytest.raises(TrainingError, match="eos"):
         train_ngram("a </s> b", order=1, add_k=1.0)
+
+
+def per_position_ngram(corpus, order, add_k, eos_token="</s>"):
+    """Reference trainer: counts one position at a time, over the sorted vocabulary's ids."""
+    lines = [line.split() for line in corpus.splitlines() if line.split()]
+    if not lines:
+        raise TrainingError("corpus is empty")
+    seen = sorted({tok for line in lines for tok in line})
+    if eos_token in seen:
+        raise TrainingError(f"eos token {eos_token!r} occurs in the corpus")
+    vocabulary = Vocabulary.from_tokens(seen + [eos_token], eos_token)
+    counts = {}
+    for line in lines:
+        ids = vocabulary.encode(" ".join(line))
+        for pos in range(len(ids) + 1):
+            ctx = tuple(ids[max(0, pos - order):pos])
+            nxt = ids[pos] if pos < len(ids) else vocabulary.eos_id
+            counts.setdefault(ctx, {})
+            counts[ctx][nxt] = counts[ctx].get(nxt, 0) + 1
+    return NGramLM(vocabulary=vocabulary, order=order, add_k=add_k, counts=counts)
+
+
+def trained(train, corpus, order, add_k, eos_token):
+    try:
+        model = train(corpus, order, add_k, eos_token)
+    except (TrainingError, ValueError) as exc:
+        return type(exc), str(exc)
+    counts = [(ctx, list(nexts.items())) for ctx, nexts in model._counts.items()]
+    return model.vocabulary.tokens, model.vocabulary.eos_id, counts
+
+
+def test_train_ngram_matches_the_per_position_loop():
+    rng = random.Random(14)
+    words = ["a", "b", "c", "dd", "é", "</s>", "$"]
+    breaks = ["\n", "\n", "\r\n", "\r", "\x0b", "\x1c", " "]
+    gaps = [" ", " ", "  ", "\t", " \t "]
+    outcomes = set()
+    for _ in range(600):
+        lines = []
+        for _ in range(rng.randint(0, 6)):
+            picks = rng.choices(words[: rng.randint(1, len(words))], k=rng.choice([0, 1, 2, 3, 5, 8]))
+            line = "".join(rng.choice(gaps) + w for w in picks)
+            lines.append(line + rng.choice(["", " ", "\t"]))
+        corpus = "".join(line + rng.choice(breaks) for line in lines)
+        order = rng.randint(1, 4)
+        add_k = rng.choice([0.5, 1.0, 0.0])
+        eos = rng.choice(["</s>", "</s>", "$"])
+        new = trained(train_ngram, corpus, order, add_k, eos)
+        assert new == trained(per_position_ngram, corpus, order, add_k, eos), (corpus, order, add_k, eos)
+        outcomes.add(new[1].split()[0] if new[0] in (TrainingError, ValueError) else "model")
+    # every outcome is reached: a model, each corpus error and the bad add_k
+    assert outcomes == {"model", "corpus", "eos", "add_k"}
+
+
+def test_train_ngram_holds_no_list_of_the_corpus_words():
+    # 2,000 lines of 31 words over V=2000, each word with three successors:
+    # 62k tokens and about 8k distinct bigrams.
+    rng = random.Random(3)
+    words = [f"w{i:04d}" for i in range(2000)]
+    successors = {word: rng.sample(words, 3) for word in words}
+    lines = []
+    for _ in range(2000):
+        line = [rng.choice(words)]
+        for _ in range(30):
+            line.append(rng.choice(successors[line[-1]]))
+        lines.append(" ".join(line))
+    corpus = "\n".join(lines) + "\n"
+    tracemalloc.start()
+    try:
+        train_ngram(corpus, order=1, add_k=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One pass reads about 2.3 MB here, the model included; a list of the
+    # corpus's 62k words alone would add about 3.5 MB.
+    assert peak < 3.5e6
 
 
 def random_corpus(rng):

@@ -31,8 +31,11 @@ def code_task(cmd, task_id="c1"):
 
 
 def test_task_requires_exactly_one_verification_source():
-    with pytest.raises(ValueError, match="exactly one"):
+    # With neither, the domain's own field is named.
+    with pytest.raises(ValueError, match="math tasks verify against a numeric answer"):
         Task(id="x", prompt="p", domain="math")
+    with pytest.raises(ValueError, match="code tasks verify via an external command"):
+        Task(id="x", prompt="p", domain="code")
     with pytest.raises(ValueError, match="exactly one"):
         Task(id="x", prompt="p", domain="math", answer=1, verify_cmd=("true",))
 
@@ -121,8 +124,9 @@ def test_load_tasks_errors_name_the_line(tmp_path):
     ('["t2", "q", "math", 1]', "expected an object"),
     ('{"id": 2, "prompt": "q", "domain": "math", "answer": 1}', "'id' and 'prompt' must be strings"),
     # Only the domain's own field is read, so the other one does not stand in for it.
-    ('{"id": "t2", "prompt": "q", "domain": "math", "verify_cmd": ["true"]}', "exactly one of answer/verify_cmd"),
-    ('{"id": "t2", "prompt": "q", "domain": "code", "answer": 1}', "exactly one of answer/verify_cmd"),
+    ('{"id": "t2", "prompt": "q", "domain": "math", "verify_cmd": ["true"]}',
+     "math tasks verify against a numeric answer"),
+    ('{"id": "t2", "prompt": "q", "domain": "code", "answer": 1}', "code tasks verify via an external command"),
 ], ids=["not-an-object", "non-string-id", "math-without-answer", "code-without-verify_cmd"])
 def test_load_tasks_rejects_malformed_line_naming_it(tmp_path, line, match):
     good = json.dumps({"id": "t1", "prompt": "q", "domain": "math", "answer": 1})

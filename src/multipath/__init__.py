@@ -24,11 +24,9 @@ from .models import (
     StepDistribution,
     TableLM,
     Vocabulary,
-    dump_table_lm,
     greedy_trap_lm,
     perplexity,
     sequence_logprob,
-    table_lm_to_json,
     train_ngram,
 )
 from .decoding import (
@@ -116,7 +114,6 @@ __all__ = [
     "collect_feedback",
     "cost_estimate",
     "derive_seed",
-    "dump_table_lm",
     "extract_bracket_answer",
     "greedy_decode",
     "greedy_trap_lm",
@@ -132,7 +129,6 @@ __all__ = [
     "score_run",
     "select_min_ppl",
     "sequence_logprob",
-    "table_lm_to_json",
     "train_ngram",
     "verify",
 ]

@@ -198,18 +198,35 @@ def _spec_number(data: dict, key: str, default: float, path: Path, kind: type = 
     return value
 
 
+# The keys each model-spec kind reads; a table file has no "kind".
+_SPEC_KEYS = {
+    "table": {"vocab", "eos", "rows", "default"},
+    "ngram": {"kind", "corpus", "corpus_file", "order", "add_k", "eos"},
+    "remote": {"kind", "url", "vocab", "eos", "timeout", "retries"},
+}
+
+
 def load_model(path: str | Path) -> ModelInterface:
     """Load a model spec file.
 
     Accepted shapes: a table-model file ({"vocab", "eos", "rows", ...}), an
     n-gram spec ({"kind": "ngram", "corpus"|"corpus_file", "order",
     "add_k", "eos"?}), or a remote endpoint ({"kind": "remote", "url",
-    "vocab", "eos", "timeout"?, "retries"?}).
+    "vocab", "eos", "timeout"?, "retries"?}). A key its kind never reads is
+    rejected, so a misspelt optional key cannot fall back to its default.
     """
     path = Path(path)
     data = read_json_object(path, "model file", LoadError)
-    kind = data.get("kind")
-    if kind is None and "rows" in data:
+    kind = data["kind"] if "kind" in data else "table" if "rows" in data else None
+    if kind not in ("table", "ngram", "remote"):
+        raise LoadError(f"model file {path}: unrecognized spec (no 'rows' and no known 'kind')")
+    unknown = sorted(data.keys() - _SPEC_KEYS[kind])
+    if unknown:
+        raise LoadError(
+            f"model file {path}: unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"{kind} specs read only {', '.join(map(repr, sorted(_SPEC_KEYS[kind])))}"
+        )
+    if kind == "table":
         return table_lm_from_spec(data, path)
     if kind == "ngram":
         corpus = data.get("corpus")
@@ -234,19 +251,18 @@ def load_model(path: str | Path) -> ModelInterface:
             return train_ngram(corpus, order=order, add_k=add_k, eos_token=eos)
         except (ValueError, MultipathError) as exc:
             raise LoadError(f"model file {path}: {exc}") from exc
-    if kind == "remote":
-        for key in ("url", "vocab", "eos"):
-            if key not in data:
-                raise LoadError(f"model file {path}: remote spec missing {key!r}")
-        if not isinstance(data["url"], str):
-            raise LoadError(f"model file {path}: 'url' must be a string")
-        timeout = float(_spec_number(data, "timeout", 10.0, path))
-        retries = _spec_number(data, "retries", 2, path, int)
-        try:
-            return HttpModelClient(vocabulary_from_spec(data, path), data["url"], timeout=timeout, retries=retries)
-        except ValueError as exc:
-            raise LoadError(f"model file {path}: {exc}") from exc
-    raise LoadError(f"model file {path}: unrecognized spec (no 'rows' and no known 'kind')")
+    # A remote spec.
+    for key in ("url", "vocab", "eos"):
+        if key not in data:
+            raise LoadError(f"model file {path}: remote spec missing {key!r}")
+    if not isinstance(data["url"], str):
+        raise LoadError(f"model file {path}: 'url' must be a string")
+    timeout = float(_spec_number(data, "timeout", 10.0, path))
+    retries = _spec_number(data, "retries", 2, path, int)
+    try:
+        return HttpModelClient(vocabulary_from_spec(data, path), data["url"], timeout=timeout, retries=retries)
+    except ValueError as exc:
+        raise LoadError(f"model file {path}: {exc}") from exc
 
 
 def _multipath_config(args: argparse.Namespace) -> MultipathConfig:

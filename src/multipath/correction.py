@@ -261,8 +261,8 @@ def _load_resume(path: Path, strategy_kind: str) -> dict[str, tuple[Attempt, Att
 
     A run killed mid-write leaves an unterminated last line; it is dropped
     and the file truncated to its last newline, so appends start on a clean
-    line. Any other malformed line raises LoadError naming the file and the
-    line.
+    line. Any other malformed line, including a pair no run writes, raises
+    LoadError naming the file and the line.
     """
     done: dict[str, tuple[Attempt, Attempt]] = {}
     if not path.exists():
@@ -282,6 +282,12 @@ def _load_resume(path: Path, strategy_kind: str) -> dict[str, tuple[Attempt, Att
             final = Attempt.from_json_dict(record["final"])
             if not record["task_id"] == initial.task_id == final.task_id:
                 raise ValueError(f"task ids differ: {record['task_id']!r}, {initial.task_id!r}, {final.task_id!r}")
+            if initial.stage != INITIAL:
+                raise ValueError(f"the initial attempt has stage {initial.stage!r}")
+            if final.strategy != initial.strategy:
+                raise ValueError(f"strategies differ: {initial.strategy!r}, {final.strategy!r}")
+            if final.stage == INITIAL and final != initial:
+                raise ValueError("a final attempt of stage 'initial' must equal the initial attempt")
         except ValueError as exc:
             raise LoadError(f"attempts log {path}, line {number}: {exc}") from exc
         if initial.strategy == strategy_kind:

@@ -489,25 +489,6 @@ def perplexity(cum_logprob: float, num_tokens: int) -> float:
 # Table-model file format
 
 
-def table_lm_to_json(model: TableLM) -> str:
-    """Canonical JSON text for a table model (stable bytes for round-trips)."""
-    if model._prompt_rows:
-        raise ValueError("prompt-keyed rows are not representable in the table file format")
-    vocab = model.vocabulary
-    rows = [
-        {"context": [vocab.tokens[i] for i in ctx_ids], "probs": list(dist.probs)}
-        for ctx_ids, dist in sorted(model._rows.items())
-    ]
-    payload: dict = {"vocab": list(vocab.tokens), "eos": vocab.eos_token, "rows": rows}
-    if model._default is not None:
-        payload["default"] = list(model._default.probs)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def dump_table_lm(model: TableLM, path: str | Path) -> None:
-    Path(path).write_text(table_lm_to_json(model), encoding="utf-8")
-
-
 def vocabulary_from_spec(data: dict, path: Path) -> Vocabulary:
     """The vocabulary named by a model file's "vocab" and "eos" keys."""
     if not is_str_list(data["vocab"]):
@@ -594,7 +575,7 @@ def greedy_trap_lm() -> TableLM:
 
     Step 0 slightly favors "b", but the continuation after "a" is far more
     certain, so the best full sequence starts with the locally weaker token.
-    Used across the test suite and the bundled demo data.
+    Used across the test suite; data/greedy_trap.json holds the same model.
     """
     vocab = Vocabulary(tokens=("a", "b", "$"), eos_id=2)
     rows = {

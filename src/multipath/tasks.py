@@ -47,6 +47,8 @@ class Task:
             raise ValueError(f"task {self.id!r}: code tasks verify via an external command")
         if self.answer is not None and self.verify_cmd is not None:
             raise ValueError(f"task {self.id!r}: exactly one of answer/verify_cmd required")
+        if isinstance(self.answer, float) and not math.isfinite(self.answer):
+            raise ValueError(f"task {self.id!r}: 'answer' must be finite, got {self.answer!r}")
         if self.verify_cmd is not None and not self.verify_cmd:
             raise ValueError(f"task {self.id!r}: 'verify_cmd' must be a non-empty list of strings")
 

@@ -13,14 +13,15 @@ correct-to-incorrect.
 Equal two-token answers also make the cost identity exact: the measured
 stage-2/stage-1 token ratio equals regen_fraction * mean_width with no
 rounding, which the cost-model tests rely on.
+
+The checked-in files in data/ mean the same: toy_math.jsonl is
+make_digit_dataset(100), and toy_table_lm.json gives every prompt task 3's
+step-0 row of make_digit_model(100).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-from .models import StepDistribution, TableLM, Vocabulary, dump_table_lm, greedy_trap_lm
+from .models import StepDistribution, TableLM, Vocabulary
 from .tasks import Dataset, Task
 from .templates import CRITIC, FEEDBACK_CODE, FEEDBACK_MATH, IOE, MATH_TEMPLATE, load_prompt
 
@@ -78,17 +79,6 @@ def make_digit_model(num_tasks: int = 100) -> TableLM:
     return TableLM(vocabulary=vocab, rows=rows, prompt_rows=prompt_rows)
 
 
-def make_plain_digit_table(num_tasks: int = 100) -> TableLM:
-    """Prompt-agnostic variant (serializable to the table file format):
-    every prompt shares task 3's step-0 row."""
-    vocab = digit_vocabulary(num_tasks)
-    eos_onehot = tuple(1.0 if t == vocab.eos_id else 0.0 for t in range(vocab.size))
-    rows = {(d,): StepDistribution(probs=eos_onehot) for d in range(DIGITS)}
-    rows[()] = StepDistribution(probs=_step0_probs(vocab, 3))
-    default = StepDistribution(probs=eos_onehot)
-    return TableLM(vocabulary=vocab, rows=rows, default=default)
-
-
 def make_digit_dataset(num_tasks: int = 100) -> Dataset:
     tasks = tuple(
         Task(
@@ -101,30 +91,3 @@ def make_digit_dataset(num_tasks: int = 100) -> Dataset:
     )
     return Dataset(name="toy_math", tasks=tasks)
 
-
-def write_toy_data(out_dir: str | Path, num_tasks: int = 100) -> list[Path]:
-    """Write the bundled demo inputs: the two-token trap model, the plain
-    digit table, and the digit dataset (raw prompts; the loader prepends the
-    math template)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    trap = out_dir / "greedy_trap.json"
-    dump_table_lm(greedy_trap_lm(), trap)
-    written.append(trap)
-
-    table = out_dir / "toy_table_lm.json"
-    dump_table_lm(make_plain_digit_table(num_tasks), table)
-    written.append(table)
-
-    dataset = out_dir / "toy_math.jsonl"
-    lines = []
-    for i in range(num_tasks):
-        lines.append(json.dumps(
-            {"id": f"t{i:03d}", "prompt": f"solve item {i}", "answer": true_digit(i), "domain": "math"},
-            sort_keys=True, separators=(",", ":"),
-        ))
-    dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(dataset)
-    return written

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import multipath
-from multipath.cli import main
+from multipath.cli import load_model, main
 from multipath.correction import (
     CORRECTED,
     INITIAL,
@@ -42,11 +42,11 @@ from multipath.decoding import (
     nucleus_sample,
 )
 from multipath.evaluation import ChangeMatrix, CostModel, breakeven_regen_fraction, cost_estimate, score_run
-from multipath.models import StepDistribution, TableLM, Vocabulary
+from multipath.models import StepDistribution, TableLM, Vocabulary, greedy_trap_lm
 from multipath.oracle import check_exactness, check_pruning, check_reductions
-from multipath.tasks import Task, verify
+from multipath.tasks import Task, load_tasks, verify
 from multipath.templates import CRITIC, FEEDBACK_CODE, FEEDBACK_MATH, IOE, load_prompt
-from multipath.toydata import make_digit_dataset, make_digit_model, write_toy_data
+from multipath.toydata import DIGITS, make_digit_dataset, make_digit_model, task_prompt
 
 SEED = 42
 SAMPLER = SamplerConfig(top_p=0.95, top_k=15, seed=SEED, max_len=8)
@@ -361,13 +361,25 @@ def test_attempts_log_cut_at_any_byte_resumes_to_fresh_bytes(tmp_path):
         assert run(log) == fresh, cut
 
 
-def test_checked_in_data_matches_its_generator(tmp_path, data_dir):
-    # The benchmark and the CLI tests read data/; it must stay what
-    # scripts/make_toy_data.py writes.
-    written = write_toy_data(tmp_path)
-    assert sorted(p.name for p in written) == ["greedy_trap.json", "toy_math.jsonl", "toy_table_lm.json"]
-    for path in written:
-        assert path.read_bytes() == (data_dir / path.name).read_bytes(), path.name
+def test_checked_in_data_is_the_fixtures(data_dir):
+    # The benchmark, the CLI tests and the README read data/, the library
+    # tests the fixtures; each file must mean what its fixture means.
+    assert load_tasks(data_dir / "toy_math.jsonl") == make_digit_dataset(100)
+
+    trap, want = load_model(data_dir / "greedy_trap.json"), greedy_trap_lm()
+    assert trap.vocabulary == want.vocabulary
+    assert (trap._rows, trap._default) == (want._rows, want._default)
+
+    # The table file holds task 3's step-0 row for every prompt.
+    table, digits = load_model(data_dir / "toy_table_lm.json"), make_digit_model(100)
+    vocab = digits.vocabulary
+    assert table.vocabulary == vocab
+    prompt = vocab.encode(task_prompt(3))
+    for prefix in [()] + [(d,) for d in range(DIGITS)]:
+        assert table.next_distribution(prompt, prefix) == digits.next_distribution(prompt, prefix), prefix
+    assert table.next_distribution(vocab.encode(task_prompt(4)), ()) == table.next_distribution(prompt, ())
+    end_row = StepDistribution(probs=[float(t == vocab.eos_id) for t in range(vocab.size)])
+    assert table.next_distribution(prompt, (0, 0)) == end_row
 
 
 # ---------------------------------------------------------------------------

@@ -386,6 +386,11 @@ def test_load_model_rejects_wrong_json_types_with_exit_2(capsys, tmp_path, spec,
     ([REMOTE_SPEC], "top level must be an object"),
     (dict(TABLE_SPEC, vocab=["a", "a", "$"]), "vocabulary tokens must be unique"),
     (dict(NGRAM_SPEC, corpus=""), "corpus is empty"),
+    # A key the spec's kind never reads is a misspelling, not a default.
+    (dict(NGRAM_SPEC, addk=0.5), "unknown key(s) 'addk'; ngram specs read only 'add_k', 'corpus'"),
+    (dict(REMOTE_SPEC, timout=1, retry=0), "unknown key(s) 'retry', 'timout'; remote specs read only"),
+    (dict(TABLE_SPEC, kind="table"), "unknown key(s) 'kind'; table specs read only 'default', 'eos', 'rows'"),
+    (dict(TABLE_SPEC, defualt=[0.5, 0.5]), "unknown key(s) 'defualt'"),
 ])
 def test_load_model_rejects_bad_values_with_exit_2(capsys, tmp_path, spec, match):
     path = tmp_path / "model.json"
@@ -664,6 +669,18 @@ def test_oracle_check_detects_injected_pruning_defect(capsys):
     captured = capsys.readouterr()
     assert "failure" in captured.out
     assert "counterexample" in captured.err
+
+
+def test_oracle_check_exits_1_when_a_mutation_goes_undetected(capsys):
+    # With no pruning trials, nothing can catch the injected pruning defect.
+    rc = main([
+        "oracle-check", "--models", "4", "--trials", "0", "--seed", "1",
+        "--mutate", "prune-off-by-one",
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "prune-minimality: ok" in captured.out
+    assert "mutation 'prune-off-by-one' was not detected by any check" in captured.err
 
 
 def test_oracle_check_detects_injected_selection_defect(capsys):

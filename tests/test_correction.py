@@ -554,6 +554,22 @@ def with_more_steps_than_tokens(record):
     return record
 
 
+def with_corrected_initial(record):
+    record["initial"]["stage"] = "corrected"
+    return record
+
+
+def with_other_final_strategy(record):
+    record["final"]["strategy"] = "ftr_indicator"
+    return record
+
+
+def with_uncorrected_final_of_other_text(record):
+    assert record["final"]["stage"] == "initial"
+    record["final"]["text"] += " [7]"
+    return record
+
+
 @pytest.mark.parametrize("malform", [
     lambda record: {"task_id": record["task_id"]},
     lambda record: [1, 2],
@@ -563,9 +579,13 @@ def with_more_steps_than_tokens(record):
     with_other_task_id,
     with_zero_steps,
     with_more_steps_than_tokens,
+    with_corrected_initial,
+    with_other_final_strategy,
+    with_uncorrected_final_of_other_text,
 ], ids=[
     "no-attempts", "not-an-object", "attempt-without-stage", "token-count-as-text",
     "step-count-as-bool", "task-ids-differ", "zero-steps", "more-steps-than-tokens",
+    "initial-not-initial", "strategies-differ", "uncorrected-final-differs",
 ])
 def test_protocol_resume_names_the_file_and_line_of_a_malformed_record(
     tmp_path, small_digit_model, small_digit_dataset, malform

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -533,3 +535,62 @@ def test_multipath_invariants_on_random_models(seed):
     for p in out.finished_candidates:
         assert p.cum_logprob == pytest.approx(sequence_logprob(model, (), p.tokens), rel=1e-12)
         assert p.finished
+
+
+# ---------------------------------------------------------------------------
+# the oracles' failure reports: they run only when a decoder is wrong, so a
+# broken decoder is patched in to make each one speak
+
+
+def test_first_divergence_is_the_first_differing_step_or_the_shorter_length():
+    assert oracle._first_divergence([(0,), (1,)], [(0,), (2,)]) == 1
+    assert oracle._first_divergence([(0,)], [(0,), (1,)]) == 1
+    assert oracle._first_divergence([], [(0,)]) == 0
+
+
+def test_check_reductions_reports_a_greedy_mismatch(monkeypatch):
+    def short_greedy(model, prompt, max_len):
+        result = greedy_decode(model, prompt, max_len)
+        return dataclasses.replace(result, chosen=dataclasses.replace(result.chosen, tokens=result.chosen.tokens[:-1]))
+
+    monkeypatch.setattr(oracle, "greedy_decode", short_greedy)
+    failures = oracle.check_reductions(3, seed=0)
+    assert len(failures) == 3
+    for failure in failures:
+        assert re.fullmatch(r"model \d: width-1 decode '.*' != greedy '.*'", failure), failure
+
+
+def test_check_reductions_reports_where_beam_sets_diverge(monkeypatch):
+    def beam_missing_last_step(model, prompt, cfg, record_trace=False):
+        result = beam_search(model, prompt, cfg, record_trace=record_trace)
+        return dataclasses.replace(result, retained_trace=result.retained_trace[:-1])
+
+    monkeypatch.setattr(oracle, "beam_search", beam_missing_last_step)
+    failures = oracle.check_reductions(3, seed=0)
+    assert len(failures) == 6
+    for failure in failures:
+        assert re.fullmatch(r"model \d: width-[23] retained sets diverge at step \d+", failure), failure
+
+
+def test_check_pruning_reports_a_result_wider_than_max_width(monkeypatch):
+    monkeypatch.setattr(kernels, "prune_prefix", lambda values, mass_fraction, max_width: (
+        list(range(max_width + 1)), max_width + 1,
+    ))
+    failures = oracle.check_pruning(5, seed=0)
+    assert len(failures) == 5
+    for failure in failures:
+        got, cap = map(int, re.match(r"trial \d: retained (\d+) > max_width (\d+) \(n=", failure).groups())
+        assert got == cap + 1
+
+
+def test_check_exactness_reports_a_ppl_disagreement(monkeypatch):
+    def misscored(model, prompt, cfg):
+        result = multipath_decode(model, prompt, cfg)
+        chosen = dataclasses.replace(result.chosen, cum_logprob=result.chosen.cum_logprob - 0.5)
+        return dataclasses.replace(result, chosen=chosen)
+
+    monkeypatch.setattr(oracle, "multipath_decode", misscored)
+    failures = oracle.check_exactness(5, seed=0)
+    assert failures
+    for failure in failures:
+        assert re.fullmatch(r"model \d: ppl \S+ disagrees with enumerated \S+", failure), failure

@@ -28,11 +28,9 @@ from multipath.models import (
     StepDistribution,
     TableLM,
     Vocabulary,
-    dump_table_lm,
     greedy_trap_lm,
     perplexity,
     sequence_logprob,
-    table_lm_to_json,
     train_ngram,
 )
 from multipath.oracle import enumerate_finished
@@ -556,24 +554,6 @@ def test_perplexity_rejects_bad_inputs():
 
 # ---------------------------------------------------------------------------
 # table file format, read through cli.load_model
-
-
-def test_table_round_trip_is_byte_stable(tmp_path, trap_model):
-    path = tmp_path / "model.json"
-    dump_table_lm(trap_model, path)
-    loaded = load_model(path)
-    assert table_lm_to_json(loaded) == table_lm_to_json(trap_model)
-    assert loaded.vocabulary == trap_model.vocabulary
-    assert loaded.next_distribution((), ()).probs == (0.45, 0.55, 0.0)
-
-
-def test_table_json_rejects_prompt_rows():
-    model = TableLM(
-        vocabulary=ABC,
-        prompt_rows={((0,), ()): StepDistribution(probs=(1.0, 0.0, 0.0))},
-    )
-    with pytest.raises(ValueError, match="prompt-keyed"):
-        table_lm_to_json(model)
 
 
 def write_model(tmp_path, text):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -52,6 +53,12 @@ def test_task_domain_consistency():
 def test_task_rejects_empty_verify_cmd():
     with pytest.raises(ValueError, match="'verify_cmd' must be a non-empty list of strings"):
         Task(id="x", prompt="p", domain="code", verify_cmd=())
+
+
+@pytest.mark.parametrize("answer", [math.nan, math.inf, -math.inf])
+def test_task_rejects_a_non_finite_answer(answer):
+    with pytest.raises(ValueError, match="'answer' must be finite"):
+        Task(id="x", prompt="p", domain="math", answer=answer)
 
 
 def test_dataset_rejects_empty_and_duplicates():
@@ -127,7 +134,11 @@ def test_load_tasks_errors_name_the_line(tmp_path):
     ('{"id": "t2", "prompt": "q", "domain": "math", "verify_cmd": ["true"]}',
      "math tasks verify against a numeric answer"),
     ('{"id": "t2", "prompt": "q", "domain": "code", "answer": 1}', "code tasks verify via an external command"),
-], ids=["not-an-object", "non-string-id", "math-without-answer", "code-without-verify_cmd"])
+    # Python's json module reads these non-standard literals as floats.
+    ('{"id": "t2", "prompt": "q", "domain": "math", "answer": NaN}', "'answer' must be finite, got nan"),
+    ('{"id": "t2", "prompt": "q", "domain": "math", "answer": -Infinity}', "'answer' must be finite, got -inf"),
+], ids=["not-an-object", "non-string-id", "math-without-answer", "code-without-verify_cmd", "nan-answer",
+        "infinite-answer"])
 def test_load_tasks_rejects_malformed_line_naming_it(tmp_path, line, match):
     good = json.dumps({"id": "t1", "prompt": "q", "domain": "math", "answer": 1})
     path = write_jsonl(tmp_path, [good, line])

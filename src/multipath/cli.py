@@ -210,8 +210,8 @@ def load_model(path: str | Path) -> ModelInterface:
     """Load a model spec file.
 
     Accepted shapes: a table-model file ({"vocab", "eos", "rows", ...}), an
-    n-gram spec ({"kind": "ngram", "corpus"|"corpus_file", "order",
-    "add_k", "eos"?}), or a remote endpoint ({"kind": "remote", "url",
+    n-gram spec ({"kind": "ngram", exactly one of "corpus" and "corpus_file",
+    "order", "add_k", "eos"?}), or a remote endpoint ({"kind": "remote", "url",
     "vocab", "eos", "timeout"?, "retries"?}). A key its kind never reads is
     rejected, so a misspelt optional key cannot fall back to its default.
     """
@@ -229,8 +229,10 @@ def load_model(path: str | Path) -> ModelInterface:
     if kind == "table":
         return table_lm_from_spec(data, path)
     if kind == "ngram":
+        if ("corpus" in data) == ("corpus_file" in data):
+            raise LoadError(f"model file {path}: ngram spec needs 'corpus' text or 'corpus_file', exactly one of the two")
         corpus = data.get("corpus")
-        if corpus is None and "corpus_file" in data:
+        if "corpus_file" in data:
             if not isinstance(data["corpus_file"], str):
                 raise LoadError(f"model file {path}: 'corpus_file' must be a string")
             corpus_path = Path(data["corpus_file"])
@@ -241,7 +243,7 @@ def load_model(path: str | Path) -> ModelInterface:
             except OSError as exc:
                 raise LoadError(f"model file {path}: cannot read 'corpus_file' {corpus_path}: {exc}") from exc
         if not isinstance(corpus, str):
-            raise LoadError(f"model file {path}: ngram spec needs 'corpus' text or 'corpus_file'")
+            raise LoadError(f"model file {path}: 'corpus' must be a string")
         eos = data.get("eos", "</s>")
         if not isinstance(eos, str):
             raise LoadError(f"model file {path}: 'eos' must be a string")
@@ -317,6 +319,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     kinds = args.strategy
     if args.command == "bench" and len(kinds) != 1:
         raise ConfigError("bench takes exactly one --strategy; use compare for several")
+    repeated = sorted({kind for kind in kinds if kinds.count(kind) > 1})
+    if repeated:
+        raise ConfigError(f"--strategy (config key 'strategy') names {', '.join(map(repr, repeated))} more than once")
     sampler_cfg = _sampler_config(args)
     multipath_cfg = _multipath_config(args)
     provider = _build_provider(args) if any(kind in FEEDBACK_GATED for kind in kinds) else None
@@ -359,6 +364,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    for key in ("models", "trials"):
+        if getattr(args, key) < 0:
+            raise ConfigError(f"--{key} (config key {key!r}) must be >= 0, got {getattr(args, key)!r}")
     mutate = args.mutate
     suites = (
         ("decode-exactness",

@@ -178,7 +178,7 @@ def nucleus_sample(model: ModelInterface, prompt: Sequence[int], cfg: SamplerCon
     rng = random.Random(cfg.seed)
 
     def pick(dist: StepDistribution) -> int:
-        # The same support as kernels.nucleus_prefix(dist.probs, top_p, top_k).
+        # The same support as kernels.nucleus_prefix over the dense row.
         top = dist.ranked(cfg.top_k)
         return _draw(rng, top[: kernels.nucleus_count((p for _, p in top), cfg.top_p)])
 

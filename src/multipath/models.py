@@ -94,13 +94,13 @@ def _log(p: float) -> float:
 class StepDistribution:
     """Next-token distribution for one decoding step.
 
-    A row is held once, sparsely: every token has probability ``floor``
-    except the tokens in ``entries`` (token -> probability). A dense table
-    row has floor 0 and lists its positive entries; an add-k n-gram row has
-    floor add_k/denom and lists its seen successors. ``probs`` and
-    ``logprobs`` are the dense linear- and log-domain tuples, each built on
-    first read and kept; the decoders read neither: the multipath decoder
-    reads ``children(k)``, the single-path decoders ``ranked(k)``.
+    A row has one form, sparse: every token has probability ``floor``
+    except the tokens in ``entries`` (token -> probability). A table row has
+    floor 0 and lists its positive entries; an add-k n-gram row has floor
+    add_k/denom and lists its seen successors. A row is read through
+    ``logprob(t)``, ``children(k)`` (the multipath decoder) and ``ranked(k)``
+    (the single-path decoders); ``ranked(len(row))`` is the whole row.
+    Rows compare by identity.
 
     ``StepDistribution(probs=...)`` validates the row: every entry must lie
     in [0, 1] and the entries must sum to 1 within DISTRIBUTION_SUM_TOL.
@@ -125,7 +125,6 @@ class StepDistribution:
                 f"not normalized: row sum {total!r} != 1 (entries must sum to 1 within {DISTRIBUTION_SUM_TOL})"
             )
         self._hold(len(probs), 0.0, {t: p for t, p in enumerate(probs) if p > 0.0})
-        self.__dict__["probs"] = probs
 
     @classmethod
     def _trusted(cls, size: int, floor: float, entries: dict[int, float]) -> "StepDistribution":
@@ -146,31 +145,19 @@ class StepDistribution:
     def __len__(self) -> int:
         return self._size
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StepDistribution):
-            return NotImplemented
-        return self.probs == other.probs
-
-    __hash__ = None  # type: ignore[assignment]
-
     def __repr__(self) -> str:
         return f"StepDistribution(size={len(self)}, floor={self._floor!r}, entries={self._entries!r})"
 
-    def _dense(self, floor: float, entries: Iterable[tuple[int, float]]) -> tuple[float, ...]:
-        row = [floor] * self._size
-        for t, v in entries:
-            row[t] = v
-        return tuple(row)
-
-    @cached_property
-    def probs(self) -> tuple[float, ...]:
-        """The row as a dense tuple of linear-domain probabilities."""
-        return self._dense(self._floor, self._entries.items())
-
     @cached_property
     def logprobs(self) -> tuple[float, ...]:
-        """The row as a dense tuple of natural-log probabilities (-inf for 0)."""
-        return self._dense(_log(self._floor), ((t, _log(p)) for t, p in self._entries.items()))
+        """The row as a dense tuple of natural-log probabilities (-inf for 0),
+        built on first read and kept. No code of this package reads it; it
+        stays for the benchmark's tracer. The floor's log is taken once, not
+        once per floor token as ``logprob(t)`` per token would."""
+        row = [_log(self._floor)] * self._size
+        for t, p in self._entries.items():
+            row[t] = _log(p)
+        return tuple(row)
 
     def logprob(self, token: int) -> float:
         """Natural-log probability of ``token`` (-inf for 0)."""

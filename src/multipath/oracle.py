@@ -45,26 +45,24 @@ def random_table_lm(rng: random.Random, max_vocab: int = 4, max_len: int = 5) ->
     letters = LETTERS[: vocab_size - 1]
     vocab = Vocabulary(tokens=letters + ("$",), eos_id=vocab_size - 1)
 
-    def random_row(force_eos: bool) -> StepDistribution:
-        ids = list(range(vocab_size))
+    def random_weights(force_eos: bool) -> dict[int, int]:
+        """Token -> positive integer weight, for a random support."""
         size = rng.randint(1, vocab_size)
-        support = set(rng.sample(ids, size))
+        support = set(rng.sample(range(vocab_size), size))
         if force_eos:
             support.add(vocab.eos_id)
-        weights = {t: rng.randint(1, MAX_WEIGHT) for t in support}
-        total = sum(weights.values())
-        return StepDistribution(probs=tuple(weights.get(t, 0) / total for t in ids))
+        return {t: rng.randint(1, MAX_WEIGHT) for t in support}
 
     rows: dict[tuple[int, ...], StepDistribution] = {}
     contexts: list[tuple[int, ...]] = [()]
     for depth in range(horizon):
         next_contexts: list[tuple[int, ...]] = []
         for ctx in contexts:
-            row = random_row(force_eos=depth == horizon - 1 or rng.random() < 0.5)
-            rows[ctx] = row
-            for t in range(vocab_size):
-                if t != vocab.eos_id and row.probs[t] > 0.0 and depth + 1 < horizon:
-                    next_contexts.append(ctx + (t,))
+            weights = random_weights(force_eos=depth == horizon - 1 or rng.random() < 0.5)
+            total = sum(weights.values())
+            rows[ctx] = StepDistribution(probs=tuple(weights.get(t, 0) / total for t in range(vocab_size)))
+            if depth + 1 < horizon:
+                next_contexts += [ctx + (t,) for t in sorted(weights) if t != vocab.eos_id]
         contexts = next_contexts
     default = StepDistribution.uniform(vocab_size) if rng.random() < 0.5 else None
     return TableLM(vocabulary=vocab, rows=rows, default=default), horizon
@@ -87,7 +85,8 @@ def enumerate_finished(model: ModelInterface, prompt: Sequence[int], max_len: in
         if len(path) >= max_len:
             return
         dist = model.next_distribution(prompt, path.tokens)
-        for t, lp in enumerate(dist.logprobs):
+        for t in range(len(dist)):
+            lp = dist.logprob(t)
             if lp != -math.inf:
                 walk(path.extended(t, lp, eos))
 

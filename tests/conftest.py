@@ -1,4 +1,5 @@
-"""Shared fixtures: canonical demo models and the bundled data directory."""
+"""Shared fixtures: canonical demo models and the bundled data directory,
+and ``row_probs``, the one way tests compare model rows."""
 
 from __future__ import annotations
 
@@ -10,6 +11,16 @@ from multipath.models import greedy_trap_lm
 from multipath.toydata import make_digit_dataset, make_digit_model
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+
+
+def row_probs(row) -> tuple[float, ...]:
+    """Every token's probability, in token order.
+
+    Read through the public ``ranked(len(row))``, which lists every token
+    once with its exact probability. A row has no dense form and defines no
+    equality, so tests compare rows by this tuple.
+    """
+    return tuple(p for _, p in sorted(row.ranked(len(row))))
 
 
 @pytest.fixture(scope="session")

@@ -362,7 +362,7 @@ TABLE_SPEC = {"vocab": ["a", "$"], "eos": "$", "rows": [{"context": [], "probs":
     (dict(NGRAM_SPEC, add_k=None), "add_k"),
     (dict(NGRAM_SPEC, add_k=float("nan")), "add_k"),
     (dict(NGRAM_SPEC, eos=0), "eos"),
-    (dict(NGRAM_SPEC, corpus=None, corpus_file=1), "corpus_file"),
+    ({"kind": "ngram", "corpus_file": 1}, "corpus_file"),
     (dict(TABLE_SPEC, vocab="a$"), "vocab"),
     (dict(TABLE_SPEC, vocab=["a", 1, "$"]), "vocab"),
     (dict(TABLE_SPEC, rows={}), "rows"),
@@ -372,7 +372,8 @@ TABLE_SPEC = {"vocab": ["a", "$"], "eos": "$", "rows": [{"context": [], "probs":
     (dict(REMOTE_SPEC, timeout=-1), "timeout"),
     (dict(REMOTE_SPEC, retries=-1), "retries"),
     (dict(TABLE_SPEC, rows=[["a"]]), "context"),
-    (dict(NGRAM_SPEC, corpus=None, corpus_file="absent.txt"), "corpus_file"),
+    ({"kind": "ngram", "corpus_file": "absent.txt"}, "corpus_file"),
+    ({"kind": "ngram", "corpus": 1}, "corpus"),
 ])
 def test_load_model_rejects_wrong_json_types_with_exit_2(capsys, tmp_path, spec, key):
     path = tmp_path / "model.json"
@@ -391,6 +392,9 @@ def test_load_model_rejects_wrong_json_types_with_exit_2(capsys, tmp_path, spec,
     (dict(REMOTE_SPEC, timout=1, retry=0), "unknown key(s) 'retry', 'timout'; remote specs read only"),
     (dict(TABLE_SPEC, kind="table"), "unknown key(s) 'kind'; table specs read only 'default', 'eos', 'rows'"),
     (dict(TABLE_SPEC, defualt=[0.5, 0.5]), "unknown key(s) 'defualt'"),
+    # corpus_file would be ignored, even though it is not a string
+    (dict(NGRAM_SPEC, corpus="a b c\nb c a", corpus_file=5, order=1),
+     "ngram spec needs 'corpus' text or 'corpus_file', exactly one of the two"),
 ])
 def test_load_model_rejects_bad_values_with_exit_2(capsys, tmp_path, spec, match):
     path = tmp_path / "model.json"
@@ -544,6 +548,24 @@ def test_compare_rejects_bad_input_before_any_strategy_runs(tmp_path, toy_model_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--strategy", "none", "--strategy", "none"], None),
+    ([], {"strategy": ["none", "critic_prompt", "none"]}),
+], ids=["flags", "config"])
+def test_compare_rejects_a_repeated_strategy_before_writing(capsys, tmp_path, toy_model_path, toy_dataset_path,
+                                                             flags, config):
+    # Running a strategy twice would overwrite its report and attempts log
+    # and write two identical rows to compare.csv.
+    out = tmp_path / "out"
+    argv = ["compare", "--model", toy_model_path, "--dataset", toy_dataset_path, "--out", str(out)] + flags
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    assert "error: --strategy (config key 'strategy') names 'none' more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--decoder", "beam"], ["--beam", "99"]])
 def test_bench_and_compare_take_no_decode_only_flag(capsys, tmp_path, toy_model_path, toy_dataset_path, flags):
     # --decoder and --beam choose decode's decoder; bench and compare always
@@ -681,6 +703,21 @@ def test_oracle_check_exits_1_when_a_mutation_goes_undetected(capsys):
     captured = capsys.readouterr()
     assert "prune-minimality: ok" in captured.out
     assert "mutation 'prune-off-by-one' was not detected by any check" in captured.err
+
+
+@pytest.mark.parametrize("flags, config, key", [
+    (["--models", "-3"], {}, "models"),
+    (["--trials", "-1"], {}, "trials"),
+    ([], {"models": -3, "trials": 5}, "models"),
+    ([], {"trials": -1}, "trials"),
+], ids=["models-flag", "trials-flag", "models-config", "trials-config"])
+def test_oracle_check_rejects_a_negative_count(capsys, tmp_path, flags, config, key):
+    # A negative count would run no check at all and still print "ok".
+    (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["oracle-check", "--config", str(tmp_path / "cfg.json")] + flags) == 2
+    captured = capsys.readouterr()
+    assert f"error: --{key} (config key '{key}') must be >= 0, got -" in captured.err
+    assert captured.out == ""
 
 
 def test_oracle_check_detects_injected_selection_defect(capsys):

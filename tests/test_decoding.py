@@ -9,6 +9,7 @@ import re
 from unittest import mock
 
 import pytest
+from conftest import row_probs
 from hypothesis import assume, given, strategies as st
 
 from multipath import decoding, kernels, oracle
@@ -242,7 +243,8 @@ def drawn_supports(decode, model, cfg):
 def test_sparse_supports_match_dense_kernels(row, data, top_p):
     size = len(row)
     k = data.draw(st.integers(min_value=1, max_value=size + 2), label="k")
-    probs = row.probs
+    # The dense row, read from the sparse store itself: ranked() is under test.
+    probs = tuple(row._entries.get(t, row._floor) for t in range(size))
     dense = sorted(range(size), key=probs.__getitem__, reverse=True)
     assert row.ranked(k) == tuple((t, probs[t]) for t in dense[:k])
 
@@ -258,9 +260,9 @@ def test_sparse_supports_match_dense_kernels(row, data, top_p):
     assert support == [(t, probs[t]) for t in kernels.topk_indices(probs, result.k_trace[0])]
 
 
-def test_single_path_decoders_build_no_dense_row():
+def test_every_decoder_builds_no_dense_row():
     # A V=1200 add-k bigram model: every row is sparse, and a decoder that
-    # read its dense probs or logprobs would leave them cached on the row.
+    # read its dense logprobs would leave them cached on the row.
     rng = random.Random(4)
     words = [f"w{i}" for i in range(1199)]
     corpus = "\n".join(" ".join(words[i:i + 10] + rng.sample(words, 3)) for i in range(0, len(words), 10))
@@ -279,9 +281,11 @@ def test_single_path_decoders_build_no_dense_row():
         nucleus_sample(model, prompt, SamplerConfig(seed=seed, max_len=20))
         greedy_decode(model, prompt, max_len=20)
         adaptive_decode(model, prompt, AdaptiveConfig(seed=seed, max_len=20))
+        multipath_decode(model, prompt, MultipathConfig(max_len=20))
+        beam_search(model, prompt, BeamConfig(max_len=20))
     assert handed
     for row in handed:
-        assert not {"probs", "logprobs"} & vars(row).keys(), row
+        assert "logprobs" not in vars(row), row
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +352,10 @@ def untrimmed_retained_trace(model, cfg):
         if not actives:
             break
         pool = [
-            parent.extended(t, lp, eos)
+            parent.extended(t, math.log(p), eos)
             for parent in actives
-            for t, lp in enumerate(model.next_distribution((), parent.tokens).logprobs)
-            if lp != -math.inf
+            for t, p in enumerate(row_probs(model.next_distribution((), parent.tokens)))
+            if p > 0.0
         ]
         keep, _ = oracle.prune_scan([p.cum_logprob for p in pool], cfg.mass_fraction, cfg.max_width)
         retained = [pool[i] for i in keep]
@@ -581,6 +585,23 @@ def test_check_pruning_reports_a_result_wider_than_max_width(monkeypatch):
     for failure in failures:
         got, cap = map(int, re.match(r"trial \d: retained (\d+) > max_width (\d+) \(n=", failure).groups())
         assert got == cap + 1
+
+
+def test_check_exactness_builds_no_dense_row(monkeypatch):
+    # The enumeration reads each row through logprob(t); reading a row's
+    # dense logprobs would leave them cached on it.
+    models = []
+
+    def recording(rng):
+        models.append(random_table_lm(rng))
+        return models[-1]
+
+    monkeypatch.setattr(oracle, "random_table_lm", recording)
+    assert oracle.check_exactness(20, seed=0) == []
+    rows = [row for model, _ in models for row in model._rows.values()]
+    assert len(rows) > 20
+    for row in rows:
+        assert "logprobs" not in vars(row), row
 
 
 def test_check_exactness_reports_a_ppl_disagreement(monkeypatch):

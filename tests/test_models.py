@@ -7,6 +7,7 @@ import random
 import tracemalloc
 
 import pytest
+from conftest import row_probs
 
 from multipath import kernels
 from multipath.cli import load_model
@@ -34,6 +35,7 @@ from multipath.models import (
     train_ngram,
 )
 from multipath.oracle import enumerate_finished
+from multipath.remote import _parse_distribution
 
 ABC = Vocabulary(tokens=("a", "b", "c"), eos_id=2)
 
@@ -85,8 +87,22 @@ def test_vocabulary_from_tokens():
 
 def test_distribution_accepts_ints_and_normalizes_types():
     dist = StepDistribution(probs=(1, 0))
-    assert dist.probs == (1.0, 0.0)
+    assert row_probs(dist) == (1.0, 0.0)
+    assert all(type(p) is float for p in row_probs(dist))
     assert len(dist) == 2
+
+
+def test_no_row_holds_a_dense_form():
+    rows = {
+        "validated": StepDistribution(probs=(1, 0)),
+        "uniform": StepDistribution.uniform(3),
+        "table": greedy_trap_lm().next_distribution((), ()),
+        "ngram": train_ngram("a b a", order=1, add_k=0.5).next_distribution((), (0,)),
+        "wire": _parse_distribution({"logprobs": [math.log(0.5), None, math.log(0.5)]}, 3, "x"),
+    }
+    for kind, row in rows.items():
+        assert not hasattr(row, "probs"), kind
+        assert "logprobs" not in vars(row), kind
 
 
 def test_distribution_rejects_out_of_range():
@@ -101,16 +117,9 @@ def test_distribution_rejects_bad_sum():
 
 def test_distribution_logprobs_map_zero_to_neg_inf():
     dist = StepDistribution(probs=(0.5, 0.5, 0.0))
-    assert dist.logprobs == (math.log(0.5), math.log(0.5), -math.inf)
-
-
-def test_distribution_equality_compares_values():
-    # A dense row and a floor-only row holding the same probabilities are equal.
-    assert StepDistribution(probs=(0.25,) * 4) == StepDistribution.uniform(4)
-    assert StepDistribution(probs=(0.5, 0.5, 0.0)) != StepDistribution(probs=(0.5, 0.0, 0.5))
-    assert StepDistribution(probs=(1.0, 0.0)) != StepDistribution(probs=(1.0, 0.0, 0.0))
-    with pytest.raises(TypeError):
-        hash(StepDistribution.uniform(2))
+    want = (math.log(0.5), math.log(0.5), -math.inf)
+    assert tuple(map(dist.logprob, range(3))) == want
+    assert dist.logprobs == want
 
 
 def test_distribution_entropy():
@@ -166,7 +175,7 @@ def test_token_ids_are_checked_where_they_enter(trap_model):
 def test_next_distribution_is_pure(trap_model):
     a = trap_model.next_distribution((), (0,))
     b = trap_model.next_distribution((), (0,))
-    assert a.probs == b.probs
+    assert row_probs(a) == row_probs(b)
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +192,9 @@ def test_table_lookup_order_prompt_then_prefix_then_default():
         default=row_default,
         prompt_rows={((1,), (0,)): row_prompt},
     )
-    assert model.next_distribution((1,), (0,)).probs == row_prompt.probs
-    assert model.next_distribution((0,), (0,)).probs == row_prefix.probs
-    assert model.next_distribution((0,), (1,)).probs == row_default.probs
+    assert model.next_distribution((1,), (0,)) is row_prompt
+    assert model.next_distribution((0,), (0,)) is row_prefix
+    assert model.next_distribution((0,), (1,)) is row_default
 
 
 def test_table_missing_row_and_no_default():
@@ -210,8 +219,8 @@ def test_greedy_trap_rows():
     model = greedy_trap_lm()
     assert model.vocabulary.tokens == ("a", "b", "$")
     step0 = model.next_distribution((), ())
-    assert step0.probs == (0.45, 0.55, 0.0)
-    assert model.next_distribution((), (0,)).probs == (0.05, 0.05, 0.9)
+    assert row_probs(step0) == (0.45, 0.55, 0.0)
+    assert row_probs(model.next_distribution((), (0,))) == (0.05, 0.05, 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -222,22 +231,22 @@ def test_ngram_conditional_counts():
     model = train_ngram("a b a b", order=1, add_k=1.0)
     assert model.vocabulary.tokens == ("a", "b", "</s>")
     a, b = model.vocabulary.encode("a b")
-    dist = model.next_distribution((), (a,))
+    probs = row_probs(model.next_distribution((), (a,)))
     # count(a -> b) = 2 out of 2, so (2+1)/(2+3)
-    assert dist.probs[b] == pytest.approx(0.6)
-    assert dist.probs[a] == pytest.approx(0.2)
+    assert probs[b] == pytest.approx(0.6)
+    assert probs[a] == pytest.approx(0.2)
 
 
 def test_ngram_line_end_counts_as_eos_transition():
     model = train_ngram("a a b", order=1, add_k=1.0)
     a, b = model.vocabulary.encode("a b")
-    dist = model.next_distribution((), (a,))
-    assert dist.probs[a] == pytest.approx(0.4)
-    assert dist.probs[b] == pytest.approx(0.4)
-    assert dist.probs[model.vocabulary.eos_id] == pytest.approx(0.2)
-    after_b = model.next_distribution((), (b,))
+    probs = row_probs(model.next_distribution((), (a,)))
+    assert probs[a] == pytest.approx(0.4)
+    assert probs[b] == pytest.approx(0.4)
+    assert probs[model.vocabulary.eos_id] == pytest.approx(0.2)
+    after_b = row_probs(model.next_distribution((), (b,)))
     # b is always line final: (1+1)/(1+3)
-    assert after_b.probs[model.vocabulary.eos_id] == pytest.approx(0.5)
+    assert after_b[model.vocabulary.eos_id] == pytest.approx(0.5)
 
 
 def test_ngram_context_includes_prompt():
@@ -245,14 +254,14 @@ def test_ngram_context_includes_prompt():
     a, b = model.vocabulary.encode("a b")
     from_prompt = model.next_distribution((a, b), ())
     from_prefix = model.next_distribution((), (a, b))
-    assert from_prompt.probs == from_prefix.probs
+    assert row_probs(from_prompt) == row_probs(from_prefix)
 
 
 def test_ngram_unseen_context_is_uniform():
     model = train_ngram("a b", order=3, add_k=1.0)
     a, b = model.vocabulary.encode("a b")
     dist = model.next_distribution((), (b, b, b))
-    assert dist.probs == (pytest.approx(1 / 3),) * 3
+    assert row_probs(dist) == (pytest.approx(1 / 3),) * 3
 
 
 def test_ngram_rejects_bad_params():
@@ -410,11 +419,12 @@ def test_sparse_row_children_match_dense_trim():
         if row is None:
             continue
         size = len(row)
-        assert StepDistribution(probs=row.probs).logprobs == row.logprobs
+        logprobs = tuple(map(row.logprob, range(size)))
+        assert tuple(map(StepDistribution(probs=row_probs(row)).logprob, range(size))) == logprobs
         ks = list(range(size + 2)) * 2
         ask_rng.shuffle(ks)
         for k in ks:
-            assert row.children(k) == dense_children(tuple(row.logprobs), k), (row, k)
+            assert row.children(k) == dense_children(logprobs, k), (row, k)
 
 
 def test_ranked_orders_by_probability_not_by_logprob():
@@ -437,7 +447,7 @@ def test_sparse_row_entropy_matches_dense_formula_bit_for_bit():
         row = random_sparse_row(rng, 300)
         if row is None:
             continue
-        dense = -math.fsum(p * math.log(p) for p in row.probs if p > 0.0)
+        dense = -math.fsum(p * math.log(p) for p in row_probs(row) if p > 0.0)
         assert row.entropy().hex() == dense.hex(), row
         floors.add(row._floor > 0.0)
     assert floors == {False, True}
@@ -458,7 +468,7 @@ def test_ngram_hands_out_one_row_per_context():
         unseen = [(eos,), (a, eos), (eos, eos, eos), (eos, a, b)[-order:] + (eos,), (d, eos, eos)]
         rows = [model.next_distribution(prompt[:1], prompt[1:]) for prompt in unseen]
         assert all(row is rows[0] for row in rows)
-        floor = rows[0].logprobs[0]
+        floor = rows[0].logprob(0)
         assert rows[0].children(3) == tuple((t, floor) for t in range(3))
         seen = model.next_distribution((), (a,))
         assert seen is not rows[0] and seen.children(1) != rows[0].children(1)
@@ -483,9 +493,8 @@ def test_ngram_sparse_rows_match_dense_formula_bit_for_bit():
             dist = model.next_distribution((), ctx)
             probs, logprobs = dense_ngram_row(corpus, order, add_k, vocab, ctx[-order:])
             assert len(dist) == vocab.size
-            assert [dist.logprobs[t] for t in range(vocab.size)] == list(logprobs)
-            assert tuple(dist.logprobs) == logprobs
-            assert [dist.probs[t] for t in range(vocab.size)] == list(probs)
+            assert tuple(map(dist.logprob, range(vocab.size))) == logprobs
+            assert row_probs(dist) == probs
             floor = min(logprobs)
             seen = [v for v in logprobs if v != floor]
             unseen += not seen
@@ -532,10 +541,10 @@ def test_sequence_logprob_builds_no_dense_row():
     got = sequence_logprob(model, ids[:1], ids[1:])
     assert len(handed) == len(ids) - 1
     for row in handed:
-        assert not {"probs", "logprobs"} & vars(row).keys(), row
+        assert "logprobs" not in vars(row), row
     want = 0.0
     for row, token in zip(handed, ids[1:]):
-        want += row.logprobs[token]
+        want += math.log(row_probs(row)[token])
     assert got == want
 
 
@@ -630,4 +639,4 @@ def test_load_rejects_bad_default_row(tmp_path):
 def test_load_accepts_default_row(tmp_path):
     text = '{"vocab": ["a", "$"], "eos": "$", "rows": [], "default": [0.25, 0.75]}'
     model = load_model(write_model(tmp_path, text))
-    assert model.next_distribution((), (0, 0)).probs == (0.25, 0.75)
+    assert row_probs(model.next_distribution((), (0, 0))) == (0.25, 0.75)

@@ -9,6 +9,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from conftest import row_probs
 
 from multipath.correction import GroundTruthProvider, run_protocol
 from multipath.decoding import MultipathConfig, SamplerConfig, greedy_decode
@@ -62,7 +63,7 @@ def responder(model):
 
     def respond(path, payload):
         dist = model.next_distribution(payload["prompt_tokens"], payload["prefix_tokens"])
-        return 200, {"logprobs": [math.log(p) if p > 0.0 else None for p in dist.probs]}
+        return 200, {"logprobs": [math.log(p) if p > 0.0 else None for p in row_probs(dist)]}
 
     return respond
 
@@ -75,9 +76,9 @@ trap_responder = responder(greedy_trap_lm())
 
 
 def test_parse_distribution_accepts_nulls_as_zero():
-    dist = _parse_distribution({"logprobs": [math.log(0.5), math.log(0.5), None]}, 3, "x")
-    assert dist.probs[2] == 0.0
-    assert dist.probs[0] == pytest.approx(0.5)
+    probs = row_probs(_parse_distribution({"logprobs": [math.log(0.5), math.log(0.5), None]}, 3, "x"))
+    assert probs[2] == 0.0
+    assert probs[0] == pytest.approx(0.5)
 
 
 def test_parse_distribution_rejects_shape_errors():
@@ -182,7 +183,7 @@ def test_http_client_retry_recovers(server):
     server.respond = flaky
     client = HttpModelClient(ABC, server.url, retries=1)
     dist = client.next_distribution((), ())
-    assert dist.probs == (0.45, 0.55, 0.0)
+    assert row_probs(dist) == (0.45, 0.55, 0.0)
     assert calls["n"] == 2
 
 

@@ -65,10 +65,9 @@ from .correction import (
 )
 from .evaluation import (
     ChangeMatrix,
-    CostModel,
     RunReport,
     breakeven_regen_fraction,
-    cost_estimate,
+    cost_ratio,
     reports_to_csv,
     score_run,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "BeamConfig",
     "ChangeMatrix",
     "ConfigError",
-    "CostModel",
     "Dataset",
     "DecodeResult",
     "FeedbackProvider",
@@ -112,7 +110,7 @@ __all__ = [
     "beam_search",
     "breakeven_regen_fraction",
     "collect_feedback",
-    "cost_estimate",
+    "cost_ratio",
     "derive_seed",
     "extract_bracket_answer",
     "greedy_decode",

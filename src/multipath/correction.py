@@ -261,8 +261,9 @@ def _load_resume(path: Path, strategy_kind: str) -> dict[str, tuple[Attempt, Att
 
     A run killed mid-write leaves an unterminated last line; it is dropped
     and the file truncated to its last newline, so appends start on a clean
-    line. Any other malformed line, including a pair no run writes, raises
-    LoadError naming the file and the line.
+    line. Any other malformed line, including a pair no run writes (such as
+    an answer its text does not give), raises LoadError naming the file and
+    the line.
     """
     done: dict[str, tuple[Attempt, Attempt]] = {}
     if not path.exists():
@@ -288,6 +289,10 @@ def _load_resume(path: Path, strategy_kind: str) -> dict[str, tuple[Attempt, Att
                 raise ValueError(f"strategies differ: {initial.strategy!r}, {final.strategy!r}")
             if final.stage == INITIAL and final != initial:
                 raise ValueError("a final attempt of stage 'initial' must equal the initial attempt")
+            for attempt in (initial, final):
+                answer = extract_bracket_answer(attempt.text)
+                if type(attempt.answer) is not type(answer) or attempt.answer != answer:
+                    raise ValueError(f"answer {attempt.answer!r} is not {answer!r}, the answer its text gives")
         except ValueError as exc:
             raise LoadError(f"attempts log {path}, line {number}: {exc}") from exc
         if initial.strategy == strategy_kind:

@@ -5,17 +5,19 @@ inference time: t is the mean stage-1 tokens per task, p the fraction of
 tasks regenerated in stage 2, n the mean ratio of tokens generated to steps
 taken by the regenerating decoder (its average width). Estimated totals
 follow the closed forms: single pass N*t, prompt-based two-pass 2*N*t,
-regenerate-on-negative N*t*(1 + p*n); the break-even point is p*n = 1.
+regenerate-on-negative N*t*(1 + p*n). cost_ratio gives them in units of
+N*t, so neither N nor t enters it; the break-even point is p*n = 1.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .correction import CORRECTED, Attempt
+from .correction import CORRECTED, STRATEGY_KINDS, Attempt
 from .tasks import Dataset, Task, verify
 
 CSV_COLUMNS = (
@@ -38,20 +40,10 @@ class ChangeMatrix:
             raise ValueError("counts must be >= 0")
 
     @classmethod
-    def from_verdicts(cls, initial: Sequence[bool], final: Sequence[bool]) -> "ChangeMatrix":
-        if len(initial) != len(final):
-            raise ValueError(f"{len(initial)} initial verdicts but {len(final)} final")
-        cc = ci = ic = ii = 0
-        for before, after in zip(initial, final):
-            if before and after:
-                cc += 1
-            elif before:
-                ci += 1
-            elif after:
-                ic += 1
-            else:
-                ii += 1
-        return cls(cc=cc, ci=ci, ic=ic, ii=ii)
+    def from_verdicts(cls, verdicts: Iterable[tuple[bool, bool]]) -> "ChangeMatrix":
+        """Tally (initial, final) verdict pairs."""
+        n = Counter(verdicts)
+        return cls(cc=n[True, True], ci=n[True, False], ic=n[False, True], ii=n[False, False])
 
     @property
     def total(self) -> int:
@@ -61,37 +53,21 @@ class ChangeMatrix:
         return (self.cc + self.ic) / self.total
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Closed-form cost inputs: N samples, unit time t, regenerated fraction
-    p, mean decoder width n."""
-
-    samples: int
-    unit_time: float
-    regen_fraction: float
-    mean_width: float
-
-    def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.unit_time <= 0.0:
-            raise ValueError(f"unit_time must be > 0, got {self.unit_time}")
-        if not 0.0 <= self.regen_fraction <= 1.0:
-            raise ValueError(f"regen_fraction must be in [0, 1], got {self.regen_fraction}")
-        if self.mean_width < 1.0:
-            raise ValueError(f"mean_width must be >= 1, got {self.mean_width}")
-
-
-def cost_estimate(cost: CostModel, strategy_kind: str) -> float:
-    """Estimated total inference time for a strategy over the dataset."""
-    base = cost.samples * cost.unit_time
+def cost_ratio(strategy_kind: str, regen_fraction: float, mean_width: float) -> float:
+    """Estimated cost of a strategy's run in single passes (units of N*t):
+    1 for none, 2 for a prompt-based second pass, 1 + p*n for
+    regenerate-on-negative."""
+    if strategy_kind not in STRATEGY_KINDS:
+        raise ValueError(f"unknown strategy kind {strategy_kind!r}; expected one of {STRATEGY_KINDS}")
+    if not 0.0 <= regen_fraction <= 1.0:
+        raise ValueError(f"regen_fraction must be in [0, 1], got {regen_fraction}")
+    if mean_width < 1.0:
+        raise ValueError(f"mean_width must be >= 1, got {mean_width}")
     if strategy_kind == "none":
-        return base
-    if strategy_kind in ("feedback_as_prompt", "critic_prompt", "ioe_prompt"):
-        return 2.0 * base
+        return 1.0
     if strategy_kind == "ftr_indicator":
-        return base * (1.0 + cost.regen_fraction * cost.mean_width)
-    raise ValueError(f"unknown strategy kind {strategy_kind!r}")
+        return 1.0 + regen_fraction * mean_width
+    return 2.0
 
 
 def breakeven_regen_fraction(mean_width: float) -> float:
@@ -167,21 +143,7 @@ def score_run(
     if missing:
         raise ValueError(f"no attempt pair for tasks: {missing}")
 
-    def verdicts(pair: tuple[Attempt, Attempt]) -> tuple[bool, bool]:
-        initial, final = pair
-        task = by_task[initial.task_id]
-        before = verify(task, initial.text, timeout=timeout)
-        # An identity stage 2 cannot change the verdict; skip re-verifying.
-        after = before if final.stage != CORRECTED else verify(task, final.text, timeout=timeout)
-        return before, after
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            verdict_pairs = list(pool.map(verdicts, pairs))
-    else:
-        verdict_pairs = [verdicts(p) for p in pairs]
-
-    matrix = ChangeMatrix.from_verdicts([v[0] for v in verdict_pairs], [v[1] for v in verdict_pairs])
+    # The cost comes from the pairs alone, so it is priced before verifying.
     size = len(pairs)
     tokens_stage1 = sum(initial.tokens_generated for initial, _ in pairs)
     corrected = [final for _, final in pairs if final.stage == CORRECTED]
@@ -193,14 +155,22 @@ def score_run(
         sum(a.tokens_generated / a.steps for a in corrected) / regenerated
         if regenerated else 1.0
     )
-    cost = CostModel(
-        samples=size,
-        unit_time=unit_tokens,
-        regen_fraction=regen_fraction,
-        mean_width=mean_width,
-    )
-    est_cost_ratio = cost_estimate(cost, strategy_kind) / (size * unit_tokens)
+    est_cost_ratio = cost_ratio(strategy_kind, regen_fraction, mean_width)
     measured_cost_ratio = (tokens_stage1 + tokens_stage2) / tokens_stage1
+
+    def verdicts(pair: tuple[Attempt, Attempt]) -> tuple[bool, bool]:
+        initial, final = pair
+        task = by_task[initial.task_id]
+        before = verify(task, initial.text, timeout=timeout)
+        # An identity stage 2 cannot change the verdict; skip re-verifying.
+        after = before if final.stage != CORRECTED else verify(task, final.text, timeout=timeout)
+        return before, after
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            matrix = ChangeMatrix.from_verdicts(pool.map(verdicts, pairs))
+    else:
+        matrix = ChangeMatrix.from_verdicts(map(verdicts, pairs))
 
     return RunReport(
         strategy=strategy_kind,

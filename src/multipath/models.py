@@ -420,7 +420,8 @@ def train_ngram(
         ids.append(_EOS)
         # The first ``order`` positions have the shorter contexts.
         grams.update(tuple(ids[:pos + 1]) for pos in range(min(order, len(ids))))
-        grams.update(zip(*(ids[shift:] for shift in range(order + 1))))
+        if len(ids) > order:  # else the line has no full-length n-gram
+            grams.update(zip(*(ids[shift:] for shift in range(order + 1))))
     if not first_seen:
         raise TrainingError("corpus is empty")
     if eos_token in first_seen:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import urllib.error
+import urllib.parse
 import urllib.request
 
 from .errors import ProtocolError, TransportError
@@ -70,9 +71,12 @@ def _http_post_json(url: str, payload: dict, timeout: float) -> object:
         raise ProtocolError(f"POST {url}: response is not valid JSON: {exc}") from exc
 
 
-def _check_settings(timeout: float, retries: int) -> None:
-    """Raise ValueError unless ``timeout`` is a finite number of seconds > 0
-    (a socket rejects an infinite one) and ``retries`` >= 0."""
+def _check_settings(url: str, timeout: float, retries: int) -> None:
+    """Raise ValueError unless ``url`` is http(s) (urllib would also open a
+    file: URL), ``timeout`` is a finite number of seconds > 0 (a socket
+    rejects an infinite one) and ``retries`` >= 0."""
+    if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+        raise ValueError(f"the URL must be http:// or https://, got {url!r}")
     if not 0 < timeout < math.inf:
         raise ValueError(f"'timeout' must be finite and > 0 seconds, got {timeout!r}")
     if retries < 0:
@@ -101,7 +105,7 @@ class HttpModelClient(ModelInterface):
         retries: int = 2,
     ):
         super().__init__(vocabulary)
-        _check_settings(timeout, retries)
+        _check_settings(url, timeout, retries)
         self._url = url
         self._timeout = timeout
         self._retries = retries
@@ -123,7 +127,7 @@ class JudgeClient:
     """Client for the judge service; returns verdicts, never guesses them."""
 
     def __init__(self, base_url: str, timeout: float = 10.0, retries: int = 2):
-        _check_settings(timeout, retries)
+        _check_settings(base_url, timeout, retries)
         self._url = base_url.rstrip("/") + "/judge"
         self._timeout = timeout
         self._retries = retries

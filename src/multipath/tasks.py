@@ -126,21 +126,28 @@ def extract_bracket_answer(text: str) -> int | float | None:
 
     The content must be a bare numeric literal (thousands commas allowed and
     stripped); later pairs shadow earlier ones, since generated text that
-    violates the one-pair instruction usually ends with its conclusion.
+    violates the one-pair instruction usually ends with its conclusion. An
+    integer with more digits than int() converts gives None.
     """
     best: int | float | None = None
     for match in _BRACKET.finditer(text):
         body = match.group(1).strip().replace(",", "")
         if _NUMBER.fullmatch(body):
-            best = float(body) if "." in body else int(body)
+            try:
+                best = float(body) if "." in body else int(body)
+            except ValueError:
+                best = None
     return best
 
 
 def numbers_match(got: int | float, want: int | float) -> bool:
     """Reference comparison: exact on integer values, else 1e-6 relative."""
-    if float(got).is_integer() and float(want).is_integer():
-        return float(got) == float(want)
-    return math.isclose(got, want, rel_tol=NUMERIC_TOL, abs_tol=0.0)
+    try:
+        if float(got).is_integer() and float(want).is_integer():
+            return float(got) == float(want)
+        return math.isclose(got, want, rel_tol=NUMERIC_TOL, abs_tol=0.0)
+    except OverflowError:  # an int beyond float range equals only itself
+        return got == want
 
 
 def verify(task: Task, text: str, timeout: float = 30.0) -> bool:

@@ -42,7 +42,7 @@ from multipath.decoding import (
     multipath_decode,
     nucleus_sample,
 )
-from multipath.evaluation import ChangeMatrix, CostModel, breakeven_regen_fraction, cost_estimate, score_run
+from multipath.evaluation import ChangeMatrix, breakeven_regen_fraction, cost_ratio, score_run
 from multipath.models import StepDistribution, TableLM, Vocabulary, greedy_trap_lm
 from multipath.oracle import check_exactness, check_pruning, check_reductions
 from multipath.tasks import Task, load_tasks, verify
@@ -173,21 +173,16 @@ def test_cost_breakeven_identities():
     # p*n = 1 lands exactly on the two-pass cost
     for n in (1.0, 1.85, 2.5, 7.0):
         p = breakeven_regen_fraction(n)
-        cost = CostModel(samples=100, unit_time=3.0, regen_fraction=p, mean_width=n)
-        assert cost_estimate(cost, "ftr_indicator") == pytest.approx(
-            cost_estimate(cost, "critic_prompt")
-        )
+        assert cost_ratio("ftr_indicator", p, n) == pytest.approx(cost_ratio("critic_prompt", p, n))
 
 
 def test_cost_threshold_at_observed_parallel_width():
     # at a mean regeneration width of 1.85, regeneration beats a second full
     # pass exactly while fewer than 1/1.85 (roughly 54%) of tasks regenerate
     n = 1.85
-    two_pass = 2.0
-    below = CostModel(samples=1, unit_time=1.0, regen_fraction=0.54, mean_width=n)
-    above = CostModel(samples=1, unit_time=1.0, regen_fraction=0.55, mean_width=n)
-    assert cost_estimate(below, "ftr_indicator") < two_pass
-    assert cost_estimate(above, "ftr_indicator") > two_pass
+    two_pass = cost_ratio("critic_prompt", 0.0, n)
+    assert cost_ratio("ftr_indicator", 0.54, n) < two_pass
+    assert cost_ratio("ftr_indicator", 0.55, n) > two_pass
     assert 0.54 < breakeven_regen_fraction(n) < 0.55
 
 

@@ -395,6 +395,7 @@ def test_load_model_rejects_wrong_json_types_with_exit_2(capsys, tmp_path, spec,
     # corpus_file would be ignored, even though it is not a string
     (dict(NGRAM_SPEC, corpus="a b c\nb c a", corpus_file=5, order=1),
      "ngram spec needs 'corpus' text or 'corpus_file', exactly one of the two"),
+    (dict(REMOTE_SPEC, url="file:///tmp/reply.json"), "the URL must be http:// or https://, got 'file:///tmp/reply.json'"),
 ])
 def test_load_model_rejects_bad_values_with_exit_2(capsys, tmp_path, spec, match):
     path = tmp_path / "model.json"
@@ -533,7 +534,8 @@ def test_compare_of_one_strategy_writes_compare_csv(tmp_path, toy_model_path, to
     ["--strategy", "bogus"],
     ["--p-star", "1.5"],
     ["--provider", "judge", "--strategy", "ftr_indicator"],
-], ids=["unknown-strategy", "bad-p-star", "judge-without-url"])
+    ["--provider", "judge", "--strategy", "ftr_indicator", "--judge-url", "file:///tmp"],
+], ids=["unknown-strategy", "bad-p-star", "judge-without-url", "judge-file-url"])
 def test_compare_rejects_bad_input_before_any_strategy_runs(tmp_path, toy_model_path, toy_dataset_path, flags):
     out = tmp_path / "out"
     argv = [

@@ -570,6 +570,20 @@ def with_uncorrected_final_of_other_text(record):
     return record
 
 
+def with_answer_its_text_does_not_give(record):
+    # a stage-1 line of the none strategy: both attempts are the same one
+    for attempt in (record["initial"], record["final"]):
+        attempt["answer"] = 7 if attempt["answer"] != 7 else 8
+    return record
+
+
+def with_answer_of_another_json_type(record):
+    for attempt in (record["initial"], record["final"]):
+        assert isinstance(attempt["answer"], int)
+        attempt["answer"] = float(attempt["answer"])
+    return record
+
+
 @pytest.mark.parametrize("malform", [
     lambda record: {"task_id": record["task_id"]},
     lambda record: [1, 2],
@@ -582,10 +596,13 @@ def with_uncorrected_final_of_other_text(record):
     with_corrected_initial,
     with_other_final_strategy,
     with_uncorrected_final_of_other_text,
+    with_answer_its_text_does_not_give,
+    with_answer_of_another_json_type,
 ], ids=[
     "no-attempts", "not-an-object", "attempt-without-stage", "token-count-as-text",
     "step-count-as-bool", "task-ids-differ", "zero-steps", "more-steps-than-tokens",
     "initial-not-initial", "strategies-differ", "uncorrected-final-differs",
+    "answer-not-from-text", "answer-of-another-type",
 ])
 def test_protocol_resume_names_the_file_and_line_of_a_malformed_record(
     tmp_path, small_digit_model, small_digit_dataset, malform

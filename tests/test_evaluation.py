@@ -6,14 +6,14 @@ import json
 
 import pytest
 
+from multipath import evaluation
 from multipath.correction import CORRECTED, INITIAL, Attempt
 from multipath.evaluation import (
     CSV_COLUMNS,
     ChangeMatrix,
-    CostModel,
     RunReport,
     breakeven_regen_fraction,
-    cost_estimate,
+    cost_ratio,
     reports_to_csv,
     score_run,
 )
@@ -47,17 +47,11 @@ def math_dataset(answers):
 
 def test_matrix_from_verdicts():
     matrix = ChangeMatrix.from_verdicts(
-        [True, True, False, False, True],
-        [True, False, True, False, True],
+        [(True, True), (True, False), (False, True), (False, False), (True, True)]
     )
     assert (matrix.cc, matrix.ci, matrix.ic, matrix.ii) == (2, 1, 1, 1)
     assert matrix.total == 5
     assert matrix.accuracy_after() == pytest.approx(3 / 5)
-
-
-def test_matrix_rejects_mismatched_lengths():
-    with pytest.raises(ValueError, match="2 initial verdicts but 1"):
-        ChangeMatrix.from_verdicts([True, False], [True])
 
 
 def test_matrix_rejects_negative_counts():
@@ -70,51 +64,38 @@ def test_matrix_rejects_negative_counts():
 
 
 def test_cost_model_validation():
-    with pytest.raises(ValueError, match="samples"):
-        CostModel(samples=0, unit_time=1.0, regen_fraction=0.5, mean_width=2.0)
-    with pytest.raises(ValueError, match="unit_time"):
-        CostModel(samples=1, unit_time=0.0, regen_fraction=0.5, mean_width=2.0)
     with pytest.raises(ValueError, match="regen_fraction"):
-        CostModel(samples=1, unit_time=1.0, regen_fraction=1.5, mean_width=2.0)
+        cost_ratio("ftr_indicator", 1.5, 2.0)
+    with pytest.raises(ValueError, match="regen_fraction"):
+        cost_ratio("none", -0.1, 2.0)
     with pytest.raises(ValueError, match="mean_width"):
-        CostModel(samples=1, unit_time=1.0, regen_fraction=0.5, mean_width=0.5)
+        cost_ratio("ftr_indicator", 0.5, 0.5)
 
 
 def test_cost_estimate_closed_forms():
-    cost = CostModel(samples=100, unit_time=3.0, regen_fraction=0.25, mean_width=2.0)
-    base = 300.0
-    assert cost_estimate(cost, "none") == base
+    assert cost_ratio("none", 0.25, 2.0) == 1.0
     for kind in ("feedback_as_prompt", "critic_prompt", "ioe_prompt"):
-        assert cost_estimate(cost, kind) == 2.0 * base
-    assert cost_estimate(cost, "ftr_indicator") == base * 1.5
+        assert cost_ratio(kind, 0.25, 2.0) == 2.0
+    assert cost_ratio("ftr_indicator", 0.25, 2.0) == 1.5
 
 
 def test_cost_estimate_no_regeneration_is_single_pass():
-    cost = CostModel(samples=10, unit_time=2.0, regen_fraction=0.0, mean_width=5.0)
-    assert cost_estimate(cost, "ftr_indicator") == cost_estimate(cost, "none")
+    assert cost_ratio("ftr_indicator", 0.0, 5.0) == cost_ratio("none", 0.0, 5.0)
 
 
 def test_cost_estimate_breakeven_equals_two_pass():
     # p * n = 1 exactly: regenerating costs the same as a full second pass
-    cost = CostModel(samples=10, unit_time=2.0, regen_fraction=0.5, mean_width=2.0)
-    assert cost_estimate(cost, "ftr_indicator") == cost_estimate(cost, "critic_prompt")
+    assert cost_ratio("ftr_indicator", 0.5, 2.0) == cost_ratio("critic_prompt", 0.5, 2.0)
 
 
 def test_cost_estimate_monotone_in_regen_fraction():
-    costs = [
-        cost_estimate(
-            CostModel(samples=10, unit_time=1.0, regen_fraction=p, mean_width=3.0),
-            "ftr_indicator",
-        )
-        for p in (0.0, 0.2, 0.4, 0.8, 1.0)
-    ]
+    costs = [cost_ratio("ftr_indicator", p, 3.0) for p in (0.0, 0.2, 0.4, 0.8, 1.0)]
     assert costs == sorted(costs)
 
 
 def test_cost_estimate_rejects_unknown_strategy():
-    cost = CostModel(samples=1, unit_time=1.0, regen_fraction=0.0, mean_width=1.0)
     with pytest.raises(ValueError, match="unknown strategy"):
-        cost_estimate(cost, "other")
+        cost_ratio("other", 0.0, 1.0)
 
 
 def test_breakeven_fraction():
@@ -225,6 +206,18 @@ def test_score_run_requires_full_coverage():
     pairs = [(attempt("t0", "[1]"), attempt("t0", "[1]"))]
     with pytest.raises(ValueError, match=r"no attempt pair for tasks: \['t1'\]"):
         score_run(pairs, dataset, "none")
+
+
+def test_score_run_rejects_an_unknown_kind_before_verifying(monkeypatch):
+    calls = []
+    monkeypatch.setattr(evaluation, "verify", lambda *args, **kwargs: calls.append(args) or True)
+    dataset = math_dataset([1])
+    pairs = [(attempt("t0", "[1]"), attempt("t0", "[1]"))]
+    with pytest.raises(ValueError, match="unknown strategy kind 'bogus'"):
+        score_run(pairs, dataset, "bogus")
+    assert calls == []
+    score_run(pairs, dataset, "none")
+    assert len(calls) == 1
 
 
 def test_score_run_rejects_unknown_and_mismatched_pairs():

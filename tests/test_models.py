@@ -340,6 +340,24 @@ def test_train_ngram_matches_the_per_position_loop():
     assert outcomes == {"model", "corpus", "eos", "add_k"}
 
 
+def test_train_ngram_costs_nothing_per_unit_of_order_beyond_the_longest_line():
+    # An order far beyond every line length builds no (order + 1)-wide
+    # windows: lines that short have no full-length n-gram.
+    corpus = "a b\nc"
+    tracemalloc.start()
+    try:
+        huge = train_ngram(corpus, order=10**6, add_k=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
+    longest = train_ngram(corpus, order=2, add_k=0.5)
+    assert huge._counts == longest._counts
+    assert huge.vocabulary == longest.vocabulary
+    for context in [(), (0,), (2,), (0, 1), (1, 0)]:
+        assert row_probs(huge.next_distribution((), context)) == row_probs(longest.next_distribution((), context))
+
+
 def test_train_ngram_holds_no_list_of_the_corpus_words():
     # 2,000 lines of 31 words over V=2000, each word with three successors:
     # 62k tokens and about 8k distinct bigrams.

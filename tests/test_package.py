@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -28,3 +31,19 @@ def test_readme_paths_exist():
     paths = re.findall(r"`((?:src|data|tests|perfbench|scripts)/[^`\s]*)`", readme)
     assert paths
     assert [path for path in paths if not (ROOT / path).exists()] == []
+
+
+def test_readme_calls_name_the_code():
+    # Every backticked `name(` in the prose is a function, class or method
+    # of a multipath module, so a renamed one cannot leave stale docs.
+    names = set()
+    for info in pkgutil.iter_modules(multipath.__path__, "multipath."):
+        module = importlib.import_module(info.name)
+        names.update(dir(module))
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            names.update(dir(cls))
+    prose = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)
+    spans = re.findall(r"`([^`]*)`", prose)
+    called = {m.group(1) for span in spans if (m := re.match(r"([A-Za-z_]\w*)\(", span))}
+    assert "cost_ratio" in called
+    assert sorted(called - names - {"exp", "sha256"}) == []

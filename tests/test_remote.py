@@ -227,6 +227,17 @@ def test_clients_check_their_settings_at_construction(server, make, key, value):
     assert server.requests == []
 
 
+@pytest.mark.parametrize("url", ["file:///tmp/reply.json", "ftp://127.0.0.1/model", "127.0.0.1:8000/model", ""])
+@pytest.mark.parametrize("make", [
+    lambda url: HttpModelClient(ABC, url),
+    lambda url: JudgeClient(url),
+], ids=["HttpModelClient", "JudgeClient"])
+def test_clients_accept_only_http_urls(make, url):
+    # urllib opens a file: URL too, and would read that file as every reply.
+    with pytest.raises(ValueError, match="must be http:// or https://"):
+        make(url)
+
+
 def test_http_client_is_safe_to_share_between_protocol_workers(server, small_digit_model, small_digit_dataset):
     # run_protocol(workers > 1) hands one client to every worker thread; a
     # reply cached under the wrong context, or lost, changes the attempts.

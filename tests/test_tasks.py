@@ -223,6 +223,15 @@ def test_extract_bracket_answer(text, expected):
         assert isinstance(got, type(expected))
 
 
+def test_a_bracketed_integer_too_long_to_convert_is_no_answer():
+    # Model output, not an input error: the last numeric pair still shadows
+    # the earlier ones, and it gives no answer.
+    huge = "9" * 5000
+    assert extract_bracket_answer(f"[{huge}]") is None
+    assert extract_bracket_answer(f"[3] then [{huge}]") is None
+    assert not verify(math_task(answer=3), f"[3] then [{huge}]")
+
+
 # ---------------------------------------------------------------------------
 # numbers_match / verify
 
@@ -237,6 +246,17 @@ def test_numbers_match_floats_with_relative_tolerance():
     assert numbers_match(3.14159265, 3.14159265 * (1 + 1e-9))
     assert not numbers_match(3.14159265, 3.1415)
     assert not numbers_match(0.5, 0.5000006)
+
+
+def test_numbers_beyond_float_range_give_a_verdict():
+    big = int("9" * 400)
+    assert not numbers_match(big, 3)
+    assert not numbers_match(big, 3.5)
+    assert not numbers_match(3, big)
+    assert not numbers_match(big, big + 1)
+    assert numbers_match(big, big)
+    assert not verify(math_task(answer=3), f"[{big}]")
+    assert verify(math_task(answer=big), f"[{big}]")
 
 
 def test_verify_math():

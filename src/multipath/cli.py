@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .correction import (
@@ -49,7 +50,7 @@ from .decoding import (
 from .errors import ConfigError, LoadError, MultipathError, ProtocolError, TransportError, VerificationError
 from .evaluation import reports_to_csv, score_run
 from .models import ModelInterface, is_number, read_json_object, table_lm_from_spec, train_ngram, vocabulary_from_spec
-from .oracle import check_exactness, check_pruning, check_reductions
+from .oracle import MUTATIONS, check_exactness, check_pruning, check_reductions, mutated
 from .remote import HttpModelClient, JudgeClient
 from .tasks import load_tasks
 
@@ -117,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--models", type=int, default=200,
                           help="random models per decoder check (default %(default)s)")
     p_oracle.add_argument("--trials", type=int, default=10000, help="random pruning pools (default %(default)s)")
-    p_oracle.add_argument("--mutate", choices=("prune-off-by-one", "selection-max-prob"),
-                          help="inject a deliberate defect; the check must then fail")
+    p_oracle.add_argument("--mutate", choices=sorted(MUTATIONS),
+                          help="inject a deliberate defect; the checks must then fail")
     _add_common(p_oracle)
     return parser
 
@@ -322,6 +323,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     repeated = sorted({kind for kind in kinds if kinds.count(kind) > 1})
     if repeated:
         raise ConfigError(f"--strategy (config key 'strategy') names {', '.join(map(repr, repeated))} more than once")
+    # A provider setting that another provider would run without reading.
+    for key, reader, unset in (("fn_rate", "scripted", 0.0), ("fp_rate", "scripted", 0.0), ("judge_url", "judge", None)):
+        if args.provider != reader and getattr(args, key) != unset:
+            raise ConfigError(
+                f"--{key.replace('_', '-')} (config key {key!r}) is read only by --provider {reader}, "
+                f"not by {args.provider}"
+            )
     sampler_cfg = _sampler_config(args)
     multipath_cfg = _multipath_config(args)
     provider = _build_provider(args) if any(kind in FEEDBACK_GATED for kind in kinds) else None
@@ -367,14 +375,12 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     for key in ("models", "trials"):
         if getattr(args, key) < 0:
             raise ConfigError(f"--{key} (config key {key!r}) must be >= 0, got {getattr(args, key)!r}")
-    mutate = args.mutate
-    suites = (
-        ("decode-exactness",
-         check_exactness(args.models, args.seed, mutate=mutate if mutate == "selection-max-prob" else None)),
-        ("prune-minimality",
-         check_pruning(args.trials, args.seed, mutate=mutate if mutate == "prune-off-by-one" else None)),
-        ("reductions", check_reductions(max(1, args.models // 4), args.seed)),
-    )
+    with mutated(args.mutate) if args.mutate is not None else nullcontext():
+        suites = (
+            ("decode-exactness", check_exactness(args.models, args.seed)),
+            ("prune-minimality", check_pruning(args.trials, args.seed)),
+            ("reductions", check_reductions(max(1, args.models // 4), args.seed)),
+        )
     failed = 0
     for name, failures in suites:
         status = "ok" if not failures else f"{len(failures)} failure(s)"
@@ -382,8 +388,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         for failure in failures[:10]:
             print(f"  counterexample: {failure}", file=sys.stderr)
         failed += len(failures)
-    if mutate is not None and failed == 0:
-        print(f"mutation {mutate!r} was not detected by any check", file=sys.stderr)
+    if args.mutate is not None and failed == 0:
+        print(f"mutation {args.mutate!r} was not detected by any check", file=sys.stderr)
         return 1
     return 1 if failed else 0
 

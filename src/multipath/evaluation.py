@@ -138,6 +138,8 @@ def score_run(
             raise ValueError(f"pair for unknown task {initial.task_id!r}")
         if initial.task_id != final.task_id:
             raise ValueError(f"mismatched pair: {initial.task_id!r} vs {final.task_id!r}")
+        if initial.task_id in seen:
+            raise ValueError(f"more than one pair for task {initial.task_id!r}")
         seen.add(initial.task_id)
     missing = [t.id for t in dataset.tasks if t.id not in seen]
     if missing:

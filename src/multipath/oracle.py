@@ -2,11 +2,11 @@
 
 Everything here recomputes expected behavior by brute force (exhaustive
 sequence enumeration, linear-scan pruning) with none of the decoder's
-shortcuts, and reports human-readable counterexamples on disagreement. The
-acceptance tests and the `oracle-check` command both run these. The pruning
-check feeds the retention kernel random pools of candidate log-probabilities,
-given as plain lists in the decoder's canonical order, so a value tie goes to
-the lower list position.
+shortcuts, and reports human-readable counterexamples on disagreement;
+MUTATIONS lists defects in the shipped code that the checks must catch. The
+pruning check feeds the retention kernel random pools of candidate
+log-probabilities, given as plain lists in the decoder's canonical order, so
+a value tie goes to the lower list position.
 
 The random model generator keeps every nonzero probability at or above
 1/MAX_WEIGHT_SUM, so no candidate's relative mass can come within orders of
@@ -16,11 +16,12 @@ flip on summation noise and set-level checks are exact.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from . import kernels
+from . import decoding, kernels
 from .decoding import BeamConfig, MultipathConfig, beam_search, greedy_decode, multipath_decode
 from .models import ModelInterface, SequencePath, StepDistribution, TableLM, Vocabulary
 
@@ -146,18 +147,37 @@ def random_pool(rng: random.Random) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Check drivers (shared by tests and the oracle-check command)
-
-def _mutate_result(mutate: str | None, retained: list[int], k: int) -> tuple[list[int], int]:
-    """Deliberately corrupt a pruning result so the checks must catch it."""
-    if mutate is None or k <= 1:
-        return retained, k
-    if mutate == "prune-off-by-one":
-        return retained[:-1], k - 1
-    raise ValueError(f"unknown mutation {mutate!r}")
+# Injected defects and check drivers (shared by tests and the oracle-check command)
 
 
-def check_pruning(trials: int, seed: int, mutate: str | None = None) -> list[str]:
+def _drop_last_retained(prune_prefix):
+    def defect(*args):
+        kept, k = prune_prefix(*args)
+        return (kept[:-1], k - 1) if k > 1 else (kept, k)
+    return defect
+
+
+# Name -> (module, attribute, make_defect(original) -> replacement). Callers
+# look the attribute up at call time, so every check that reaches it is hit.
+MUTATIONS = {
+    "prune-off-by-one": (kernels, "prune_prefix", _drop_last_retained),
+    "selection-max-prob": (decoding, "select_min_ppl", lambda _: lambda paths: max(paths, key=lambda p: p.cum_logprob)),
+}
+
+
+@contextlib.contextmanager
+def mutated(name: str) -> Iterator[None]:
+    """Run the enclosed code with defect ``name`` of MUTATIONS in place."""
+    module, attribute, make_defect = MUTATIONS[name]
+    original = getattr(module, attribute)
+    setattr(module, attribute, make_defect(original))
+    try:
+        yield
+    finally:
+        setattr(module, attribute, original)
+
+
+def check_pruning(trials: int, seed: int) -> list[str]:
     """Compare kernels.prune_prefix against the linear-scan reference."""
     failures: list[str] = []
     rng = random.Random(seed)
@@ -166,24 +186,16 @@ def check_pruning(trials: int, seed: int, mutate: str | None = None) -> list[str
         mass_fraction = rng.random()
         max_width = rng.randint(1, len(values) + 3)
         got, got_k = kernels.prune_prefix(values, mass_fraction, max_width)
-        got, got_k = _mutate_result(mutate, got, got_k)
         want, want_k = prune_scan(values, mass_fraction, max_width)
-        if got_k > max_width:
-            failures.append(
-                f"trial {trial}: retained {got_k} > max_width {max_width} "
-                f"(n={len(values)}, mass_fraction={mass_fraction!r})"
-            )
-        elif (got_k, got) != (want_k, want):
+        if (got_k, got) != (want_k, want):
             failures.append(
                 f"trial {trial}: retained {got_k} candidates, linear scan says {want_k} "
                 f"(n={len(values)}, mass_fraction={mass_fraction!r}, max_width={max_width})"
             )
-        if failures and mutate is not None:
-            break
     return failures
 
 
-def check_exactness(models: int, seed: int, mutate: str | None = None) -> list[str]:
+def check_exactness(models: int, seed: int) -> list[str]:
     """Exhaustive-cap decoding must return the enumerated min-PPL sequence."""
     failures: list[str] = []
     rng = random.Random(seed)
@@ -194,10 +206,7 @@ def check_exactness(models: int, seed: int, mutate: str | None = None) -> list[s
         if want is None:
             continue
         cfg = MultipathConfig(mass_fraction=1.0, max_width=vocab.size ** max_len, max_len=max_len)
-        result = multipath_decode(model, (), cfg)
-        got = result.chosen
-        if mutate == "selection-max-prob":
-            got = max(result.finished_candidates, key=lambda p: p.cum_logprob)
+        got = multipath_decode(model, (), cfg).chosen
         if got.tokens != want.tokens:
             failures.append(
                 f"model {trial}: chose {vocab.decode(got.tokens)!r} "
@@ -208,8 +217,6 @@ def check_exactness(models: int, seed: int, mutate: str | None = None) -> list[s
             failures.append(
                 f"model {trial}: ppl {got.ppl()!r} disagrees with enumerated {want.ppl()!r}"
             )
-        if failures and mutate is not None:
-            break
     return failures
 
 

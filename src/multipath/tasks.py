@@ -23,11 +23,12 @@ from .templates import MATH_TEMPLATE, load_prompt
 DOMAINS = ("math", "code")
 NUMERIC_TOL = 1e-6
 
-# A bracketed numeric literal: optional sign, digits with optional thousands
-# commas, optional decimal part. Anything else inside brackets is not an
-# answer.
+# A bracketed numeric literal: optional sign, digits, optional decimal part.
+# The integer part may group its digits in threes with commas after a 1-3
+# digit head ("12,345"); any other comma, or anything else inside brackets,
+# makes the content no answer.
 _BRACKET = re.compile(r"\[([^\[\]]*)\]")
-_NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)")
+_NUMBER = re.compile(r"[+-]?(?:(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d*)?|\.\d+)")
 
 
 @dataclass(frozen=True)
@@ -124,18 +125,22 @@ def load_tasks(path: str | Path) -> Dataset:
 def extract_bracket_answer(text: str) -> int | float | None:
     """Number inside the last well-formed bracket pair, or None.
 
-    The content must be a bare numeric literal (thousands commas allowed and
-    stripped); later pairs shadow earlier ones, since generated text that
-    violates the one-pair instruction usually ends with its conclusion. An
-    integer with more digits than int() converts gives None.
+    The content must be a bare numeric literal, commas only as thousands
+    separators ("[1,234]" is 1234, "[1,2,3]" is no answer); later pairs
+    shadow earlier ones, since generated text that violates the one-pair
+    instruction usually ends with its conclusion. An integer with more digits
+    than int() converts, or a decimal beyond float range, gives None.
     """
     best: int | float | None = None
     for match in _BRACKET.finditer(text):
-        body = match.group(1).strip().replace(",", "")
+        body = match.group(1).strip()
         if _NUMBER.fullmatch(body):
+            body = body.replace(",", "")
             try:
                 best = float(body) if "." in body else int(body)
             except ValueError:
+                best = None
+            if isinstance(best, float) and math.isinf(best):
                 best = None
     return best
 

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from multipath.cli import load_model, main, parse_args
+from multipath.cli import build_parser, load_model, main, parse_args
 from multipath.correction import ScriptedJudgeProvider, run_protocol
 from multipath.decoding import (
     AdaptiveConfig,
@@ -20,6 +20,7 @@ from multipath.decoding import (
 )
 from multipath.errors import LoadError
 from multipath.models import NGramLM, TableLM
+from multipath.oracle import MUTATIONS
 from multipath.remote import HttpModelClient
 from multipath.tasks import load_tasks
 
@@ -568,6 +569,30 @@ def test_compare_rejects_a_repeated_strategy_before_writing(capsys, tmp_path, to
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, config, key, reader", [
+    (["--fn-rate", "0.9"], None, "fn_rate", "scripted"),
+    (["--fp-rate", "0.1", "--provider", "judge", "--judge-url", "http://127.0.0.1:9"], None, "fp_rate", "scripted"),
+    (["--judge-url", "http://127.0.0.1:9"], None, "judge_url", "judge"),
+    (["--judge-url", "http://127.0.0.1:9", "--provider", "scripted"], None, "judge_url", "judge"),
+    ([], {"fn_rate": 0.9}, "fn_rate", "scripted"),
+    ([], {"fp_rate": 0.5, "provider": "judge", "judge_url": "http://127.0.0.1:9"}, "fp_rate", "scripted"),
+    ([], {"judge_url": "http://127.0.0.1:9", "provider": "scripted"}, "judge_url", "judge"),
+], ids=["fn-rate-flag", "fp-rate-flag", "judge-url-flag", "judge-url-flag-scripted",
+        "fn-rate-config", "fp-rate-config", "judge-url-config"])
+def test_bench_rejects_a_provider_setting_its_provider_never_reads(capsys, tmp_path, toy_model_path,
+                                                                   toy_dataset_path, flags, config, key, reader):
+    # Ignored, the setting would print the same row as a run without it.
+    out = tmp_path / "out"
+    argv = ["bench", "--model", toy_model_path, "--dataset", toy_dataset_path, "--out", str(out)] + flags
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    flag = "--" + key.replace("_", "-")
+    assert f"error: {flag} (config key '{key}') is read only by --provider {reader}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--decoder", "beam"], ["--beam", "99"]])
 def test_bench_and_compare_take_no_decode_only_flag(capsys, tmp_path, toy_model_path, toy_dataset_path, flags):
     # --decoder and --beam choose decode's decoder; bench and compare always
@@ -684,27 +709,33 @@ def test_oracle_check_passes(capsys):
     assert "reductions: ok" in out
 
 
-def test_oracle_check_detects_injected_pruning_defect(capsys):
-    rc = main([
-        "oracle-check", "--models", "5", "--trials", "100", "--seed", "1",
-        "--mutate", "prune-off-by-one",
-    ])
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_oracle_check_detects_each_mutation(capsys, name):
+    rc = main(["oracle-check", "--models", "40", "--trials", "200", "--seed", "1", "--mutate", name])
     assert rc == 1
     captured = capsys.readouterr()
-    assert "failure" in captured.out
+    assert re.search(r"^[a-z-]+: \d+ failure\(s\)$", captured.out, re.MULTILINE), captured.out
     assert "counterexample" in captured.err
+    assert "not detected" not in captured.err
+
+
+def test_oracle_check_offers_the_mutation_table():
+    [commands] = [a.choices for a in build_parser()._actions if isinstance(a.choices, dict)]
+    [action] = [a for a in commands["oracle-check"]._actions if a.dest == "mutate"]
+    assert action.choices == sorted(MUTATIONS)
 
 
 def test_oracle_check_exits_1_when_a_mutation_goes_undetected(capsys):
-    # With no pruning trials, nothing can catch the injected pruning defect.
+    # With no models and no pruning trials, only one reductions model runs,
+    # and width-1 and beam-set checks never read the selection.
     rc = main([
-        "oracle-check", "--models", "4", "--trials", "0", "--seed", "1",
-        "--mutate", "prune-off-by-one",
+        "oracle-check", "--models", "0", "--trials", "0", "--seed", "1",
+        "--mutate", "selection-max-prob",
     ])
     assert rc == 1
     captured = capsys.readouterr()
-    assert "prune-minimality: ok" in captured.out
-    assert "mutation 'prune-off-by-one' was not detected by any check" in captured.err
+    assert "decode-exactness: ok" in captured.out
+    assert "mutation 'selection-max-prob' was not detected by any check" in captured.err
 
 
 @pytest.mark.parametrize("flags, config, key", [
@@ -720,12 +751,3 @@ def test_oracle_check_rejects_a_negative_count(capsys, tmp_path, flags, config, 
     captured = capsys.readouterr()
     assert f"error: --{key} (config key '{key}') must be >= 0, got -" in captured.err
     assert captured.out == ""
-
-
-def test_oracle_check_detects_injected_selection_defect(capsys):
-    rc = main([
-        "oracle-check", "--models", "40", "--trials", "50", "--seed", "1",
-        "--mutate", "selection-max-prob",
-    ])
-    assert rc == 1
-    assert "failure" in capsys.readouterr().out

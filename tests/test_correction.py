@@ -31,7 +31,7 @@ from multipath.correction import (
 from multipath.decoding import MultipathConfig, SamplerConfig, multipath_decode
 from multipath.errors import ConfigError, LoadError
 from multipath.models import ModelInterface, train_ngram
-from multipath.tasks import Dataset, Task
+from multipath.tasks import Dataset, Task, extract_bracket_answer
 from multipath.templates import CRITIC, FEEDBACK_CODE, FEEDBACK_MATH, IOE, load_prompt
 from multipath.toydata import make_digit_dataset, make_digit_model
 
@@ -584,6 +584,14 @@ def with_answer_of_another_json_type(record):
     return record
 
 
+def with_an_infinite_answer(record):
+    # Strict JSON has no Infinity, and no finite-float text gives one.
+    for attempt in (record["initial"], record["final"]):
+        attempt["text"] = "[" + "9" * 400 + ".5]"
+        attempt["answer"] = float("inf")
+    return record
+
+
 @pytest.mark.parametrize("malform", [
     lambda record: {"task_id": record["task_id"]},
     lambda record: [1, 2],
@@ -598,11 +606,12 @@ def with_answer_of_another_json_type(record):
     with_uncorrected_final_of_other_text,
     with_answer_its_text_does_not_give,
     with_answer_of_another_json_type,
+    with_an_infinite_answer,
 ], ids=[
     "no-attempts", "not-an-object", "attempt-without-stage", "token-count-as-text",
     "step-count-as-bool", "task-ids-differ", "zero-steps", "more-steps-than-tokens",
     "initial-not-initial", "strategies-differ", "uncorrected-final-differs",
-    "answer-not-from-text", "answer-of-another-type",
+    "answer-not-from-text", "answer-of-another-type", "infinite-answer",
 ])
 def test_protocol_resume_names_the_file_and_line_of_a_malformed_record(
     tmp_path, small_digit_model, small_digit_dataset, malform
@@ -628,6 +637,19 @@ def test_protocol_json_lines_are_canonical(small_digit_model, small_digit_datase
         record = json.loads(line)
         assert set(record) == {"task_id", "initial", "final"}
         assert line == json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def test_an_answer_beyond_float_range_is_logged_as_strict_json():
+    text = "[" + "9" * 400 + ".5]"
+    attempt = make_attempt(text=text)
+    attempt = Attempt(**{**attempt.to_json_dict(), "answer": extract_bracket_answer(text)})
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    [line] = ProtocolRun(pairs=((attempt, attempt),)).to_json_lines().splitlines()
+    record = json.loads(line, parse_constant=reject)
+    assert record["initial"]["answer"] is None
 
 
 def test_protocol_run_round_trips_attempts(small_digit_model, small_digit_dataset):

@@ -583,8 +583,26 @@ def test_check_pruning_reports_a_result_wider_than_max_width(monkeypatch):
     failures = oracle.check_pruning(5, seed=0)
     assert len(failures) == 5
     for failure in failures:
-        got, cap = map(int, re.match(r"trial \d: retained (\d+) > max_width (\d+) \(n=", failure).groups())
+        match = re.fullmatch(
+            r"trial \d: retained (\d+) candidates, linear scan says \d+ \(n=\d+, mass_fraction=\S+, max_width=(\d+)\)",
+            failure,
+        )
+        got, cap = map(int, match.groups())
         assert got == cap + 1
+
+
+@pytest.mark.parametrize("name", sorted(oracle.MUTATIONS))
+def test_mutated_restores_the_original_when_the_enclosed_code_raises(name):
+    module, attribute, _ = oracle.MUTATIONS[name]
+    original = getattr(module, attribute)
+    with pytest.raises(RuntimeError, match="inside"):
+        with oracle.mutated(name):
+            assert getattr(module, attribute) is not original
+            raise RuntimeError("inside")
+    assert getattr(module, attribute) is original
+    with oracle.mutated(name):
+        pass
+    assert getattr(module, attribute) is original
 
 
 def test_check_exactness_builds_no_dense_row(monkeypatch):

@@ -230,6 +230,14 @@ def test_score_run_rejects_unknown_and_mismatched_pairs():
         score_run(crossed, dataset, "none")
 
 
+def test_score_run_rejects_a_repeated_pair():
+    # Three pairs for two tasks would score size 3 with task t0 counted twice.
+    dataset = math_dataset([1, 2])
+    pairs = [(attempt(t, f"[{i}]"), attempt(t, f"[{i}]")) for i, t in ((1, "t0"), (1, "t0"), (2, "t1"))]
+    with pytest.raises(ValueError, match="more than one pair for task 't0'"):
+        score_run(pairs, dataset, "none")
+
+
 def test_score_run_parallel_verification_matches_serial():
     dataset = math_dataset(list(range(8)))
     pairs = [

@@ -200,6 +200,19 @@ def test_load_tasks_missing_file(tmp_path):
         ("the result is [42]", 42),
         ("[3.5] no wait [7]", 7),
         ("[1,234]", 1234),
+        ("[12,345]", 12345),
+        ("[1,234,567]", 1234567),
+        ("[-1,000.5]", -1000.5),
+        ("[+999,999.]", 999999.0),
+        ("[1,2,3]", None),
+        ("[1,23]", None),
+        ("[1234,567]", None),
+        ("[,5]", None),
+        ("[5,]", None),
+        ("[1,,234]", None),
+        ("[1.234,567]", None),
+        ("[,]", None),
+        ("[7] then [1,2,3]", 7),
         ("[-5]", -5),
         ("[+2.5]", 2.5),
         ("[ 12 ]", 12),
@@ -221,6 +234,12 @@ def test_extract_bracket_answer(text, expected):
     assert got == expected
     if expected is not None:
         assert isinstance(got, type(expected))
+
+
+def test_a_bracketed_decimal_beyond_float_range_is_no_answer():
+    huge = "9" * 400 + ".5"
+    assert extract_bracket_answer(f"[{huge}]") is None
+    assert extract_bracket_answer(f"[3] then [-{huge}]") is None
 
 
 def test_a_bracketed_integer_too_long_to_convert_is_no_answer():
@@ -264,6 +283,7 @@ def test_verify_math():
     assert verify(task, "final answer: [7]")
     assert not verify(task, "final answer: [8]")
     assert not verify(task, "no answer given")
+    assert not verify(math_task(answer=123), "the list is [1,2,3]")
 
 
 def test_verify_code_uses_exit_status():

@@ -323,16 +323,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
     repeated = sorted({kind for kind in kinds if kinds.count(kind) > 1})
     if repeated:
         raise ConfigError(f"--strategy (config key 'strategy') names {', '.join(map(repr, repeated))} more than once")
-    # A provider setting that another provider would run without reading.
-    for key, reader, unset in (("fn_rate", "scripted", 0.0), ("fp_rate", "scripted", 0.0), ("judge_url", "judge", None)):
-        if args.provider != reader and getattr(args, key) != unset:
-            raise ConfigError(
-                f"--{key.replace('_', '-')} (config key {key!r}) is read only by --provider {reader}, "
-                f"not by {args.provider}"
-            )
+    # A provider setting that the run would go on without reading: no chosen
+    # strategy asks a provider, or another provider is chosen.
+    gated = any(kind in FEEDBACK_GATED for kind in kinds)
+    for key, reader, unset in (("provider", None, "ground_truth"), ("fn_rate", "scripted", 0.0),
+                               ("fp_rate", "scripted", 0.0), ("judge_url", "judge", None)):
+        if getattr(args, key) == unset:
+            continue
+        flag = f"--{key.replace('_', '-')} (config key {key!r})"
+        if not gated:
+            raise ConfigError(f"{flag} is read only by --strategy {' or '.join(FEEDBACK_GATED)}, "
+                              f"not by {', '.join(kinds)}")
+        if reader is not None and args.provider != reader:
+            raise ConfigError(f"{flag} is read only by --provider {reader}, not by {args.provider}")
     sampler_cfg = _sampler_config(args)
     multipath_cfg = _multipath_config(args)
-    provider = _build_provider(args) if any(kind in FEEDBACK_GATED for kind in kinds) else None
+    provider = _build_provider(args) if gated else None
     model = load_model(_required(args, "model"))
     dataset = load_tasks(_required(args, "dataset"))
     out_dir = Path(_required(args, "out"))

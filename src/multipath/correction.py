@@ -31,13 +31,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from random import Random
+from typing import TYPE_CHECKING
 
 from .decoding import DecodeResult, MultipathConfig, SamplerConfig, multipath_decode, nucleus_sample
 from .errors import ConfigError, LoadError, MultipathError
 from .models import ModelInterface
-from .remote import JudgeClient
 from .tasks import Dataset, Task, extract_bracket_answer, verify
 from .templates import CRITIC, FEEDBACK_CODE, FEEDBACK_MATH, IOE, load_prompt
+
+if TYPE_CHECKING:  # an annotation only; importing remote here would load urllib for every run
+    from .remote import JudgeClient
 
 STRATEGY_KINDS = ("none", "ftr_indicator", "feedback_as_prompt", "critic_prompt", "ioe_prompt")
 # The strategies whose stage 2 runs only on negative feedback.

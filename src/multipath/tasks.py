@@ -23,12 +23,12 @@ from .templates import MATH_TEMPLATE, load_prompt
 DOMAINS = ("math", "code")
 NUMERIC_TOL = 1e-6
 
-# A bracketed numeric literal: optional sign, digits, optional decimal part.
-# The integer part may group its digits in threes with commas after a 1-3
-# digit head ("12,345"); any other comma, or anything else inside brackets,
-# makes the content no answer.
+# A bracketed numeric literal: optional sign, ASCII digits, optional decimal
+# part. The integer part may group its digits in threes with commas after a
+# 1-3 digit head ("12,345"); any other comma, any other digit, or anything
+# else inside brackets, makes the content no answer.
 _BRACKET = re.compile(r"\[([^\[\]]*)\]")
-_NUMBER = re.compile(r"[+-]?(?:(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d*)?|\.\d+)")
+_NUMBER = re.compile(r"[+-]?(?:(?:[0-9]{1,3}(?:,[0-9]{3})+|[0-9]+)(?:\.[0-9]*)?|\.[0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -126,10 +126,11 @@ def extract_bracket_answer(text: str) -> int | float | None:
     """Number inside the last well-formed bracket pair, or None.
 
     The content must be a bare numeric literal, commas only as thousands
-    separators ("[1,234]" is 1234, "[1,2,3]" is no answer); later pairs
-    shadow earlier ones, since generated text that violates the one-pair
-    instruction usually ends with its conclusion. An integer with more digits
-    than int() converts, or a decimal beyond float range, gives None.
+    separators ("[1,234]" is 1234, "[1,2,3]" is no answer) and ASCII digits
+    only ("[١٢٣]" is no answer); later pairs shadow earlier ones, since
+    generated text that violates the one-pair instruction usually ends with
+    its conclusion. An integer with more digits than int() converts, or a
+    decimal beyond float range, gives None.
     """
     best: int | float | None = None
     for match in _BRACKET.finditer(text):

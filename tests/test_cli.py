@@ -569,19 +569,32 @@ def test_compare_rejects_a_repeated_strategy_before_writing(capsys, tmp_path, to
     assert not out.exists()
 
 
+SCRIPTED, JUDGE, GATED = "--provider scripted", "--provider judge", "--strategy ftr_indicator or feedback_as_prompt"
+
+
 @pytest.mark.parametrize("flags, config, key, reader", [
-    (["--fn-rate", "0.9"], None, "fn_rate", "scripted"),
-    (["--fp-rate", "0.1", "--provider", "judge", "--judge-url", "http://127.0.0.1:9"], None, "fp_rate", "scripted"),
-    (["--judge-url", "http://127.0.0.1:9"], None, "judge_url", "judge"),
-    (["--judge-url", "http://127.0.0.1:9", "--provider", "scripted"], None, "judge_url", "judge"),
-    ([], {"fn_rate": 0.9}, "fn_rate", "scripted"),
-    ([], {"fp_rate": 0.5, "provider": "judge", "judge_url": "http://127.0.0.1:9"}, "fp_rate", "scripted"),
-    ([], {"judge_url": "http://127.0.0.1:9", "provider": "scripted"}, "judge_url", "judge"),
+    (["--fn-rate", "0.9"], None, "fn_rate", SCRIPTED),
+    (["--fp-rate", "0.1", "--provider", "judge", "--judge-url", "http://127.0.0.1:9"], None, "fp_rate", SCRIPTED),
+    (["--judge-url", "http://127.0.0.1:9"], None, "judge_url", JUDGE),
+    (["--judge-url", "http://127.0.0.1:9", "--provider", "scripted"], None, "judge_url", JUDGE),
+    ([], {"fn_rate": 0.9}, "fn_rate", SCRIPTED),
+    ([], {"fp_rate": 0.5, "provider": "judge", "judge_url": "http://127.0.0.1:9"}, "fp_rate", SCRIPTED),
+    ([], {"judge_url": "http://127.0.0.1:9", "provider": "scripted"}, "judge_url", JUDGE),
+    (["--strategy", "none", "--provider", "scripted", "--fn-rate", "0.9"], None, "provider", GATED),
+    (["--strategy", "none", "--fn-rate", "0.9"], None, "fn_rate", GATED),
+    (["--strategy", "critic_prompt", "--fp-rate", "0.1"], None, "fp_rate", GATED),
+    (["--strategy", "ioe_prompt", "--judge-url", "http://127.0.0.1:9"], None, "judge_url", GATED),
+    ([], {"strategy": "none", "provider": "judge"}, "provider", GATED),
+    ([], {"strategy": "critic_prompt", "fn_rate": 0.5}, "fn_rate", GATED),
 ], ids=["fn-rate-flag", "fp-rate-flag", "judge-url-flag", "judge-url-flag-scripted",
-        "fn-rate-config", "fp-rate-config", "judge-url-config"])
+        "fn-rate-config", "fp-rate-config", "judge-url-config",
+        "provider-flag-ungated", "fn-rate-flag-ungated", "fp-rate-flag-ungated", "judge-url-flag-ungated",
+        "provider-config-ungated", "fn-rate-config-ungated"])
 def test_bench_rejects_a_provider_setting_its_provider_never_reads(capsys, tmp_path, toy_model_path,
                                                                    toy_dataset_path, flags, config, key, reader):
-    # Ignored, the setting would print the same row as a run without it.
+    # Ignored, the setting would print the same row as a run without it:
+    # only a feedback-gated strategy asks a provider, and each provider reads
+    # only its own settings.
     out = tmp_path / "out"
     argv = ["bench", "--model", toy_model_path, "--dataset", toy_dataset_path, "--out", str(out)] + flags
     if config is not None:
@@ -589,8 +602,16 @@ def test_bench_rejects_a_provider_setting_its_provider_never_reads(capsys, tmp_p
         argv += ["--config", str(tmp_path / "cfg.json")]
     assert main(argv) == 2
     flag = "--" + key.replace("_", "-")
-    assert f"error: {flag} (config key '{key}') is read only by --provider {reader}" in capsys.readouterr().err
+    assert f"error: {flag} (config key '{key}') is read only by {reader}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_compare_takes_provider_settings_when_one_strategy_reads_them(capsys, tmp_path, toy_model_path,
+                                                                      toy_dataset_path):
+    argv = ["compare", "--model", toy_model_path, "--dataset", toy_dataset_path, "--out", str(tmp_path / "out"),
+            "--strategy", "none", "--strategy", "ftr_indicator", "--provider", "scripted", "--fn-rate", "0.5"]
+    assert main(argv) == 0
+    assert (tmp_path / "out" / "compare.csv").exists()
 
 
 @pytest.mark.parametrize("flags", [["--decoder", "beam"], ["--beam", "99"]])

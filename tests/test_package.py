@@ -1,12 +1,19 @@
-"""The package's public surface: ``multipath.__all__`` and the README."""
+"""The package's public surface: ``multipath.__all__``, what importing a
+layer loads, and the README."""
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import multipath
 
@@ -24,6 +31,45 @@ def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from multipath import *", namespace)
     assert set(multipath.__all__) <= set(namespace)
+
+
+def test_each_public_name_is_its_layers_object():
+    for name in multipath.__all__:
+        layer = importlib.import_module(f"multipath.{multipath._EXPORTS[name]}")
+        assert getattr(multipath, name) is getattr(layer, name), name
+    assert set(multipath.__all__) <= set(dir(multipath))
+
+
+def test_a_submodule_resolves_and_an_unknown_name_raises():
+    assert multipath.remote is importlib.import_module("multipath.remote")
+    with pytest.raises(AttributeError, match="'nope'"):
+        multipath.nope
+
+
+def loaded_after(statement: str) -> list[str]:
+    """The multipath modules a fresh interpreter holds after ``statement``."""
+    script = f"{statement}\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'multipath')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(multipath.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    ("import multipath", ["multipath"]),
+    ("import multipath.decoding",
+     ["multipath", "multipath.decoding", "multipath.errors", "multipath.kernels", "multipath.models"]),
+    ("from multipath import ConfigError", ["multipath", "multipath.errors"]),
+    ("import multipath; multipath.remote", ["multipath", "multipath.errors", "multipath.kernels",
+                                            "multipath.models", "multipath.remote"]),
+], ids=["package", "decoding", "name", "submodule"])
+def test_importing_a_layer_loads_only_the_layers_below_it(statement, loaded):
+    assert loaded_after(statement) == loaded
+
+
+def test_correction_does_not_load_the_wire_layer():
+    loaded = loaded_after("import multipath.correction")
+    assert "multipath.correction" in loaded
+    assert "multipath.remote" not in loaded
 
 
 def test_readme_paths_exist():

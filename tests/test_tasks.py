@@ -242,6 +242,14 @@ def test_a_bracketed_decimal_beyond_float_range_is_no_answer():
     assert extract_bracket_answer(f"[3] then [-{huge}]") is None
 
 
+def test_a_bracketed_answer_takes_ascii_digits_only():
+    # Arabic-Indic and fullwidth digits are Unicode decimals that int() reads.
+    assert extract_bracket_answer("[١٢٣]") is None
+    assert extract_bracket_answer("[１２]") is None
+    assert extract_bracket_answer("[1,234]") == 1234
+    assert extract_bracket_answer("[-3.5]") == -3.5
+
+
 def test_a_bracketed_integer_too_long_to_convert_is_no_answer():
     # Model output, not an input error: the last numeric pair still shadows
     # the earlier ones, and it gives no answer.

@@ -28,7 +28,7 @@ import json
 import os
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 from typing import TYPE_CHECKING
@@ -182,10 +182,22 @@ def _attempt_from(result: DecodeResult, task: Task, stage: str, strategy: str, d
     )
 
 
+def _stage_sampler(sampler_cfg: SamplerConfig, task: Task, stage: int) -> SamplerConfig:
+    """``sampler_cfg`` under the task's seed for ``stage``. Built by keyword:
+    ``dataclasses.replace`` spends more on generic field handling than a
+    two-token decode spends sampling. A new SamplerConfig field must be
+    copied here."""
+    return SamplerConfig(
+        top_p=sampler_cfg.top_p,
+        top_k=sampler_cfg.top_k,
+        seed=derive_seed(sampler_cfg.seed, task.id, stage=stage),
+        max_len=sampler_cfg.max_len,
+    )
+
+
 def run_stage1(model: ModelInterface, task: Task, sampler_cfg: SamplerConfig, strategy: str = "none") -> Attempt:
     """Sample the initial response (per-task seed derived from the config seed)."""
-    seed = derive_seed(sampler_cfg.seed, task.id, stage=1)
-    cfg = replace(sampler_cfg, seed=seed)
+    cfg = _stage_sampler(sampler_cfg, task, stage=1)
     result = nucleus_sample(model, model.vocabulary.encode(task.prompt), cfg)
     return _attempt_from(result, task, INITIAL, strategy, task.prompt)
 
@@ -228,8 +240,7 @@ def prompt_correct(
         raise ConfigError(f"{kind!r} is not a prompt strategy")
 
     stage2_input = f"{task.prompt}\n{attempt.text}\n{p_cor}"
-    seed = derive_seed(sampler_cfg.seed, task.id, stage=2)
-    cfg = replace(sampler_cfg, seed=seed)
+    cfg = _stage_sampler(sampler_cfg, task, stage=2)
     result = nucleus_sample(model, model.vocabulary.encode(stage2_input), cfg)
     return _attempt_from(result, task, CORRECTED, attempt.strategy, stage2_input)
 

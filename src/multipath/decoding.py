@@ -220,26 +220,35 @@ def _draw(rng: random.Random, support: Sequence[tuple[int, float]]) -> int:
 
 
 def _walk(model, prompt, max_len: int, pick) -> DecodeResult:
-    """Shared single-path loop: pick one token per step until EOS or max_len."""
-    prompt_ids = model.vocabulary.check_ids(prompt, "prompt")
-    eos = model.vocabulary.eos_id
-    path = SequencePath.empty()
-    steps = 0
+    """Shared single-path loop: pick one token per step until EOS or max_len
+    (callers guarantee max_len >= 1).
+
+    The loop carries the tokens and their running logprob sum, added in
+    step order as ``SequencePath.extended`` would, and builds one path at
+    the end.
+    """
+    vocabulary = model.vocabulary
+    prompt_ids = vocabulary.check_ids(prompt, "prompt")
+    eos = vocabulary.eos_id
+    tokens: tuple[int, ...] = ()
+    cum = 0.0
     for _ in range(max_len):
-        dist = model.next_distribution(prompt_ids, path.tokens)
+        dist = model.next_distribution(prompt_ids, tokens)
         token = pick(dist)
-        path = path.extended(token, dist.logprob(token), eos)
-        steps += 1
-        if path.finished:
+        tokens += (token,)
+        cum += dist.logprob(token)
+        if token == eos:
             break
+    path = SequencePath(tokens=tokens, cum_logprob=cum, finished=token == eos)
+    steps = len(tokens)
     return DecodeResult(
         chosen=path,
         finished_candidates=(path,) if path.finished else (),
         truncated=() if path.finished else (path,),
         k_trace=(1,) * steps,
-        tokens_generated=len(path),
+        tokens_generated=steps,
         steps=steps,
-        vocabulary=model.vocabulary,
+        vocabulary=vocabulary,
     )
 
 

@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -43,6 +44,11 @@ class Vocabulary:
             raise ValueError(f"vocabulary needs at least 2 tokens, got {len(self.tokens)}")
         if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("vocabulary tokens must be unique")
+        # ``encode`` splits text at whitespace, so the tokens must come back
+        # from their own decoded text: each nonempty and free of whitespace.
+        if " ".join(self.tokens).split() != list(self.tokens):
+            bad = next(tok for tok in self.tokens if tok.split() != [tok])
+            raise ValueError(f"vocabulary token {bad!r} must be a nonempty string without whitespace")
         if not 0 <= self.eos_id < len(self.tokens):
             raise ValueError(f"eos_id {self.eos_id} out of range for size {len(self.tokens)}")
 
@@ -60,19 +66,30 @@ class Vocabulary:
 
     def encode(self, text: str) -> TokenIds:
         """Whitespace-tokenize ``text`` into ids. Unknown tokens are an error."""
-        words = text.split()
+        return self._lookup(text.split())
+
+    def _lookup(self, words: Sequence[str]) -> TokenIds:
+        """The id of each token in ``words``; an unknown token is an error
+        that names the first one."""
+        if len(words) > 1:  # itemgetter of one key returns a bare id
+            try:
+                return itemgetter(*words)(self._ids)
+            except KeyError:
+                pass
         ids = tuple(map(self._ids.get, words))
         if None in ids:
             raise ValueError(f"token {words[ids.index(None)]!r} not in vocabulary")
         return ids
 
     def check_ids(self, ids: Iterable[int], what: str) -> TokenIds:
-        """``ids`` as a tuple, after checking each lies in [0, V)."""
+        """``ids`` as a tuple, after checking each is an int in [0, V)."""
         ids = tuple(ids)
         size = len(self.tokens)
         for tid in ids:
-            if not 0 <= tid < size:
-                raise ValueError(f"{what} token id {tid} out of range (V={size})")
+            if not (isinstance(tid, int) and 0 <= tid < size):
+                if isinstance(tid, int):
+                    raise ValueError(f"{what} token id {tid} out of range (V={size})")
+                raise ValueError(f"{what} token id {tid!r} is not an int")
         return ids
 
     def decode(self, ids: Sequence[int]) -> str:
@@ -313,7 +330,9 @@ class TableLM(ModelInterface):
             raise ValueError(f"{what}: row length {len(dist)} != vocabulary size {self._vocabulary.size}")
 
     def _distribution(self, prompt: TokenIds, prefix: TokenIds) -> StepDistribution:
-        dist = self._prompt_rows.get((prompt, prefix))
+        # A table without prompt-pinned rows (every loaded file) skips
+        # hashing the (prompt, prefix) key.
+        dist = self._prompt_rows.get((prompt, prefix)) if self._prompt_rows else None
         if dist is None:
             dist = self._rows.get(prefix)
         if dist is None:
@@ -520,7 +539,8 @@ def table_lm_from_spec(data: dict, path: Path) -> TableLM:
 
     Schema: {"vocab": [str], "eos": str, "rows": [{"context": [str],
     "probs": [num]}], "default": [num] (optional)}. Contexts are generated-
-    prefix token lists; the empty context is the step-0 row.
+    prefix token lists, each entry one vocabulary token; the empty context is
+    the step-0 row.
     """
     for key in ("vocab", "eos", "rows"):
         if key not in data:
@@ -547,7 +567,7 @@ def table_lm_from_spec(data: dict, path: Path) -> TableLM:
         if not is_str_list(row["context"]):
             raise LoadError(f"model file {path}: {what}: 'context' must be a list of strings")
         try:
-            ctx = vocabulary.encode(" ".join(row["context"]))
+            ctx = vocabulary._lookup(row["context"])
         except ValueError as exc:
             raise LoadError(f"model file {path}: {what}: {exc}") from exc
         if ctx in rows:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -28,7 +29,7 @@ from multipath.correction import (
     run_protocol,
     run_stage1,
 )
-from multipath.decoding import MultipathConfig, SamplerConfig, multipath_decode
+from multipath.decoding import MultipathConfig, SamplerConfig, multipath_decode, nucleus_sample
 from multipath.errors import ConfigError, LoadError
 from multipath.models import ModelInterface, train_ngram
 from multipath.tasks import Dataset, Task, extract_bracket_answer
@@ -212,6 +213,27 @@ def test_run_stage1_conditions_on_the_raw_prompt(small_digit_model, small_digit_
     assert attempt.text.endswith("$")
     again = run_stage1(small_digit_model, task, SAMPLER)
     assert again == attempt
+
+
+def test_stage_samplers_are_the_config_under_the_stage_seed(monkeypatch, small_digit_model, small_digit_dataset):
+    # Every field differs from its default, so a field the stages' keyword
+    # build forgets to copy shows as a difference; a field added to
+    # SamplerConfig fails the first assert until it is listed here.
+    values = {"top_p": 0.5, "top_k": 3, "seed": 11, "max_len": 4}
+    assert {f.name for f in dataclasses.fields(SamplerConfig)} == values.keys()
+    sampler = SamplerConfig(**values)
+    assert all(getattr(sampler, f.name) != f.default for f in dataclasses.fields(SamplerConfig))
+    seen = []
+
+    def recording_sample(model, prompt, cfg):
+        seen.append(cfg)
+        return nucleus_sample(model, prompt, cfg)
+
+    monkeypatch.setattr(correction, "nucleus_sample", recording_sample)
+    task = small_digit_dataset.tasks[0]
+    attempt = run_stage1(small_digit_model, task, sampler)
+    prompt_correct(small_digit_model, task, attempt, "critic_prompt", sampler)
+    assert seen == [dataclasses.replace(sampler, seed=derive_seed(11, task.id, stage=stage)) for stage in (1, 2)]
 
 
 def test_run_stage1_seed_is_per_task(small_digit_model, small_digit_dataset):

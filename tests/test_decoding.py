@@ -209,6 +209,41 @@ def test_adaptive_low_entropy_step_is_argmax(trap_model):
 
 
 # ---------------------------------------------------------------------------
+# the single-path loop keeps a running sum, not a path per token: its answer
+# must equal the path scored from scratch, bit for bit
+
+
+def single_path_cases():
+    """(model, prompt, max_len) on random table models, whose max_len is
+    their horizon so every context has a row, and on an add-k n-gram model,
+    whose floor lets a sample run to max_len unfinished."""
+    for seed in range(12):
+        model, horizon = random_table_lm(random.Random(seed))
+        yield model, (), horizon
+    ngram = train_ngram("a b a\nb a b b\na a b c\nc b", order=2, add_k=0.5)
+    for prompt in ((), (0,), (2, 1)):
+        yield ngram, prompt, 6
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_single_path_result_equals_the_path_scored_from_scratch(seed):
+    for model, prompt, max_len in single_path_cases():
+        eos = model.vocabulary.eos_id
+        for result in (
+            greedy_decode(model, prompt, max_len),
+            nucleus_sample(model, prompt, SamplerConfig(top_p=0.9, top_k=3, seed=seed, max_len=max_len)),
+            adaptive_decode(model, prompt, AdaptiveConfig(base_k=3, seed=seed, max_len=max_len)),
+        ):
+            chosen = result.chosen
+            assert chosen.cum_logprob == sequence_logprob(model, prompt, chosen.tokens)
+            assert chosen.finished == (chosen.tokens[-1] == eos)
+            assert result.steps == result.tokens_generated == len(chosen.tokens)
+            assert (result.finished_candidates, result.truncated) == (
+                ((chosen,), ()) if chosen.finished else ((), (chosen,))
+            )
+
+
+# ---------------------------------------------------------------------------
 # the single-path samplers read the sparse row: their supports must equal
 # the dense kernels' on the dense row
 

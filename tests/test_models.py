@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -71,6 +73,16 @@ def test_vocabulary_rejects_bad_eos():
 def test_vocabulary_needs_two_tokens():
     with pytest.raises(ValueError, match="at least 2"):
         Vocabulary(tokens=("a",), eos_id=0)
+
+
+@pytest.mark.parametrize("token", ["a b", "", " ", "a\tb", "a\u00a0b", "b\n"])
+def test_vocabulary_token_is_nonempty_and_holds_no_whitespace(token):
+    # encode splits text at whitespace, so such a token could never come
+    # back from its own decoded text.
+    with pytest.raises(ValueError, match=f"vocabulary token {re.escape(repr(token))} must be a nonempty string"):
+        Vocabulary(tokens=(token, "c", "$"), eos_id=2)
+    with pytest.raises(ValueError, match="must be a nonempty string"):
+        Vocabulary(tokens=("c", token), eos_id=1)
 
 
 def test_vocabulary_from_tokens():
@@ -163,9 +175,18 @@ def test_token_ids_are_checked_where_they_enter(trap_model):
     size = trap_model.vocabulary.size
     for enter in entries:
         enter((0, 1))
+        enter((False, True))  # a bool is an int
         for bad in (size, -1):
             with pytest.raises(ValueError, match=rf"prompt token id {bad} out of range \(V={size}\)"):
                 enter((0, bad, 1))
+        # Without the type check these prompts would decode: the table model
+        # never reads them, and an n-gram model serves (0.5,) its unseen row.
+        for bad in (1.5, 1.0, float("nan")):
+            with pytest.raises(ValueError, match=rf"prompt token id {bad!r} is not an int"):
+                enter((0, bad, 1))
+    ngram = train_ngram("a b a b", order=1, add_k=1.0)
+    with pytest.raises(ValueError, match=r"prompt token id 0\.5 is not an int"):
+        multipath_decode(ngram, (0.5,), MultipathConfig())
     # Without its own check, -3 would wrap to token 0 and score (0, 0).
     for continuation in ((0, -3), (size, 2), (0, -1)):
         with pytest.raises(ValueError, match=r"continuation token id -?\d+ out of range"):
@@ -643,9 +664,23 @@ def test_load_rejects_duplicate_context(tmp_path):
 
 
 def test_load_rejects_unknown_context_token(tmp_path):
-    text = '{"vocab": ["a", "$"], "eos": "$", "rows": [{"context": ["z"], "probs": [0.5, 0.5]}]}'
-    with pytest.raises(LoadError, match="row 0: token 'z'"):
-        load_model(write_model(tmp_path, text))
+    # Each listed token is looked up on its own: "" is no token, and "a b"
+    # is not the context ["a", "b"].
+    for context, bad in ((["z"], "z"), (["a", ""], ""), (["a b"], "a b")):
+        text = json.dumps({"vocab": ["a", "b", "$"], "eos": "$", "rows": [{"context": context, "probs": [0.5, 0.25, 0.25]}]})
+        with pytest.raises(LoadError, match=f"row 0: token {re.escape(repr(bad))} not in vocabulary"):
+            load_model(write_model(tmp_path, text))
+
+
+@pytest.mark.parametrize("spec", [
+    {"vocab": ["a b", "c", "$"], "eos": "$", "rows": []},
+    {"kind": "remote", "url": "http://127.0.0.1:1/model", "vocab": ["a b", "c", "$"], "eos": "$"},
+    {"kind": "ngram", "corpus": "a b a", "eos": "end of line"},
+    {"kind": "ngram", "corpus": "a b a", "eos": ""},
+], ids=["table", "remote", "ngram-eos", "ngram-empty-eos"])
+def test_load_rejects_a_vocabulary_token_with_whitespace(tmp_path, spec):
+    with pytest.raises(LoadError, match=r"model file .*vocabulary token .* must be a nonempty string without whitespace"):
+        load_model(write_model(tmp_path, json.dumps(spec)))
 
 
 def test_load_rejects_bad_default_row(tmp_path):

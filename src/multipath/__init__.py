@@ -5,7 +5,8 @@ Layers, bottom up, each with the layers it imports:
 
 - errors: the exception types.
 - kernels: ranking and retention primitives.
-- models: the autoregressive contract and reference models (kernels, errors).
+- models: the autoregressive contract and reference models (kernels, errors);
+  it reads no files.
 - decoding: greedy, beam, sampling and multipath decoders (models, kernels).
 - templates: the packaged prompt templates.
 - tasks: datasets, answer extraction and verification (models, templates,
@@ -17,8 +18,9 @@ Layers, bottom up, each with the layers it imports:
 - oracle: brute-force cross-checks of the decoders (decoding, models,
   kernels).
 - toydata: the digit-world fixtures (models, tasks, templates).
-- cli: reproducible runs (correction, decoding, evaluation, models, oracle,
-  remote, tasks, errors).
+- cli: reproducible runs and the model-spec reader (correction, decoding,
+  evaluation, models, oracle, tasks, errors); it loads remote only for a
+  remote model spec or the judge provider.
 
 Importing the package imports none of them. Each public name below is
 loaded from its layer on first use, so ``import multipath.decoding`` loads

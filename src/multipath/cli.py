@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+import threading
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -47,11 +48,10 @@ from .decoding import (
     nucleus_sample,
     adaptive_decode,
 )
-from .errors import ConfigError, LoadError, MultipathError, ProtocolError, TransportError, VerificationError
+from .errors import ConfigError, LoadError, ProtocolError, TrainingError, TransportError, VerificationError
 from .evaluation import reports_to_csv, score_run
-from .models import ModelInterface, is_number, read_json_object, table_lm_from_spec, train_ngram, vocabulary_from_spec
+from .models import ModelInterface, NGramLM, StepDistribution, TableLM, Vocabulary, is_number, is_str_list, train_ngram
 from .oracle import MUTATIONS, check_exactness, check_pruning, check_reductions, mutated
-from .remote import HttpModelClient, JudgeClient
 from .tasks import load_tasks
 
 DECODERS = ("greedy", "multipath", "beam", "nucleus", "adaptive")
@@ -158,7 +158,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         config = {}
     else:
         path = Path(args.config)
-        config = read_json_object(path, "config", ConfigError)
+        config = _read_json_object(path, "config", ConfigError)
         [commands] = [action.choices for action in parser._actions if isinstance(action.choices, dict)]
         known = {action.dest for sub in commands.values() for action in sub._actions}
         unknown = sorted(set(config) - known)
@@ -179,8 +179,11 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     if "strategy" in args and args.strategy is None:
         strategy = config.get("strategy", DEFAULT_STRATEGY)
         args.strategy = [strategy] if isinstance(strategy, str) else strategy
-    if "timeout" in args and not 0 < args.timeout < math.inf:
-        raise ConfigError(f"--timeout (config key 'timeout') must be > 0 seconds and finite, got {args.timeout!r}")
+    # The OS takes no wait longer than TIMEOUT_MAX: a socket or subprocess
+    # raises OverflowError for one.
+    if "timeout" in args and not 0 < args.timeout <= threading.TIMEOUT_MAX:
+        raise ConfigError(f"--timeout (config key 'timeout') must be > 0 seconds and at most "
+                          f"{threading.TIMEOUT_MAX!r}, got {args.timeout!r}")
     return args
 
 
@@ -191,81 +194,147 @@ def _required(args: argparse.Namespace, key: str):
     return value
 
 
-def _spec_number(data: dict, key: str, default: float, path: Path, kind: type = float):
-    """``data[key]``, else ``default``, checked to be a finite ``kind`` (see ``_is_a``)."""
-    value = data.get(key, default)
-    if not _is_a(value, kind) or (isinstance(value, float) and not math.isfinite(value)):
-        raise LoadError(f"model file {path}: {key!r} must be a finite {kind.__name__}, got {value!r}")
-    return value
+def _read_json_object(path: Path, what: str, error: type[Exception]) -> dict:
+    """The JSON object in ``path``. Raises ``error``, naming ``what`` and the
+    file, when the file cannot be read as UTF-8, is not JSON or is not an
+    object."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise error(f"{what} {path}: top level must be an object")
+    return data
 
 
-# The keys each model-spec kind reads; a table file has no "kind".
+# ---------------------------------------------------------------------------
+# Model spec files
+
+
+# The keys each model-spec kind requires and those it may add; a table file
+# has no "kind".
 _SPEC_KEYS = {
-    "table": {"vocab", "eos", "rows", "default"},
-    "ngram": {"kind", "corpus", "corpus_file", "order", "add_k", "eos"},
-    "remote": {"kind", "url", "vocab", "eos", "timeout", "retries"},
+    "table": ({"vocab", "eos", "rows"}, {"default"}),
+    "ngram": ({"kind"}, {"corpus", "corpus_file", "order", "add_k", "eos"}),
+    "remote": ({"kind", "url", "vocab", "eos"}, {"timeout", "retries"}),
 }
 
 
 def load_model(path: str | Path) -> ModelInterface:
     """Load a model spec file.
 
-    Accepted shapes: a table-model file ({"vocab", "eos", "rows", ...}), an
-    n-gram spec ({"kind": "ngram", exactly one of "corpus" and "corpus_file",
-    "order", "add_k", "eos"?}), or a remote endpoint ({"kind": "remote", "url",
-    "vocab", "eos", "timeout"?, "retries"?}). A key its kind never reads is
-    rejected, so a misspelt optional key cannot fall back to its default.
+    Accepted shapes: a table-model file ({"vocab", "eos", "rows",
+    "default"?}), an n-gram spec ({"kind": "ngram", exactly one of "corpus"
+    and "corpus_file", "order"?, "add_k"?, "eos"?}), or a remote endpoint
+    ({"kind": "remote", "url", "vocab", "eos", "timeout"?, "retries"?}). A
+    key its kind never reads is rejected, so a misspelt optional key cannot
+    fall back to its default. Every fault raises LoadError naming the file.
     """
     path = Path(path)
-    data = read_json_object(path, "model file", LoadError)
+    data = _read_json_object(path, "model file", LoadError)
     kind = data["kind"] if "kind" in data else "table" if "rows" in data else None
-    if kind not in ("table", "ngram", "remote"):
-        raise LoadError(f"model file {path}: unrecognized spec (no 'rows' and no known 'kind')")
-    unknown = sorted(data.keys() - _SPEC_KEYS[kind])
-    if unknown:
-        raise LoadError(
-            f"model file {path}: unknown key(s) {', '.join(map(repr, unknown))}; "
-            f"{kind} specs read only {', '.join(map(repr, sorted(_SPEC_KEYS[kind])))}"
-        )
-    if kind == "table":
-        return table_lm_from_spec(data, path)
-    if kind == "ngram":
-        if ("corpus" in data) == ("corpus_file" in data):
-            raise LoadError(f"model file {path}: ngram spec needs 'corpus' text or 'corpus_file', exactly one of the two")
-        corpus = data.get("corpus")
-        if "corpus_file" in data:
-            if not isinstance(data["corpus_file"], str):
-                raise LoadError(f"model file {path}: 'corpus_file' must be a string")
-            corpus_path = Path(data["corpus_file"])
-            if not corpus_path.is_absolute():
-                corpus_path = path.parent / corpus_path
-            try:
-                corpus = corpus_path.read_text(encoding="utf-8")
-            except OSError as exc:
-                raise LoadError(f"model file {path}: cannot read 'corpus_file' {corpus_path}: {exc}") from exc
-        if not isinstance(corpus, str):
-            raise LoadError(f"model file {path}: 'corpus' must be a string")
-        eos = data.get("eos", "</s>")
-        if not isinstance(eos, str):
-            raise LoadError(f"model file {path}: 'eos' must be a string")
-        order = _spec_number(data, "order", 2, path, int)
-        add_k = float(_spec_number(data, "add_k", 1.0, path))
-        try:
-            return train_ngram(corpus, order=order, add_k=add_k, eos_token=eos)
-        except (ValueError, MultipathError) as exc:
-            raise LoadError(f"model file {path}: {exc}") from exc
-    # A remote spec.
-    for key in ("url", "vocab", "eos"):
-        if key not in data:
-            raise LoadError(f"model file {path}: remote spec missing {key!r}")
-    if not isinstance(data["url"], str):
-        raise LoadError(f"model file {path}: 'url' must be a string")
-    timeout = float(_spec_number(data, "timeout", 10.0, path))
-    retries = _spec_number(data, "retries", 2, path, int)
     try:
-        return HttpModelClient(vocabulary_from_spec(data, path), data["url"], timeout=timeout, retries=retries)
-    except ValueError as exc:
+        # A tuple, not the dict: an unhashable "kind" such as [] is no kind.
+        if kind not in ("table", "ngram", "remote"):
+            raise ValueError("unrecognized spec (no 'rows' and no known 'kind')")
+        required, optional = _SPEC_KEYS[kind]
+        unknown = sorted(data.keys() - required - optional)
+        if unknown:
+            raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}; "
+                             f"{kind} specs read only {', '.join(map(repr, sorted(required | optional)))}")
+        missing = sorted(required - data.keys())
+        if missing:
+            raise ValueError(f"{kind} spec missing key {', '.join(map(repr, missing))}")
+        if kind == "table":
+            return _table_lm(data)
+        if kind == "ngram":
+            return _ngram_lm(data, path.parent)
+        from .remote import HttpModelClient  # loads urllib and http, so only here
+
+        timeout = float(_spec_value(data, "timeout", float, 10.0))
+        retries = _spec_value(data, "retries", int, 2)
+        return HttpModelClient(_vocabulary(data), _spec_value(data, "url", str), timeout=timeout, retries=retries)
+    except (ValueError, OverflowError, TrainingError) as exc:
         raise LoadError(f"model file {path}: {exc}") from exc
+
+
+def _spec_value(data: dict, key: str, kind: type, default: object = None):
+    """``data[key]``, else ``default``, checked to be a ``kind`` (see
+    ``_is_a``); a float must be finite."""
+    value = data.get(key, default)
+    if not _is_a(value, kind) or (isinstance(value, float) and not math.isfinite(value)):
+        expected = "string" if kind is str else f"finite {kind.__name__}"
+        raise ValueError(f"{key!r} must be a {expected}, got {value!r}")
+    return value
+
+
+def _vocabulary(data: dict) -> Vocabulary:
+    """The vocabulary named by a spec's "vocab" and "eos" keys."""
+    if not is_str_list(data["vocab"]):
+        raise ValueError("'vocab' must be a list of strings")
+    return Vocabulary.from_tokens(data["vocab"], _spec_value(data, "eos", str))
+
+
+def _table_lm(data: dict) -> TableLM:
+    """The table model of a table spec, validating every row.
+
+    Schema: {"vocab": [str], "eos": str, "rows": [{"context": [str],
+    "probs": [num]}], "default": [num] (optional)}. Contexts are generated-
+    prefix token lists, each entry one vocabulary token; the empty context is
+    the step-0 row.
+    """
+    vocabulary = _vocabulary(data)
+    if not isinstance(data["rows"], list):
+        raise ValueError("'rows' must be a list")
+
+    def parse_row(probs: list, what: str) -> StepDistribution:
+        if not isinstance(probs, list) or len(probs) != vocabulary.size:
+            raise ValueError(f"{what}: probs must be a list of length {vocabulary.size}")
+        if not all(map(is_number, probs)):
+            raise ValueError(f"{what}: 'probs' must be numbers")
+        try:
+            return StepDistribution(probs=probs)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{what}: {exc}") from exc
+
+    rows = {}
+    for idx, row in enumerate(data["rows"]):
+        what = f"row {idx}"
+        if not isinstance(row, dict) or "context" not in row or "probs" not in row:
+            raise ValueError(f"{what}: needs 'context' and 'probs'")
+        if not is_str_list(row["context"]):
+            raise ValueError(f"{what}: 'context' must be a list of strings")
+        try:
+            ctx = vocabulary._lookup(row["context"])
+        except ValueError as exc:
+            raise ValueError(f"{what}: {exc}") from exc
+        if ctx in rows:
+            raise ValueError(f"{what}: duplicate context {row['context']}")
+        rows[ctx] = parse_row(row["probs"], f"{what} (context {row['context']})")
+
+    default = parse_row(data["default"], "default row") if "default" in data else None
+    return TableLM(vocabulary=vocabulary, rows=rows, default=default)
+
+
+def _ngram_lm(data: dict, folder: Path) -> NGramLM:
+    """The n-gram model trained as an n-gram spec says; a relative
+    "corpus_file" is read from ``folder``, the spec's own."""
+    if ("corpus" in data) == ("corpus_file" in data):
+        raise ValueError("ngram spec needs 'corpus' text or 'corpus_file', exactly one of the two")
+    if "corpus" in data:
+        corpus = _spec_value(data, "corpus", str)
+    else:
+        corpus_path = folder / _spec_value(data, "corpus_file", str)
+        try:
+            corpus = corpus_path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"cannot read 'corpus_file' {corpus_path}: {exc}") from exc
+    eos = _spec_value(data, "eos", str, "</s>")
+    order = _spec_value(data, "order", int, 2)
+    add_k = float(_spec_value(data, "add_k", float, 1.0))
+    return train_ngram(corpus, order=order, add_k=add_k, eos_token=eos)
 
 
 def _multipath_config(args: argparse.Namespace) -> MultipathConfig:
@@ -301,6 +370,8 @@ def _build_provider(args: argparse.Namespace) -> FeedbackProvider:
         return GroundTruthProvider(timeout=args.timeout)
     if args.provider == "scripted":
         return ScriptedJudgeProvider(fn_rate=args.fn_rate, fp_rate=args.fp_rate, seed=args.seed, timeout=args.timeout)
+    from .remote import JudgeClient  # loads urllib and http, so only here
+
     return JudgeServiceProvider(JudgeClient(_required(args, "judge_url"), timeout=args.timeout))
 
 

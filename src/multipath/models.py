@@ -12,7 +12,6 @@ sums use log-sum-exp (see kernels).
 
 from __future__ import annotations
 
-import json
 import math
 from abc import ABC, abstractmethod
 from collections import Counter
@@ -20,11 +19,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import kernels
-from .errors import LoadError, TrainingError
+from .errors import TrainingError
 
 # Tolerance for "entries sum to 1" on any next-token distribution.
 DISTRIBUTION_SUM_TOL = 1e-9
@@ -301,10 +299,8 @@ class ModelInterface(ABC):
 class TableLM(ModelInterface):
     """Model backed by an explicit context -> distribution table.
 
-    Rows are keyed by the generated prefix; a row may additionally be pinned
-    to one exact prompt (programmatic fixtures such as the digit model). Lookup
-    order: (prompt, prefix) row, then prompt-agnostic (prefix) row, then the
-    default row.
+    Rows are keyed by the generated prefix, whatever the prompt. Lookup
+    order: the prefix's row, then the default row.
     """
 
     def __init__(
@@ -312,16 +308,12 @@ class TableLM(ModelInterface):
         vocabulary: Vocabulary,
         rows: Mapping[TokenIds, StepDistribution] | None = None,
         default: StepDistribution | None = None,
-        prompt_rows: Mapping[tuple[TokenIds, TokenIds], StepDistribution] | None = None,
     ):
         super().__init__(vocabulary)
         self._rows = dict(rows or {})
-        self._prompt_rows = dict(prompt_rows or {})
         self._default = default
         for key, dist in self._rows.items():
             self._check_row(dist, f"context {list(key)}")
-        for (pk, ck), dist in self._prompt_rows.items():
-            self._check_row(dist, f"prompt {list(pk)} context {list(ck)}")
         if default is not None:
             self._check_row(default, "default")
 
@@ -330,13 +322,7 @@ class TableLM(ModelInterface):
             raise ValueError(f"{what}: row length {len(dist)} != vocabulary size {self._vocabulary.size}")
 
     def _distribution(self, prompt: TokenIds, prefix: TokenIds) -> StepDistribution:
-        # A table without prompt-pinned rows (every loaded file) skips
-        # hashing the (prompt, prefix) key.
-        dist = self._prompt_rows.get((prompt, prefix)) if self._prompt_rows else None
-        if dist is None:
-            dist = self._rows.get(prefix)
-        if dist is None:
-            dist = self._default
+        dist = self._rows.get(prefix, self._default)
         if dist is None:
             raise ValueError(f"no table row for prefix {list(prefix)} and no default row")
         return dist
@@ -492,36 +478,6 @@ def perplexity(cum_logprob: float, num_tokens: int) -> float:
     return math.exp(-cum_logprob / num_tokens)
 
 
-# ---------------------------------------------------------------------------
-# Table-model file format
-
-
-def vocabulary_from_spec(data: dict, path: Path) -> Vocabulary:
-    """The vocabulary named by a model file's "vocab" and "eos" keys."""
-    if not is_str_list(data["vocab"]):
-        raise LoadError(f"model file {path}: 'vocab' must be a list of strings")
-    if not isinstance(data["eos"], str):
-        raise LoadError(f"model file {path}: 'eos' must be a string")
-    try:
-        return Vocabulary.from_tokens(data["vocab"], data["eos"])
-    except ValueError as exc:
-        raise LoadError(f"model file {path}: {exc}") from exc
-
-
-def read_json_object(path: Path, what: str, error: type[Exception]) -> dict:
-    """The JSON object in ``path``. Raises ``error``, naming ``what`` and the
-    file, when the file cannot be read, is not JSON or is not an object."""
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise error(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise error(f"{what} {path}: top level must be an object")
-    return data
-
-
 def is_number(value: object) -> bool:
     """Whether a JSON value is a number: an int or a float, never a bool,
     which JSON loads as a Python bool and Python counts as an int."""
@@ -531,51 +487,6 @@ def is_number(value: object) -> bool:
 def is_str_list(value: object) -> bool:
     """Whether a JSON value is a list of strings."""
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def table_lm_from_spec(data: dict, path: Path) -> TableLM:
-    """The table model described by ``data``, parsed from the file ``path``,
-    validating every row.
-
-    Schema: {"vocab": [str], "eos": str, "rows": [{"context": [str],
-    "probs": [num]}], "default": [num] (optional)}. Contexts are generated-
-    prefix token lists, each entry one vocabulary token; the empty context is
-    the step-0 row.
-    """
-    for key in ("vocab", "eos", "rows"):
-        if key not in data:
-            raise LoadError(f"model file {path}: missing key {key!r}")
-    vocabulary = vocabulary_from_spec(data, path)
-    if not isinstance(data["rows"], list):
-        raise LoadError(f"model file {path}: 'rows' must be a list")
-
-    def parse_row(probs: list, what: str) -> StepDistribution:
-        if not isinstance(probs, list) or len(probs) != vocabulary.size:
-            raise LoadError(f"model file {path}: {what}: probs must be a list of length {vocabulary.size}")
-        if not all(map(is_number, probs)):
-            raise LoadError(f"model file {path}: {what}: 'probs' must be numbers")
-        try:
-            return StepDistribution(probs=probs)
-        except (ValueError, OverflowError) as exc:
-            raise LoadError(f"model file {path}: {what}: {exc}") from exc
-
-    rows: dict[TokenIds, StepDistribution] = {}
-    for idx, row in enumerate(data["rows"]):
-        what = f"row {idx}"
-        if not isinstance(row, dict) or "context" not in row or "probs" not in row:
-            raise LoadError(f"model file {path}: {what}: needs 'context' and 'probs'")
-        if not is_str_list(row["context"]):
-            raise LoadError(f"model file {path}: {what}: 'context' must be a list of strings")
-        try:
-            ctx = vocabulary._lookup(row["context"])
-        except ValueError as exc:
-            raise LoadError(f"model file {path}: {what}: {exc}") from exc
-        if ctx in rows:
-            raise LoadError(f"model file {path}: {what}: duplicate context {row['context']}")
-        rows[ctx] = parse_row(row["probs"], f"{what} (context {row['context']})")
-
-    default = parse_row(data["default"], "default row") if "default" in data else None
-    return TableLM(vocabulary=vocabulary, rows=rows, default=default)
 
 
 def greedy_trap_lm() -> TableLM:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -73,12 +74,13 @@ def _http_post_json(url: str, payload: dict, timeout: float) -> object:
 
 def _check_settings(url: str, timeout: float, retries: int) -> None:
     """Raise ValueError unless ``url`` is http(s) (urllib would also open a
-    file: URL), ``timeout`` is a finite number of seconds > 0 (a socket
-    rejects an infinite one) and ``retries`` >= 0."""
+    file: URL), ``timeout`` is > 0 and at most ``threading.TIMEOUT_MAX``
+    seconds (a socket raises OverflowError for a longer one) and ``retries``
+    >= 0."""
     if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
         raise ValueError(f"the URL must be http:// or https://, got {url!r}")
-    if not 0 < timeout < math.inf:
-        raise ValueError(f"'timeout' must be finite and > 0 seconds, got {timeout!r}")
+    if not 0 < timeout <= threading.TIMEOUT_MAX:
+        raise ValueError(f"'timeout' must be > 0 seconds and at most {threading.TIMEOUT_MAX!r}, got {timeout!r}")
     if retries < 0:
         raise ValueError(f"'retries' must be >= 0, got {retries!r}")
 

@@ -81,7 +81,7 @@ def load_tasks(path: str | Path) -> Dataset:
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LoadError(f"cannot read dataset {path}: {exc}") from exc
 
     template = load_prompt(MATH_TEMPLATE)

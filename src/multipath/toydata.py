@@ -62,6 +62,19 @@ def _step0_probs(vocab: Vocabulary, index: int) -> tuple[float, ...]:
     return tuple(probs)
 
 
+class _DigitLM(TableLM):
+    """A table model whose step-0 row is pinned per task prompt: the step-0
+    row of a prompt in ``step0`` is that entry, not the table's."""
+
+    def __init__(self, vocabulary: Vocabulary, rows: dict, step0: dict):
+        super().__init__(vocabulary, rows)
+        self._step0 = step0
+
+    def _distribution(self, prompt, prefix):
+        dist = None if prefix else self._step0.get(prompt)
+        return super()._distribution(prompt, prefix) if dist is None else dist
+
+
 def make_digit_model(num_tasks: int = 100) -> TableLM:
     """Per-task step-0 rows keyed by the full task prompt; any stage-2 input
     that differs from a task prompt falls back to a uniform digit row."""
@@ -72,11 +85,8 @@ def make_digit_model(num_tasks: int = 100) -> TableLM:
     for d in range(DIGITS):
         uniform_digits[d] = 1.0 / DIGITS
     rows[()] = StepDistribution(probs=tuple(uniform_digits))
-    prompt_rows = {}
-    for i in range(num_tasks):
-        prompt_ids = vocab.encode(task_prompt(i))
-        prompt_rows[(prompt_ids, ())] = StepDistribution(probs=_step0_probs(vocab, i))
-    return TableLM(vocabulary=vocab, rows=rows, prompt_rows=prompt_rows)
+    step0 = {vocab.encode(task_prompt(i)): StepDistribution(probs=_step0_probs(vocab, i)) for i in range(num_tasks)}
+    return _DigitLM(vocab, rows, step0)
 
 
 def make_digit_dataset(num_tasks: int = 100) -> Dataset:

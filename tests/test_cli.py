@@ -118,7 +118,8 @@ def code_task_dataset(tmp_path):
     return str(dataset)
 
 
-@pytest.mark.parametrize("timeout", [-1, 0, "nan", "inf"])
+# 1e300 is finite, but a socket or subprocess wait that long raises OverflowError.
+@pytest.mark.parametrize("timeout", [-1, 0, "nan", "inf", "1e300"])
 def test_bench_timeout_flag_must_be_positive(capsys, tmp_path, toy_model_path, timeout):
     argv = ["bench", "--model", toy_model_path, "--dataset", code_task_dataset(tmp_path), "--strategy", "ftr_indicator",
             "--out", str(tmp_path / "out"), "--timeout", str(timeout)]
@@ -341,7 +342,7 @@ def test_load_model_remote_spec(tmp_path):
 def test_load_model_remote_spec_missing_field(tmp_path):
     spec = tmp_path / "remote.json"
     spec.write_text(json.dumps({"kind": "remote", "url": "http://x"}))
-    with pytest.raises(LoadError, match="missing 'vocab'"):
+    with pytest.raises(LoadError, match="remote spec missing key 'eos', 'vocab'"):
         load_model(spec)
 
 
@@ -375,6 +376,7 @@ TABLE_SPEC = {"vocab": ["a", "$"], "eos": "$", "rows": [{"context": [], "probs":
     (dict(TABLE_SPEC, rows=[["a"]]), "context"),
     ({"kind": "ngram", "corpus_file": "absent.txt"}, "corpus_file"),
     ({"kind": "ngram", "corpus": 1}, "corpus"),
+    (dict(REMOTE_SPEC, timeout=1e300), "timeout"),
 ])
 def test_load_model_rejects_wrong_json_types_with_exit_2(capsys, tmp_path, spec, key):
     path = tmp_path / "model.json"
@@ -397,6 +399,9 @@ def test_load_model_rejects_wrong_json_types_with_exit_2(capsys, tmp_path, spec,
     (dict(NGRAM_SPEC, corpus="a b c\nb c a", corpus_file=5, order=1),
      "ngram spec needs 'corpus' text or 'corpus_file', exactly one of the two"),
     (dict(REMOTE_SPEC, url="file:///tmp/reply.json"), "the URL must be http:// or https://, got 'file:///tmp/reply.json'"),
+    # An unhashable kind is no kind, not a TypeError.
+    ({"kind": []}, "unrecognized spec"),
+    ({"kind": 3}, "unrecognized spec"),
 ])
 def test_load_model_rejects_bad_values_with_exit_2(capsys, tmp_path, spec, match):
     path = tmp_path / "model.json"
@@ -410,6 +415,28 @@ def test_load_model_unrecognized_spec(tmp_path):
     spec.write_text(json.dumps({"kind": "mystery"}))
     with pytest.raises(LoadError, match="unrecognized spec"):
         load_model(spec)
+
+
+@pytest.mark.parametrize("bad", ["model", "config", "corpus_file", "dataset"])
+def test_an_input_file_that_is_not_utf8_exits_2_naming_itself(capsys, tmp_path, toy_model_path, toy_dataset_path,
+                                                               bad):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"kind": "\xff"}')  # 0xff starts no UTF-8 sequence
+    model, dataset, extra = toy_model_path, toy_dataset_path, []
+    if bad == "model":
+        model = str(path)
+    elif bad == "config":
+        extra = ["--config", str(path)]
+    elif bad == "corpus_file":
+        model = str(tmp_path / "ngram.json")
+        (tmp_path / "ngram.json").write_text(json.dumps({"kind": "ngram", "corpus_file": "bad.json"}), encoding="utf-8")
+    else:
+        dataset = str(path)
+    argv = ["bench", "--model", model, "--dataset", dataset, "--strategy", "none", "--out", str(tmp_path / "out")]
+    assert main(argv + extra) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "can't decode byte 0xff" in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from multipath.models import (
 )
 from multipath.oracle import enumerate_finished
 from multipath.remote import _parse_distribution
+from multipath.toydata import DIGITS, best_digit, task_prompt
 
 ABC = Vocabulary(tokens=("a", "b", "c"), eos_id=2)
 
@@ -203,19 +204,30 @@ def test_next_distribution_is_pure(trap_model):
 # TableLM
 
 
-def test_table_lookup_order_prompt_then_prefix_then_default():
-    row_prompt = StepDistribution(probs=(1.0, 0.0, 0.0))
+def test_table_lookup_order_prefix_then_default():
     row_prefix = StepDistribution(probs=(0.0, 1.0, 0.0))
     row_default = StepDistribution(probs=(0.0, 0.0, 1.0))
-    model = TableLM(
-        vocabulary=ABC,
-        rows={(0,): row_prefix},
-        default=row_default,
-        prompt_rows={((1,), (0,)): row_prompt},
-    )
-    assert model.next_distribution((1,), (0,)) is row_prompt
+    model = TableLM(vocabulary=ABC, rows={(0,): row_prefix}, default=row_default)
+    # The prompt never picks the row.
+    assert model.next_distribution((1,), (0,)) is row_prefix
     assert model.next_distribution((0,), (0,)) is row_prefix
     assert model.next_distribution((0,), (1,)) is row_default
+
+
+def test_digit_model_pins_each_task_prompts_step0_row(small_digit_model):
+    vocab = small_digit_model.vocabulary
+    table_row = small_digit_model.next_distribution((), ())
+    assert row_probs(table_row) == tuple(0.1 if t < DIGITS else 0.0 for t in range(vocab.size))
+    prompts = [vocab.encode(task_prompt(i)) for i in range(10)]
+    for i, prompt in enumerate(prompts):
+        row = small_digit_model.next_distribution(prompt, ())
+        assert row is not table_row and row.ranked(1) == ((best_digit(i), 0.6),)
+    # Any other prompt gets the table's step-0 row, and a later step the
+    # table's row for its prefix.
+    for other in (vocab.encode("solve item 3"), prompts[0] + prompts[0], vocab.encode(task_prompt(3))[1:]):
+        assert small_digit_model.next_distribution(other, ()) is table_row
+    assert row_probs(small_digit_model.next_distribution(prompts[0], (0,))) == tuple(
+        float(t == vocab.eos_id) for t in range(vocab.size))
 
 
 def test_table_missing_row_and_no_default():
@@ -229,11 +241,6 @@ def test_table_rejects_wrong_row_length():
         TableLM(vocabulary=ABC, rows={(): StepDistribution(probs=(0.5, 0.5))})
     with pytest.raises(ValueError, match="row length"):
         TableLM(vocabulary=ABC, default=StepDistribution(probs=(1.0, 0.0)))
-    with pytest.raises(ValueError, match="row length"):
-        TableLM(
-            vocabulary=ABC,
-            prompt_rows={((), ()): StepDistribution(probs=(1.0, 0.0))},
-        )
 
 
 def test_greedy_trap_rows():

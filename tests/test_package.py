@@ -47,11 +47,12 @@ def test_a_submodule_resolves_and_an_unknown_name_raises():
 
 
 def loaded_after(statement: str) -> list[str]:
-    """The multipath modules a fresh interpreter holds after ``statement``."""
-    script = f"{statement}\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'multipath')))"
+    """The modules a fresh interpreter holds after running ``statement`` in
+    the repository root."""
+    script = f"{statement}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(Path(multipath.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize("statement, loaded", [
@@ -63,13 +64,21 @@ def loaded_after(statement: str) -> list[str]:
                                             "multipath.models", "multipath.remote"]),
 ], ids=["package", "decoding", "name", "submodule"])
 def test_importing_a_layer_loads_only_the_layers_below_it(statement, loaded):
-    assert loaded_after(statement) == loaded
+    assert [m for m in loaded_after(statement) if m.partition(".")[0] == "multipath"] == loaded
 
 
 def test_correction_does_not_load_the_wire_layer():
     loaded = loaded_after("import multipath.correction")
     assert "multipath.correction" in loaded
     assert "multipath.remote" not in loaded
+
+
+def test_a_table_model_decode_loads_no_wire_module():
+    # remote imports urllib and http; cli imports it only for a remote spec
+    # or the judge.
+    loaded = loaded_after('import multipath.cli\nmultipath.cli.main(["decode", "--model", "data/greedy_trap.json"])')
+    assert "multipath.cli" in loaded
+    assert {"multipath.remote", "urllib.request", "http.client"} & set(loaded) == set()
 
 
 def test_readme_paths_exist():

@@ -214,6 +214,7 @@ def test_http_client_rejects_negative_retries():
 
 @pytest.mark.parametrize("key, value", [
     ("timeout", 0), ("timeout", -1), ("timeout", math.nan), ("timeout", math.inf), ("retries", -1),
+    ("timeout", 1e300),  # finite, but longer than a socket can wait
 ])
 @pytest.mark.parametrize("make", [
     lambda url, **settings: HttpModelClient(ABC, url, **settings),

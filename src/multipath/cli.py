@@ -202,7 +202,7 @@ def _read_json_object(path: Path, what: str, error: type[Exception]) -> dict:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer beyond int()'s digit limit
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise error(f"{what} {path}: top level must be an object")

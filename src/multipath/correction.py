@@ -28,14 +28,14 @@ import json
 import os
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
 from typing import TYPE_CHECKING
 
 from .decoding import DecodeResult, MultipathConfig, SamplerConfig, multipath_decode, nucleus_sample
 from .errors import ConfigError, LoadError, MultipathError
-from .models import ModelInterface
+from .models import ModelInterface, check_timeout
 from .tasks import Dataset, Task, extract_bracket_answer, verify
 from .templates import CRITIC, FEEDBACK_CODE, FEEDBACK_MATH, IOE, load_prompt
 
@@ -49,8 +49,9 @@ FEEDBACK_GATED = ("ftr_indicator", "feedback_as_prompt")
 INITIAL = "initial"
 CORRECTED = "corrected"
 
-# The JSON types of each Attempt field, compared exactly (a JSON bool is not
-# an int), in serialization order.
+# The JSON types of each field of an attempts-log record (format v1),
+# compared exactly (a JSON bool is not an int). "answer" is the one its
+# "text" gives, and "verdict" is a slot that is always null.
 _ATTEMPT_FIELDS = {
     "task_id": (str,),
     "stage": (str,),
@@ -60,7 +61,7 @@ _ATTEMPT_FIELDS = {
     "answer": (int, float, type(None)),
     "tokens_generated": (int,),
     "steps": (int,),
-    "verdict": (bool, type(None)),
+    "verdict": (type(None),),
 }
 _PAIR_FIELDS = {"task_id", "initial", "final"}
 
@@ -74,17 +75,20 @@ def derive_seed(base_seed: int, task_id: str, stage: int) -> int:
 
 @dataclass(frozen=True)
 class Attempt:
-    """One model response with its provenance and token accounting."""
+    """One model response with its provenance and token accounting.
+
+    ``answer`` is not an argument: it is the number ``text`` gives
+    (extract_bracket_answer), so no attempt carries another.
+    """
 
     task_id: str
     stage: str  # "initial" | "corrected"
     strategy: str
     decoder_input: str  # exact text the decoder conditioned on
     text: str
-    answer: int | float | None
     tokens_generated: int
     steps: int
-    verdict: bool | None = None
+    answer: int | float | None = field(init=False)
 
     def __post_init__(self) -> None:
         if self.stage not in (INITIAL, CORRECTED):
@@ -94,20 +98,26 @@ class Attempt:
                 "token counters must satisfy 1 <= steps <= tokens_generated, "
                 f"got steps={self.steps!r}, tokens_generated={self.tokens_generated!r}"
             )
+        object.__setattr__(self, "answer", extract_bracket_answer(self.text))
 
     def to_json_dict(self) -> dict:
-        return {key: getattr(self, key) for key in _ATTEMPT_FIELDS}
+        # "verdict" is the one record field that is no attribute: it is null.
+        return {key: getattr(self, key, None) for key in _ATTEMPT_FIELDS}
 
     @classmethod
     def from_json_dict(cls, data: object) -> "Attempt":
         """Inverse of to_json_dict. ValueError unless ``data`` is an object
-        with exactly the attempt fields, each of its JSON type."""
+        with exactly the attempt fields, each of its JSON type, whose
+        ``answer`` is the one its text gives and whose ``verdict`` is null."""
         if not isinstance(data, dict) or data.keys() != _ATTEMPT_FIELDS.keys():
             raise ValueError(f"an attempt must be an object with exactly the fields {list(_ATTEMPT_FIELDS)}")
         for key, types in _ATTEMPT_FIELDS.items():
             if type(data[key]) not in types:
                 raise ValueError(f"attempt field {key!r} has the wrong type: {data[key]!r}")
-        return cls(**data)
+        attempt = cls(**{key: data[key] for key in _ATTEMPT_FIELDS if key not in ("answer", "verdict")})
+        if type(data["answer"]) is not type(attempt.answer) or data["answer"] != attempt.answer:
+            raise ValueError(f"answer {data['answer']!r} is not {attempt.answer!r}, the answer its text gives")
+        return attempt
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +134,7 @@ class GroundTruthProvider(FeedbackProvider):
     """Noiseless oracle: positive iff the attempt verifies."""
 
     def __init__(self, timeout: float = 30.0):
+        check_timeout(timeout)
         self._timeout = timeout
 
     def feedback(self, task: Task, attempt: Attempt) -> bool:
@@ -142,6 +153,7 @@ class ScriptedJudgeProvider(FeedbackProvider):
             raise ValueError(f"fn_rate must be in [0, 1], got {fn_rate}")
         if not 0.0 <= fp_rate <= 1.0:
             raise ValueError(f"fp_rate must be in [0, 1], got {fp_rate}")
+        check_timeout(timeout)
         self.fn_rate = fn_rate
         self.fp_rate = fp_rate
         self.seed = seed
@@ -169,14 +181,12 @@ class JudgeServiceProvider(FeedbackProvider):
 
 
 def _attempt_from(result: DecodeResult, task: Task, stage: str, strategy: str, decoder_input: str) -> Attempt:
-    text = result.vocabulary.decode(result.chosen.tokens)
     return Attempt(
         task_id=task.id,
         stage=stage,
         strategy=strategy,
         decoder_input=decoder_input,
-        text=text,
-        answer=extract_bracket_answer(text),
+        text=result.vocabulary.decode(result.chosen.tokens),
         tokens_generated=result.tokens_generated,
         steps=result.steps,
     )
@@ -303,10 +313,6 @@ def _load_resume(path: Path, strategy_kind: str) -> dict[str, tuple[Attempt, Att
                 raise ValueError(f"strategies differ: {initial.strategy!r}, {final.strategy!r}")
             if final.stage == INITIAL and final != initial:
                 raise ValueError("a final attempt of stage 'initial' must equal the initial attempt")
-            for attempt in (initial, final):
-                answer = extract_bracket_answer(attempt.text)
-                if type(attempt.answer) is not type(answer) or attempt.answer != answer:
-                    raise ValueError(f"answer {attempt.answer!r} is not {answer!r}, the answer its text gives")
         except ValueError as exc:
             raise LoadError(f"attempts log {path}, line {number}: {exc}") from exc
         if initial.strategy == strategy_kind:

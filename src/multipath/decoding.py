@@ -137,9 +137,13 @@ class DecodeResult:
     truncated: tuple[SequencePath, ...]
     k_trace: tuple[int, ...]
     tokens_generated: int
-    steps: int
     vocabulary: Vocabulary
     retained_trace: tuple[tuple[tuple[int, ...], ...], ...] | None = field(default=None, compare=False)
+
+    @property
+    def steps(self) -> int:
+        """Decode steps taken; every decoder's k_trace has one entry per step."""
+        return len(self.k_trace)
 
     def ranked_finished(self) -> list[SequencePath]:
         return sorted(self.finished_candidates, key=_selection_key)
@@ -224,8 +228,7 @@ def _walk(model, prompt, max_len: int, pick) -> DecodeResult:
     (callers guarantee max_len >= 1).
 
     The loop carries the tokens and their running logprob sum, added in
-    step order as ``SequencePath.extended`` would, and builds one path at
-    the end.
+    step order, and builds one path at the end.
     """
     vocabulary = model.vocabulary
     prompt_ids = vocabulary.check_ids(prompt, "prompt")
@@ -240,14 +243,12 @@ def _walk(model, prompt, max_len: int, pick) -> DecodeResult:
         if token == eos:
             break
     path = SequencePath(tokens=tokens, cum_logprob=cum, finished=token == eos)
-    steps = len(tokens)
     return DecodeResult(
         chosen=path,
         finished_candidates=(path,) if path.finished else (),
         truncated=() if path.finished else (path,),
-        k_trace=(1,) * steps,
-        tokens_generated=steps,
-        steps=steps,
+        k_trace=(1,) * len(tokens),
+        tokens_generated=len(tokens),
         vocabulary=vocabulary,
     )
 
@@ -290,15 +291,13 @@ def _expand(model, prompt_ids, actives, width_cap: int):
 def _multi_walk(model, prompt, max_len, retain, record_trace, width_cap):
     prompt_ids = model.vocabulary.check_ids(prompt, "prompt")
     eos = model.vocabulary.eos_id
-    actives = [SequencePath.empty()]
+    actives = [SequencePath(tokens=(), cum_logprob=0.0, finished=False)]
     finished: list[SequencePath] = []
     k_trace: list[int] = []
     trace: list[tuple[tuple[int, ...], ...]] = []
     tokens_generated = 0
-    steps = 0
 
-    while actives and steps < max_len:
-        steps += 1
+    while actives and len(k_trace) < max_len:
         tokens_generated += len(actives)
         parents, tokens, values, total = _expand(model, prompt_ids, actives, width_cap)
         retained_idx, k_i = retain(values, total)
@@ -321,7 +320,6 @@ def _multi_walk(model, prompt, max_len, retain, record_trace, width_cap):
         truncated=tuple(actives),
         k_trace=tuple(k_trace),
         tokens_generated=tokens_generated,
-        steps=steps,
         vocabulary=model.vocabulary,
         retained_trace=tuple(trace) if record_trace else None,
     )

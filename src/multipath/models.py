@@ -13,6 +13,7 @@ sums use log-sum-exp (see kernels).
 from __future__ import annotations
 
 import math
+import threading
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
@@ -251,18 +252,6 @@ class SequencePath:
     cum_logprob: float
     finished: bool
 
-    @classmethod
-    def empty(cls) -> "SequencePath":
-        return cls(tokens=(), cum_logprob=0.0, finished=False)
-
-    def extended(self, token: int, logprob: float, eos_id: int) -> "SequencePath":
-        """New path with one more token; marks finished on the EOS token."""
-        return SequencePath(
-            tokens=self.tokens + (token,),
-            cum_logprob=self.cum_logprob + logprob,
-            finished=token == eos_id,
-        )
-
     def __len__(self) -> int:
         return len(self.tokens)
 
@@ -487,6 +476,14 @@ def is_number(value: object) -> bool:
 def is_str_list(value: object) -> bool:
     """Whether a JSON value is a list of strings."""
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def check_timeout(timeout: float) -> None:
+    """Raise ValueError unless ``timeout`` is > 0 seconds and at most
+    ``threading.TIMEOUT_MAX``: a socket or a subprocess raises OverflowError
+    for a longer wait."""
+    if not 0 < timeout <= threading.TIMEOUT_MAX:
+        raise ValueError(f"'timeout' must be > 0 seconds and at most {threading.TIMEOUT_MAX!r}, got {timeout!r}")
 
 
 def greedy_trap_lm() -> TableLM:

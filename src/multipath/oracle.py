@@ -89,9 +89,9 @@ def enumerate_finished(model: ModelInterface, prompt: Sequence[int], max_len: in
         for t in range(len(dist)):
             lp = dist.logprob(t)
             if lp != -math.inf:
-                walk(path.extended(t, lp, eos))
+                walk(SequencePath(tokens=path.tokens + (t,), cum_logprob=path.cum_logprob + lp, finished=t == eos))
 
-    walk(SequencePath.empty())
+    walk(SequencePath(tokens=(), cum_logprob=0.0, finished=False))
     return out
 
 

@@ -23,7 +23,7 @@ import urllib.parse
 import urllib.request
 
 from .errors import ProtocolError, TransportError
-from .models import ModelInterface, StepDistribution, Vocabulary, is_number
+from .models import ModelInterface, StepDistribution, Vocabulary, check_timeout, is_number
 
 
 def _parse_distribution(payload: object, vocab_size: int, origin: str) -> StepDistribution:
@@ -68,19 +68,16 @@ def _http_post_json(url: str, payload: dict, timeout: float) -> object:
         raise TransportError(f"POST {url}: {exc}") from exc
     try:
         return json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, an integer beyond int()'s digit limit
         raise ProtocolError(f"POST {url}: response is not valid JSON: {exc}") from exc
 
 
 def _check_settings(url: str, timeout: float, retries: int) -> None:
     """Raise ValueError unless ``url`` is http(s) (urllib would also open a
-    file: URL), ``timeout`` is > 0 and at most ``threading.TIMEOUT_MAX``
-    seconds (a socket raises OverflowError for a longer one) and ``retries``
-    >= 0."""
+    file: URL), ``timeout`` passes check_timeout and ``retries`` >= 0."""
     if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
         raise ValueError(f"the URL must be http:// or https://, got {url!r}")
-    if not 0 < timeout <= threading.TIMEOUT_MAX:
-        raise ValueError(f"'timeout' must be > 0 seconds and at most {threading.TIMEOUT_MAX!r}, got {timeout!r}")
+    check_timeout(timeout)
     if retries < 0:
         raise ValueError(f"'retries' must be >= 0, got {retries!r}")
 
@@ -97,7 +94,16 @@ def _with_retries(call, retries: int):
 
 class HttpModelClient(ModelInterface):
     """Remote model over HTTP POST. Responses are cached per context, so a
-    deterministic server yields a deterministic (and cheaper) client."""
+    deterministic server yields a deterministic (and cheaper) client.
+
+    The cache holds one prompt's rows per thread: a call under another
+    prompt than the same thread's last call empties that thread's rows.
+    Contexts repeat under one prompt (the paths of a decode, and
+    ftr_indicator's stage 2, which decodes stage 1's prompt again in the
+    same protocol worker), so memory stays bounded by one prompt's rows per
+    thread, and workers sharing a client neither empty nor read each
+    other's rows.
+    """
 
     def __init__(
         self,
@@ -111,17 +117,21 @@ class HttpModelClient(ModelInterface):
         self._url = url
         self._timeout = timeout
         self._retries = retries
-        self._cache: dict[tuple[tuple[int, ...], tuple[int, ...]], StepDistribution] = {}
+        # Per thread: "prompt", the last prompt asked for, and "rows", its
+        # rows keyed by prefix.
+        self._cache = threading.local()
 
     def _distribution(self, prompt, prefix):
-        key = (prompt, prefix)
-        hit = self._cache.get(key)
+        cache = self._cache
+        if getattr(cache, "prompt", None) != prompt:
+            cache.prompt, cache.rows = prompt, {}
+        hit = cache.rows.get(prefix)
         if hit is not None:
             return hit
         payload = {"prompt_tokens": list(prompt), "prefix_tokens": list(prefix)}
         reply = _with_retries(lambda: _http_post_json(self._url, payload, self._timeout), self._retries)
         dist = _parse_distribution(reply, self._vocabulary.size, f"model at {self._url}")
-        self._cache[key] = dist
+        cache.rows[prefix] = dist
         return dist
 
 

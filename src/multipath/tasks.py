@@ -3,8 +3,9 @@
 Math tasks carry one reference number and are verified by extracting the
 last bracketed number from the response; code tasks carry an external
 command that receives the response on stdin and signals pass/fail via its
-exit code. Infrastructure failures of the command (timeout, cannot spawn)
-raise VerificationError instead of counting as "fail".
+exit code alone; its output is discarded. Infrastructure failures of the
+command (timeout, cannot spawn) raise VerificationError instead of counting
+as "fail".
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import LoadError, VerificationError
-from .models import is_number, is_str_list
+from .models import check_timeout, is_number, is_str_list
 from .templates import MATH_TEMPLATE, load_prompt
 
 DOMAINS = ("math", "code")
@@ -92,7 +93,7 @@ def load_tasks(path: str | Path) -> Dataset:
         where = f"dataset {path} line {lineno}"
         try:
             item = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer beyond int()'s digit limit
             raise LoadError(f"{where}: invalid JSON: {exc}") from exc
         if not isinstance(item, dict):
             raise LoadError(f"{where}: expected an object")
@@ -161,8 +162,11 @@ def verify(task: Task, text: str, timeout: float = 30.0) -> bool:
 
     Math: the last bracketed number must match the reference. Code: the
     task's command runs with ``text`` on stdin; exit 0 is a pass, any other
-    exit a fail, and timeout/spawn failure raises VerificationError.
+    exit a fail, and timeout/spawn failure raises VerificationError. The
+    command's output is discarded unread. ValueError for a timeout that
+    check_timeout refuses.
     """
+    check_timeout(timeout)
     if task.domain == "math":
         got = extract_bracket_answer(text)
         return got is not None and numbers_match(got, task.answer)
@@ -171,7 +175,8 @@ def verify(task: Task, text: str, timeout: float = 30.0) -> bool:
             list(task.verify_cmd),
             input=text,
             text=True,
-            capture_output=True,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
             timeout=timeout,
         )
     except subprocess.TimeoutExpired as exc:

@@ -201,7 +201,7 @@ def test_scripted_judge_hits_configured_error_rates():
             task = Task(id=f"{prefix}{i}", prompt="q", domain="math", answer=3)
             attempt = Attempt(
                 task_id=task.id, stage=INITIAL, strategy="none",
-                decoder_input="q", text=text, answer=None,
+                decoder_input="q", text=text,
                 tokens_generated=1, steps=1,
             )
             positive = provider.feedback(task, attempt)

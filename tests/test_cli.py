@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
+import urllib.request
 
 import pytest
 
@@ -410,6 +412,44 @@ def test_load_model_rejects_bad_values_with_exit_2(capsys, tmp_path, spec, match
     assert f"error: model file {path}: {match}" in capsys.readouterr().err
 
 
+# 5,001 digits: json.loads raises a plain ValueError for an integer past
+# CPython's int-string limit of 4,300 digits, not a JSONDecodeError.
+OVERLONG_INT = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("where, rc, message", [
+    ("dataset", 2, "error: dataset {path} line 1: invalid JSON: Exceeds the limit"),
+    ("spec", 2, "error: model file {path} is not valid JSON: Exceeds the limit"),
+    ("config", 2, "error: config {path} is not valid JSON: Exceeds the limit"),
+    # a malformed reply is a protocol error against the task, not the end of the run
+    ("wire", 1, "error: none: task t1: ProtocolError: POST {url}: response is not valid JSON: Exceeds the limit"),
+], ids=["dataset", "spec", "config", "wire"])
+def test_an_integer_past_the_digit_limit_is_malformed_input(
+    capsys, monkeypatch, tmp_path, trap_path, where, rc, message
+):
+    path = tmp_path / where
+    model, dataset, config = trap_path, tmp_path / "tasks.jsonl", []
+    dataset.write_text(json.dumps({"id": "t1", "prompt": "a", "domain": "code", "verify_cmd": ["true"]}) + "\n")
+    if where == "dataset":
+        path.write_text(f'{{"id": "t1", "prompt": "a", "domain": "math", "answer": {OVERLONG_INT}}}\n')
+        dataset = path
+    elif where == "spec":
+        path.write_text(f'{{"vocab": ["a", "$"], "eos": "$", "rows": [], "default": [{OVERLONG_INT}, 0]}}')
+        model = path
+    elif where == "config":
+        path.write_text(f'{{"max_len": {OVERLONG_INT}}}')
+        config = ["--config", str(path)]
+    else:
+        path.write_text(json.dumps(dict(REMOTE_SPEC, retries=0)))
+        model = path
+        reply = f'{{"logprobs": [{OVERLONG_INT}, 0, 0]}}'.encode()
+        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: io.BytesIO(reply))
+    out = tmp_path / "out"
+    argv = ["bench", "--model", str(model), "--dataset", str(dataset), "--strategy", "none", "--out", str(out)]
+    assert main(argv + config) == rc
+    assert message.format(path=path, url=REMOTE_SPEC["url"]) in capsys.readouterr().err
+
+
 def test_load_model_unrecognized_spec(tmp_path):
     spec = tmp_path / "odd.json"
     spec.write_text(json.dumps({"kind": "mystery"}))
@@ -704,6 +744,32 @@ def test_bench_resume_from_a_malformed_log_exits_2(tmp_path, toy_model_path, toy
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"attempts log {log}, line 1:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("verdict", True, "attempt field 'verdict' has the wrong type: True"),
+    ("answer", 7.5, "answer 7.5 is not "),
+], ids=["verdict-set", "answer-not-from-text"])
+def test_bench_resume_from_a_record_no_run_writes_exits_2(
+    tmp_path, toy_model_path, toy_dataset_path, capsys, field, value, match
+):
+    out = tmp_path / "out"
+    argv = [
+        "bench", "--model", toy_model_path, "--dataset", toy_dataset_path,
+        "--strategy", "none", "--out", str(out), "--seed", "3", "--resume",
+    ]
+    assert main(argv) == 0
+    log = out / "attempts_none.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[1])
+    record["final"][field] = value
+    lines[1] = json.dumps(record) + "\n"
+    log.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"attempts log {log}, line 2: {match}" in err
     assert "Traceback" not in err
 
 

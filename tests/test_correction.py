@@ -32,7 +32,7 @@ from multipath.correction import (
 from multipath.decoding import MultipathConfig, SamplerConfig, multipath_decode, nucleus_sample
 from multipath.errors import ConfigError, LoadError
 from multipath.models import ModelInterface, train_ngram
-from multipath.tasks import Dataset, Task, extract_bracket_answer
+from multipath.tasks import Dataset, Task
 from multipath.templates import CRITIC, FEEDBACK_CODE, FEEDBACK_MATH, IOE, load_prompt
 from multipath.toydata import make_digit_dataset, make_digit_model
 
@@ -47,7 +47,6 @@ def make_attempt(task_id="t000", text="[3] $", stage=INITIAL, strategy="none", d
         strategy=strategy,
         decoder_input=decoder_input,
         text=text,
-        answer=3,
         tokens_generated=2,
         steps=2,
     )
@@ -116,8 +115,14 @@ def test_derive_seed_separates_stages_and_tasks():
 
 def test_attempt_round_trips_through_json():
     attempt = make_attempt()
-    again = Attempt.from_json_dict(json.loads(json.dumps(attempt.to_json_dict())))
-    assert again == attempt
+    record = json.loads(json.dumps(attempt.to_json_dict()))
+    assert record["answer"] == 3 and record["verdict"] is None
+    assert Attempt.from_json_dict(record) == attempt
+    # A record no run writes: a verdict, or an answer its text does not give.
+    with pytest.raises(ValueError, match="'verdict' has the wrong type: True"):
+        Attempt.from_json_dict({**record, "verdict": True})
+    with pytest.raises(ValueError, match="answer 4 is not 3, the answer its text gives"):
+        Attempt.from_json_dict({**record, "answer": 4})
 
 
 def test_attempt_validation():
@@ -127,8 +132,17 @@ def test_attempt_validation():
         with pytest.raises(ValueError, match="counters"):
             Attempt(
                 task_id="t", stage=INITIAL, strategy="none", decoder_input="p",
-                text="x", answer=None, tokens_generated=tokens, steps=steps,
+                text="x", tokens_generated=tokens, steps=steps,
             )
+    # The answer is the one the text gives; it is not an argument.
+    with pytest.raises(TypeError, match="answer"):
+        Attempt(
+            task_id="t", stage=INITIAL, strategy="none", decoder_input="p",
+            text="[3]", answer=3, tokens_generated=2, steps=2,
+        )
+    assert make_attempt(text="[1] then [2,500]").answer == 2500
+    assert make_attempt(text="no number").answer is None
+    assert "verdict" not in {f.name for f in dataclasses.fields(Attempt)}
 
 
 def test_strategy_validation(small_digit_model, small_digit_dataset):
@@ -606,6 +620,11 @@ def with_answer_of_another_json_type(record):
     return record
 
 
+def with_a_verdict(record):
+    record["final"]["verdict"] = True
+    return record
+
+
 def with_an_infinite_answer(record):
     # Strict JSON has no Infinity, and no finite-float text gives one.
     for attempt in (record["initial"], record["final"]):
@@ -629,11 +648,12 @@ def with_an_infinite_answer(record):
     with_answer_its_text_does_not_give,
     with_answer_of_another_json_type,
     with_an_infinite_answer,
+    with_a_verdict,
 ], ids=[
     "no-attempts", "not-an-object", "attempt-without-stage", "token-count-as-text",
     "step-count-as-bool", "task-ids-differ", "zero-steps", "more-steps-than-tokens",
     "initial-not-initial", "strategies-differ", "uncorrected-final-differs",
-    "answer-not-from-text", "answer-of-another-type", "infinite-answer",
+    "answer-not-from-text", "answer-of-another-type", "infinite-answer", "verdict-set",
 ])
 def test_protocol_resume_names_the_file_and_line_of_a_malformed_record(
     tmp_path, small_digit_model, small_digit_dataset, malform
@@ -662,9 +682,7 @@ def test_protocol_json_lines_are_canonical(small_digit_model, small_digit_datase
 
 
 def test_an_answer_beyond_float_range_is_logged_as_strict_json():
-    text = "[" + "9" * 400 + ".5]"
-    attempt = make_attempt(text=text)
-    attempt = Attempt(**{**attempt.to_json_dict(), "answer": extract_bracket_answer(text)})
+    attempt = make_attempt(text="[" + "9" * 400 + ".5]")
 
     def reject(constant):
         raise ValueError(f"not strict JSON: {constant}")

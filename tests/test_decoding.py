@@ -33,10 +33,8 @@ ABC = Vocabulary(tokens=("a", "b", "$"), eos_id=2)
 
 
 def path_of(tokens, logprobs, eos_id=2):
-    path = SequencePath.empty()
-    for tok, lp in zip(tokens, logprobs):
-        path = path.extended(tok, lp, eos_id)
-    return path
+    tokens = tuple(tokens)
+    return SequencePath(tokens=tokens, cum_logprob=sum(logprobs, 0.0), finished=tokens[-1:] == (eos_id,))
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +379,13 @@ def untrimmed_retained_trace(model, cfg):
     """Retained token paths per step when every positive-probability child
     enters the pool and the whole pool goes through the linear-scan oracle."""
     eos = model.vocabulary.eos_id
-    actives = [SequencePath.empty()]
+    actives = [SequencePath(tokens=(), cum_logprob=0.0, finished=False)]
     trace = []
     for _ in range(cfg.max_len):
         if not actives:
             break
         pool = [
-            parent.extended(t, math.log(p), eos)
+            SequencePath(tokens=parent.tokens + (t,), cum_logprob=parent.cum_logprob + math.log(p), finished=t == eos)
             for parent in actives
             for t, p in enumerate(row_probs(model.next_distribution((), parent.tokens)))
             if p > 0.0
@@ -554,6 +552,26 @@ def test_ranked_finished_orders_by_selection_key(trap_model):
     assert ranked[0] == out.chosen
     ppls = [p.ppl() for p in ranked]
     assert ppls == sorted(ppls)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_decoder_takes_one_k_trace_entry_per_step(seed):
+    # steps is derived from k_trace, so a decoder that dropped a step's
+    # entry would undercount the multipath loop or the chosen path.
+    assert "steps" not in {f.name for f in dataclasses.fields(DecodeResult)}
+    model, horizon = random_table_lm(random.Random(seed))
+    for result in (
+        greedy_decode(model, (), horizon),
+        nucleus_sample(model, (), SamplerConfig(top_p=0.9, top_k=3, seed=seed, max_len=horizon)),
+        adaptive_decode(model, (), AdaptiveConfig(base_k=3, seed=seed, max_len=horizon)),
+    ):
+        assert result.steps == len(result.k_trace) == len(result.chosen.tokens)
+    for result in (
+        multipath_decode(model, (), MultipathConfig(mass_fraction=0.9, max_width=3, max_len=horizon), record_trace=True),
+        beam_search(model, (), BeamConfig(width=3, max_len=horizon), record_trace=True),
+    ):
+        assert result.steps == len(result.k_trace) == len(result.retained_trace)
+        assert result.steps == max(len(p.tokens) for p in result.finished_candidates + result.truncated)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -27,7 +27,6 @@ def attempt(task_id, text, stage=INITIAL, tokens=2, steps=2, strategy="none"):
         strategy=strategy,
         decoder_input="p",
         text=text,
-        answer=None,
         tokens_generated=tokens,
         steps=steps,
     )

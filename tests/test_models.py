@@ -145,9 +145,10 @@ def test_distribution_entropy():
 
 
 def test_path_extension_and_finish():
-    path = SequencePath.empty().extended(0, math.log(0.5), eos_id=2)
-    assert not path.finished
-    done = path.extended(2, math.log(0.25), eos_id=2)
+    # A path has one constructor; an extension is a new path built with it.
+    assert not hasattr(SequencePath, "empty") and not hasattr(SequencePath, "extended")
+    path = SequencePath(tokens=(0,), cum_logprob=math.log(0.5), finished=False)
+    done = SequencePath(tokens=path.tokens + (2,), cum_logprob=path.cum_logprob + math.log(0.25), finished=True)
     assert done.finished
     assert done.tokens == (0, 2)
     assert done.cum_logprob == pytest.approx(math.log(0.125))
@@ -155,7 +156,7 @@ def test_path_extension_and_finish():
 
 
 def test_path_ppl_matches_definition():
-    path = SequencePath.empty().extended(0, math.log(0.25), eos_id=2)
+    path = SequencePath(tokens=(0,), cum_logprob=math.log(0.25), finished=False)
     assert path.ppl() == pytest.approx(4.0)
 
 

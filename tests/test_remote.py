@@ -146,6 +146,44 @@ def test_http_client_caches_repeat_contexts(server):
     assert len(server.requests) == 2
 
 
+def test_http_client_keeps_only_the_current_prompts_rows(server):
+    server.respond = trap_responder
+    client = HttpModelClient(ABC, server.url, retries=0)
+    prompts = [(i % 2,) * (i + 1) for i in range(20)]
+    for prompt in prompts:
+        for prefix in ((), (0,), ()):
+            client.next_distribution(prompt, prefix)
+    assert len(server.requests) == 2 * len(prompts)
+    assert (client._cache.prompt, set(client._cache.rows)) == (prompts[-1], {(), (0,)})
+    # an earlier prompt's rows are gone, so its context is asked for again
+    client.next_distribution(prompts[0], ())
+    assert len(server.requests) == 2 * len(prompts) + 1
+
+
+def test_http_client_workers_keep_their_own_prompts_rows(server):
+    # Two threads alternate their prompts call by call; each keeps its own
+    # rows, so each context is asked for once.
+    server.respond = trap_responder
+    client = HttpModelClient(ABC, server.url, retries=0)
+    turns = [threading.Semaphore(1), threading.Semaphore(0)]
+
+    def worker(me, prompt):
+        for prefix in ((), (0,), (), (0,)):
+            turns[me].acquire()
+            client.next_distribution(prompt, prefix)
+            turns[1 - me].release()
+
+    threads = [threading.Thread(target=worker, args=(me, (me,)), daemon=True) for me in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted((tuple(p["prompt_tokens"]), tuple(p["prefix_tokens"])) for _, p in server.requests) == [
+        ((0,), ()), ((0,), (0,)), ((1,), ()), ((1,), (0,)),
+    ]
+
+
 def test_http_client_request_shape(server):
     server.respond = trap_responder
     client = HttpModelClient(ABC, server.url, retries=0)

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
+from multipath.correction import INITIAL, Attempt, GroundTruthProvider, ScriptedJudgeProvider
 from multipath.errors import LoadError, VerificationError
+from multipath.evaluation import score_run
 from multipath.tasks import (
     Dataset,
     Task,
@@ -316,4 +319,42 @@ def test_verify_code_missing_binary_is_infrastructure_failure():
     broken = code_task(["definitely-not-a-real-binary-9f2"])
     with pytest.raises(VerificationError, match="cannot run verifier"):
         verify(broken, "x")
+
+
+def test_verify_code_discards_a_long_output_unread():
+    loud = code_task(["sh", "-c", "head -c 30000000 /dev/zero"])
+    tracemalloc.start()
+    try:
+        assert verify(loud, "x")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_verify_code_output_that_is_no_text_is_no_error():
+    assert verify(code_task(["sh", "-c", r"printf '\377'"]), "x")
+    assert not verify(code_task(["sh", "-c", r"printf '\377'; exit 1"]), "x")
+
+
+@pytest.mark.parametrize("timeout", [1e300, -1.0, 0.0, math.nan], ids=["1e300", "-1.0", "0.0", "nan"])
+@pytest.mark.parametrize("entry", ["verify", "ground_truth", "scripted", "score_run"])
+def test_a_timeout_the_os_cannot_take_is_refused_before_the_verifier_runs(tmp_path, entry, timeout):
+    spawns = tmp_path / "spawns.log"
+    task = code_task(["sh", "-c", 'echo ran >> "$0"', str(spawns)])
+    attempt = Attempt(
+        task_id=task.id, stage=INITIAL, strategy="none", decoder_input="p", text="x", tokens_generated=1, steps=1,
+    )
+    calls = {
+        "verify": lambda: verify(task, "x", timeout=timeout),
+        "ground_truth": lambda: GroundTruthProvider(timeout=timeout),
+        "scripted": lambda: ScriptedJudgeProvider(fn_rate=0.0, fp_rate=0.0, seed=0, timeout=timeout),
+        "score_run": lambda: score_run([(attempt, attempt)], Dataset(name="d", tasks=(task,)), "none", timeout=timeout),
+    }
+    with pytest.raises(ValueError, match="'timeout' must be > 0 seconds and at most"):
+        calls[entry]()
+    assert not spawns.exists()
+    # the command itself runs, and appends its line, under a timeout the OS takes
+    assert verify(task, "x", timeout=5.0)
+    assert spawns.read_text() == "ran\n"
 

@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-import threading
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -50,7 +49,17 @@ from .decoding import (
 )
 from .errors import ConfigError, LoadError, ProtocolError, TrainingError, TransportError, VerificationError
 from .evaluation import reports_to_csv, score_run
-from .models import ModelInterface, NGramLM, StepDistribution, TableLM, Vocabulary, is_number, is_str_list, train_ngram
+from .models import (
+    ModelInterface,
+    NGramLM,
+    StepDistribution,
+    TableLM,
+    Vocabulary,
+    check_timeout,
+    is_number,
+    is_str_list,
+    train_ngram,
+)
 from .oracle import MUTATIONS, check_exactness, check_pruning, check_reductions, mutated
 from .tasks import load_tasks
 
@@ -179,11 +188,11 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     if "strategy" in args and args.strategy is None:
         strategy = config.get("strategy", DEFAULT_STRATEGY)
         args.strategy = [strategy] if isinstance(strategy, str) else strategy
-    # The OS takes no wait longer than TIMEOUT_MAX: a socket or subprocess
-    # raises OverflowError for one.
-    if "timeout" in args and not 0 < args.timeout <= threading.TIMEOUT_MAX:
-        raise ConfigError(f"--timeout (config key 'timeout') must be > 0 seconds and at most "
-                          f"{threading.TIMEOUT_MAX!r}, got {args.timeout!r}")
+    if "timeout" in args:
+        try:
+            check_timeout(args.timeout, "--timeout (config key 'timeout')")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     return args
 
 

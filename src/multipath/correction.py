@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 from .decoding import DecodeResult, MultipathConfig, SamplerConfig, multipath_decode, nucleus_sample
 from .errors import ConfigError, LoadError, MultipathError
 from .models import ModelInterface, check_timeout
-from .tasks import Dataset, Task, extract_bracket_answer, verify
+from .tasks import Dataset, Task, answer_matches, extract_bracket_answer, verify
 from .templates import CRITIC, FEEDBACK_CODE, FEEDBACK_MATH, IOE, load_prompt
 
 if TYPE_CHECKING:  # an annotation only; importing remote here would load urllib for every run
@@ -130,6 +130,15 @@ class FeedbackProvider(ABC):
         """Whether the feedback on ``attempt`` is positive."""
 
 
+def _true_verdict(task: Task, attempt: Attempt, timeout: float) -> bool:
+    """Whether ``attempt`` answers ``task``, by the rule verify applies to its
+    text: a math attempt already holds its extracted answer, so only a code
+    attempt runs the verifier."""
+    if task.domain == "math":
+        return answer_matches(task, attempt.answer)
+    return verify(task, attempt.text, timeout=timeout)
+
+
 class GroundTruthProvider(FeedbackProvider):
     """Noiseless oracle: positive iff the attempt verifies."""
 
@@ -138,7 +147,7 @@ class GroundTruthProvider(FeedbackProvider):
         self._timeout = timeout
 
     def feedback(self, task: Task, attempt: Attempt) -> bool:
-        return verify(task, attempt.text, timeout=self._timeout)
+        return _true_verdict(task, attempt, self._timeout)
 
 
 class ScriptedJudgeProvider(FeedbackProvider):
@@ -160,7 +169,7 @@ class ScriptedJudgeProvider(FeedbackProvider):
         self._timeout = timeout
 
     def feedback(self, task: Task, attempt: Attempt) -> bool:
-        truth = verify(task, attempt.text, timeout=self._timeout)
+        truth = _true_verdict(task, attempt, self._timeout)
         r = Random(derive_seed(self.seed, task.id, stage=0)).random()
         return r >= self.fn_rate if truth else r < self.fp_rate
 

@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .correction import CORRECTED, STRATEGY_KINDS, Attempt
-from .tasks import Dataset, Task, verify
+from .models import check_timeout
+from .tasks import Dataset, Task, answer_matches, verify
 
 CSV_COLUMNS = (
     "strategy", "dataset", "N", "acc", "cc", "ci", "ic", "ii",
@@ -128,9 +129,12 @@ def score_run(
 ) -> RunReport:
     """Verify all attempts against ground truth and aggregate the metrics.
 
-    Verdicts always come from verify(), regardless of which provider gated
-    stage 2 during the run. Requires exactly one pair per dataset task.
+    Verdicts always follow verify()'s rule, regardless of which provider
+    gated stage 2 during the run: a math attempt's derived answer must match
+    the task's, a code attempt runs the task's verifier. Requires exactly one
+    pair per dataset task, and a timeout that check_timeout accepts.
     """
+    check_timeout(timeout)
     by_task: dict[str, Task] = {t.id: t for t in dataset.tasks}
     seen = set()
     for initial, final in pairs:
@@ -160,12 +164,17 @@ def score_run(
     est_cost_ratio = cost_ratio(strategy_kind, regen_fraction, mean_width)
     measured_cost_ratio = (tokens_stage1 + tokens_stage2) / tokens_stage1
 
+    def verdict(task: Task, attempt: Attempt) -> bool:
+        if task.domain == "math":
+            return answer_matches(task, attempt.answer)
+        return verify(task, attempt.text, timeout=timeout)
+
     def verdicts(pair: tuple[Attempt, Attempt]) -> tuple[bool, bool]:
         initial, final = pair
         task = by_task[initial.task_id]
-        before = verify(task, initial.text, timeout=timeout)
+        before = verdict(task, initial)
         # An identity stage 2 cannot change the verdict; skip re-verifying.
-        after = before if final.stage != CORRECTED else verify(task, final.text, timeout=timeout)
+        after = before if final.stage != CORRECTED else verdict(task, final)
         return before, after
 
     if workers > 1:

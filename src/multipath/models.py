@@ -63,9 +63,17 @@ class Vocabulary:
     def _ids(self) -> dict[str, int]:
         return {tok: i for i, tok in enumerate(self.tokens)}
 
+    @cached_property
+    def _encoded(self) -> type:
+        """The tuple type of the ids ``encode`` returns, one type per
+        vocabulary instance: ``check_ids`` trusts a tuple of this type alone.
+        A slice, a concatenation or a copy of such ids is a plain tuple, and
+        another vocabulary's ids are of another type, so both are checked."""
+        return type("EncodedIds", (tuple,), {"__slots__": ()})
+
     def encode(self, text: str) -> TokenIds:
         """Whitespace-tokenize ``text`` into ids. Unknown tokens are an error."""
-        return self._lookup(text.split())
+        return self._encoded(self._lookup(text.split()))
 
     def _lookup(self, words: Sequence[str]) -> TokenIds:
         """The id of each token in ``words``; an unknown token is an error
@@ -81,7 +89,13 @@ class Vocabulary:
         return ids
 
     def check_ids(self, ids: Iterable[int], what: str) -> TokenIds:
-        """``ids`` as a tuple, after checking each is an int in [0, V)."""
+        """``ids`` as a plain tuple, after checking each is an int in [0, V).
+
+        Ids that this vocabulary's ``encode`` returned are in range by
+        construction, and a tuple cannot change, so they skip the check.
+        """
+        if type(ids) is self._encoded:
+            return tuple(ids)
         ids = tuple(ids)
         size = len(self.tokens)
         for tid in ids:
@@ -478,12 +492,12 @@ def is_str_list(value: object) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def check_timeout(timeout: float) -> None:
-    """Raise ValueError unless ``timeout`` is > 0 seconds and at most
-    ``threading.TIMEOUT_MAX``: a socket or a subprocess raises OverflowError
-    for a longer wait."""
+def check_timeout(timeout: float, name: str = "'timeout'") -> None:
+    """Raise ValueError, naming the setting ``name``, unless ``timeout`` is
+    > 0 seconds and at most ``threading.TIMEOUT_MAX``: a socket or a
+    subprocess raises OverflowError for a longer wait."""
     if not 0 < timeout <= threading.TIMEOUT_MAX:
-        raise ValueError(f"'timeout' must be > 0 seconds and at most {threading.TIMEOUT_MAX!r}, got {timeout!r}")
+        raise ValueError(f"{name} must be > 0 seconds and at most {threading.TIMEOUT_MAX!r}, got {timeout!r}")
 
 
 def greedy_trap_lm() -> TableLM:

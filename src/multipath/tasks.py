@@ -157,10 +157,17 @@ def numbers_match(got: int | float, want: int | float) -> bool:
         return got == want
 
 
+def answer_matches(task: Task, answer: int | float | None) -> bool:
+    """The verdict on a math task for a response whose extracted answer is
+    ``answer`` (None for no answer): its reference must match."""
+    return answer is not None and numbers_match(answer, task.answer)
+
+
 def verify(task: Task, text: str, timeout: float = 30.0) -> bool:
     """True when ``text`` answers the task.
 
-    Math: the last bracketed number must match the reference. Code: the
+    Math: the last bracketed number must match the reference
+    (answer_matches of extract_bracket_answer). Code: the
     task's command runs with ``text`` on stdin; exit 0 is a pass, any other
     exit a fail, and timeout/spawn failure raises VerificationError. The
     command's output is discarded unread. ValueError for a timeout that
@@ -168,8 +175,7 @@ def verify(task: Task, text: str, timeout: float = 30.0) -> bool:
     """
     check_timeout(timeout)
     if task.domain == "math":
-        got = extract_bracket_answer(text)
-        return got is not None and numbers_match(got, task.answer)
+        return answer_matches(task, extract_bracket_answer(text))
     try:
         proc = subprocess.run(
             list(task.verify_cmd),

@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from multipath import evaluation
 from multipath.correction import CORRECTED, INITIAL, Attempt
 from multipath.evaluation import (
     CSV_COLUMNS,
@@ -207,16 +206,18 @@ def test_score_run_requires_full_coverage():
         score_run(pairs, dataset, "none")
 
 
-def test_score_run_rejects_an_unknown_kind_before_verifying(monkeypatch):
-    calls = []
-    monkeypatch.setattr(evaluation, "verify", lambda *args, **kwargs: calls.append(args) or True)
-    dataset = math_dataset([1])
-    pairs = [(attempt("t0", "[1]"), attempt("t0", "[1]"))]
+def test_score_run_rejects_an_unknown_kind_before_verifying(tmp_path):
+    # A math verdict runs nothing, so a code task's verifier counts the
+    # verdicts: it appends one line per spawn.
+    spawns = tmp_path / "spawns.log"
+    task = Task(id="c0", prompt="q", domain="code", verify_cmd=("sh", "-c", 'echo ran >> "$0"', str(spawns)))
+    dataset = Dataset(name="toy", tasks=(task,))
+    pairs = [(attempt("c0", "x"), attempt("c0", "x"))]
     with pytest.raises(ValueError, match="unknown strategy kind 'bogus'"):
         score_run(pairs, dataset, "bogus")
-    assert calls == []
+    assert not spawns.exists()
     score_run(pairs, dataset, "none")
-    assert len(calls) == 1
+    assert spawns.read_text() == "ran\n"
 
 
 def test_score_run_rejects_unknown_and_mismatched_pairs():

@@ -186,6 +186,24 @@ def test_token_ids_are_checked_where_they_enter(trap_model):
         for bad in (1.5, 1.0, float("nan")):
             with pytest.raises(ValueError, match=rf"prompt token id {bad!r} is not an int"):
                 enter((0, bad, 1))
+    # Ids that a larger vocabulary's encode made are checked like any others.
+    large = train_ngram(" ".join(f"w{i}" for i in range(1999)), order=1, add_k=1.0).vocabulary
+    assert large.size == 2000
+    foreign = large.encode("w1500")
+    [bad] = foreign
+    for enter in entries:
+        with pytest.raises(ValueError, match=rf"prompt token id {bad} out of range \(V={size}\)"):
+            enter(foreign)
+    with pytest.raises(ValueError, match=rf"continuation token id {bad} out of range \(V={size}\)"):
+        sequence_logprob(trap_model, (), foreign)
+    # A slice, a concatenation or a list of this vocabulary's encoded ids is
+    # checked again. Only a tuple of encode's own type shows that: build one
+    # that holds an id out of range.
+    marked = type(trap_model.vocabulary.encode("a"))((0, size))
+    for derived in (marked[:], marked[1:], marked + (1,), (1,) + marked, list(marked)):
+        for enter in entries:
+            with pytest.raises(ValueError, match=rf"prompt token id {size} out of range"):
+                enter(derived)
     ngram = train_ngram("a b a b", order=1, add_k=1.0)
     with pytest.raises(ValueError, match=r"prompt token id 0\.5 is not an int"):
         multipath_decode(ngram, (0.5,), MultipathConfig())
@@ -193,6 +211,24 @@ def test_token_ids_are_checked_where_they_enter(trap_model):
     for continuation in ((0, -3), (size, 2), (0, -1)):
         with pytest.raises(ValueError, match=r"continuation token id -?\d+ out of range"):
             sequence_logprob(trap_model, (), continuation)
+
+
+def test_encoded_ids_skip_the_check_only_in_the_vocabulary_that_made_them():
+    vocab = Vocabulary(tokens=("a", "b", "$"), eos_id=2)
+    twin = Vocabulary(tokens=("a", "b", "$"), eos_id=2)
+    assert vocab == twin
+    ids = vocab.encode("b a")
+    checked = vocab.check_ids(ids, "prompt")
+    # A plain tuple, so a model call's tuple(prompt) does not copy it again.
+    assert checked == (1, 0) and type(checked) is tuple
+    # Nothing the check would catch can come out of encode, so build a tuple
+    # of encode's type that holds an id out of range: only ``vocab`` trusts it.
+    marked = type(ids)((0, 7))
+    assert vocab.check_ids(marked, "prompt") == (0, 7)
+    with pytest.raises(ValueError, match=r"prompt token id 7 out of range \(V=3\)"):
+        twin.check_ids(marked, "prompt")
+    assert type(twin.encode("b a")) is not type(ids)
+    assert type(vocab.encode("")) is type(vocab.encode("a")) is type(ids)
 
 
 def test_next_distribution_is_pure(trap_model):

@@ -7,10 +7,11 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
-from multipath.correction import INITIAL, Attempt, GroundTruthProvider, ScriptedJudgeProvider
+from multipath.correction import CORRECTED, INITIAL, Attempt, GroundTruthProvider, ScriptedJudgeProvider
 from multipath.errors import LoadError, VerificationError
-from multipath.evaluation import score_run
+from multipath.evaluation import ChangeMatrix, score_run
 from multipath.tasks import (
     Dataset,
     Task,
@@ -28,6 +29,13 @@ def math_task(task_id="m1", answer=7):
 
 def code_task(cmd, task_id="c1"):
     return Task(id=task_id, prompt=f"write {task_id}", domain="code", verify_cmd=tuple(cmd))
+
+
+def attempt_of(task, text, stage=INITIAL):
+    return Attempt(
+        task_id=task.id, stage=stage, strategy="ftr_indicator", decoder_input="p", text=text,
+        tokens_generated=1, steps=1,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +346,7 @@ def test_verify_code_output_that_is_no_text_is_no_error():
 
 
 @pytest.mark.parametrize("timeout", [1e300, -1.0, 0.0, math.nan], ids=["1e300", "-1.0", "0.0", "nan"])
-@pytest.mark.parametrize("entry", ["verify", "ground_truth", "scripted", "score_run"])
+@pytest.mark.parametrize("entry", ["verify", "ground_truth", "scripted", "score_run", "score_run_math"])
 def test_a_timeout_the_os_cannot_take_is_refused_before_the_verifier_runs(tmp_path, entry, timeout):
     spawns = tmp_path / "spawns.log"
     task = code_task(["sh", "-c", 'echo ran >> "$0"', str(spawns)])
@@ -350,6 +358,10 @@ def test_a_timeout_the_os_cannot_take_is_refused_before_the_verifier_runs(tmp_pa
         "ground_truth": lambda: GroundTruthProvider(timeout=timeout),
         "scripted": lambda: ScriptedJudgeProvider(fn_rate=0.0, fp_rate=0.0, seed=0, timeout=timeout),
         "score_run": lambda: score_run([(attempt, attempt)], Dataset(name="d", tasks=(task,)), "none", timeout=timeout),
+        # A math verdict runs no verifier, so score_run checks on entry.
+        "score_run_math": lambda: score_run(
+            [(attempt_of(math_task(), "[7]"),) * 2], Dataset(name="d", tasks=(math_task(),)), "none", timeout=timeout,
+        ),
     }
     with pytest.raises(ValueError, match="'timeout' must be > 0 seconds and at most"):
         calls[entry]()
@@ -358,3 +370,67 @@ def test_a_timeout_the_os_cannot_take_is_refused_before_the_verifier_runs(tmp_pa
     assert verify(task, "x", timeout=5.0)
     assert spawns.read_text() == "ran\n"
 
+
+
+# ---------------------------------------------------------------------------
+# verdicts on attempts: the providers and score_run apply verify's rule
+
+# References that some bracket bodies below give, and others miss narrowly;
+# 0 tells "no answer" apart from a zero.
+REFERENCES = (0, 7, -7, 1234, 0.5, 1234567.5, 10**400)
+NO_BRACKETS = st.text(alphabet=st.characters(blacklist_characters="[]"), max_size=6)
+BODIES = st.one_of(
+    # the references, spelt in several ways
+    st.sampled_from(["0", "-0", "0.0", "7", "+7", "-7", " 7 ", "7.", "-7.0", ".5", "0.50", "1,234", "1234",
+                     "1,234,567.5", "1" + "0" * 400]),
+    # numbers within and just beyond the 1e-6 relative tolerance of one
+    st.sampled_from(["7.0000001", "6.9999999", "7.00001", "-7.000001", "0.5000001", "0.500001", "1234.0001",
+                     "1234.01", "1,234,567.5000001", "1" + "0" * 399 + "1"]),
+    # no answers
+    st.sampled_from(["1,2,3", "12,34", "1234,567", "١٢٣٤", "１２３４", "9" * 400 + ".5", "seven", "", "2+5", "1e3",
+                     "--7", "7-"]),
+    st.integers(min_value=-(10**401), max_value=10**401).map(str),
+    st.integers(min_value=0, max_value=10**7).map("{:,}".format),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    NO_BRACKETS,
+)
+# Texts with 0-3 bracket pairs around and between text without brackets.
+TEXTS = st.builds(
+    lambda pairs, tail: "".join(f"{head}[{body}]" for head, body in pairs) + tail,
+    st.lists(st.tuples(NO_BRACKETS, BODIES), max_size=3),
+    NO_BRACKETS,
+)
+
+
+@given(initial=TEXTS, final=TEXTS)
+def test_math_verdicts_on_attempts_are_verify_on_their_text(initial, final):
+    tasks = tuple(math_task(f"m{i}", answer) for i, answer in enumerate(REFERENCES))
+    ground_truth = GroundTruthProvider()
+    exact_judge = ScriptedJudgeProvider(fn_rate=0.0, fp_rate=0.0, seed=0)
+    expected = []
+    for task in tasks:
+        truth = verify(task, initial)
+        assert ground_truth.feedback(task, attempt_of(task, initial)) == truth
+        assert exact_judge.feedback(task, attempt_of(task, initial)) == truth
+        expected.append((truth, verify(task, final)))
+    pairs = [(attempt_of(task, initial), attempt_of(task, final, CORRECTED)) for task in tasks]
+    report = score_run(pairs, Dataset(name="d", tasks=tasks), "ftr_indicator")
+    assert report.matrix == ChangeMatrix.from_verdicts(expected)
+
+
+def test_a_code_verifier_runs_once_per_verdict(tmp_path):
+    spawns = tmp_path / "spawns.log"
+    task = code_task(["sh", "-c", 'echo ran >> "$0"; grep -q pass', str(spawns)])
+    spawned = lambda: len(spawns.read_text().splitlines())  # noqa: E731
+    passing, failing = attempt_of(task, "pass"), attempt_of(task, "fail", CORRECTED)
+    assert GroundTruthProvider().feedback(task, passing)
+    assert spawned() == 1
+    assert not ScriptedJudgeProvider(fn_rate=0.0, fp_rate=0.0, seed=0).feedback(task, failing)
+    assert spawned() == 2
+    dataset = Dataset(name="d", tasks=(task,))
+    # An identity stage 2 is verified once, a regenerated one twice.
+    assert score_run([(passing, passing)], dataset, "none").matrix == ChangeMatrix(cc=1, ci=0, ic=0, ii=0)
+    assert spawned() == 3
+    report = score_run([(passing, failing)], dataset, "ftr_indicator", workers=2)
+    assert report.matrix == ChangeMatrix(cc=0, ci=1, ic=0, ii=0)
+    assert spawned() == 5

@@ -6,7 +6,10 @@ would split one pytest process into package generations: a test module
 imported at collection would hold one copy of a class, and a lazy import
 in a later test would load another. Restoring the entries after each test
 keeps every test on the generation that collection imported, whatever the
-order the tests run in.
+order the tests run in. The package's own attributes are restored too: an
+import binds each submodule it loads there, and the lazy ``__getattr__``
+caches each public name it resolves, so a test that loaded a layer would
+otherwise leave the next test a copy that ``sys.modules`` no longer holds.
 """
 
 from __future__ import annotations
@@ -23,7 +26,12 @@ def _package_modules() -> dict:
 @pytest.fixture(autouse=True)
 def _keep_package_modules():
     saved = _package_modules()
+    package = saved.get("multipath")
+    attributes = dict(vars(package)) if package is not None else None
     yield
     for name in _package_modules():
         del sys.modules[name]
     sys.modules.update(saved)
+    if package is not None:
+        vars(package).clear()
+        vars(package).update(attributes)

@@ -27,7 +27,6 @@ import hashlib
 import json
 import os
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
@@ -390,7 +389,11 @@ def run_protocol(
         except MultipathError as exc:
             return task.id, None, f"{type(exc).__name__}: {exc}"
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only for parallel runs
+
+        pool = ThreadPoolExecutor(max_workers=workers)
     try:
         outcomes = map(run_one, pending) if pool is None else pool.map(run_one, pending)
         for task_id, pair, error in outcomes:

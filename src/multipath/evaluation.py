@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
@@ -178,6 +177,8 @@ def score_run(
         return before, after
 
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only for parallel runs
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             matrix = ChangeMatrix.from_verdicts(pool.map(verdicts, pairs))
     else:

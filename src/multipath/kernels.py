@@ -122,7 +122,7 @@ def nucleus_count(ranked_probs: Iterable[float], top_p: float) -> int:
 
 def log_sum_exp(logprobs: Sequence[float]) -> float:
     """log(sum(exp(x))) of the entries, -inf for an all--inf input."""
-    m = max(logprobs, default=-math.inf)
+    m = max(logprobs) if logprobs else -math.inf
     if m == -math.inf:
         return -math.inf
     # A plain left-to-right loop, not sum(): from Python 3.12 sum() uses

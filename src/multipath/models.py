@@ -257,7 +257,7 @@ class StepDistribution:
         return cls(probs=(1.0 / size,) * size)
 
 
-@dataclass
+@dataclass(slots=True)
 class SequencePath:
     """A partial or finished decode: token ids, their summed log-probability,
     and whether the last token is the end token."""

@@ -8,10 +8,23 @@ pruning check feeds the retention kernel random pools of candidate
 log-probabilities, given as plain lists in the decoder's canonical order, so
 a value tie goes to the lower list position.
 
-The random model generator keeps every nonzero probability at or above
-1/MAX_WEIGHT_SUM, so no candidate's relative mass can come within orders of
-magnitude of the 1e-12 retention slack; threshold comparisons then cannot
-flip on summation noise and set-level checks are exact.
+The decoder checks alternate two kinds of random model: dense table rows
+with floor 0 (``random_table_lm``) and add-k n-gram rows, whose floor is
+positive and whose children come through the row's floor-token shortcut
+(``random_ngram_lm``). Both keep every nonzero conditional probability far
+from the 1e-12 retention slack (MASS_SLACK), so threshold comparisons cannot
+flip on summation noise and set-level checks are exact:
+
+- a table row's weights are integers in [1, MAX_WEIGHT] over V <= 4 tokens,
+  so each nonzero conditional is at least 1/MAX_WEIGHT_SUM = 1/46;
+- an n-gram corpus has at most MAX_LINES lines of at most MAX_LINE_WORDS
+  words, so no context is counted more than 4 * (4 + 1) = 20 times (each
+  word and each line end is one transition), and every conditional is at
+  least NGRAM_ADD_K / (20 + NGRAM_ADD_K * 4) = 1/44.
+
+A pool's total mass is at most 1, so at horizon <= 5 every candidate's
+relative mass is at least 46**-5, about 5e-9: thousands of times the
+slack, and never the term a mass-1.0 scan could stop short of.
 """
 
 from __future__ import annotations
@@ -23,14 +36,17 @@ from typing import Iterator, Sequence
 
 from . import decoding, kernels
 from .decoding import BeamConfig, MultipathConfig, beam_search, greedy_decode, multipath_decode
-from .models import ModelInterface, SequencePath, StepDistribution, TableLM, Vocabulary
+from .models import ModelInterface, NGramLM, SequencePath, StepDistribution, TableLM, Vocabulary, train_ngram
 
 LETTERS = ("a", "b", "c")
 MAX_WEIGHT = 15
-# With V <= 4 the smallest conditional is 1/(1 + 3*MAX_WEIGHT); at horizon 5
-# the smallest relative candidate mass is that to the fifth power, ~5e-9,
-# still several thousand times the 1e-12 slack.
+# With V <= 4 the smallest table conditional is 1/(1 + 3*MAX_WEIGHT).
 MAX_WEIGHT_SUM = 1 + (len(LETTERS)) * MAX_WEIGHT
+# Corpus bounds and smoothing of the random n-gram models (see the module
+# docstring for the smallest conditional they give).
+MAX_LINES = 4
+MAX_LINE_WORDS = 4
+NGRAM_ADD_K = 0.5
 
 
 def random_table_lm(rng: random.Random, max_vocab: int = 4, max_len: int = 5) -> tuple[TableLM, int]:
@@ -67,6 +83,28 @@ def random_table_lm(rng: random.Random, max_vocab: int = 4, max_len: int = 5) ->
         contexts = next_contexts
     default = StepDistribution.uniform(vocab_size) if rng.random() < 0.5 else None
     return TableLM(vocabulary=vocab, rows=rows, default=default), horizon
+
+
+def random_ngram_lm(rng: random.Random, max_len: int = 5) -> tuple[NGramLM, int]:
+    """Random enumerable add-k n-gram model: V <= 4, order 1-3, horizon <= max_len.
+
+    The corpus is 1..MAX_LINES lines of 1..MAX_LINE_WORDS words over up to
+    three letters, so counts are small integers and rows hold exact ties,
+    among their floor tokens above all.
+    """
+    letters = LETTERS[: rng.randint(1, len(LETTERS))]
+    lines = [
+        " ".join(rng.choice(letters) for _ in range(rng.randint(1, MAX_LINE_WORDS)))
+        for _ in range(rng.randint(1, MAX_LINES))
+    ]
+    model = train_ngram("\n".join(lines), order=rng.randint(1, 3), add_k=NGRAM_ADD_K, eos_token="$")
+    return model, rng.randint(2, max_len)
+
+
+def random_model(rng: random.Random, trial: int) -> tuple[ModelInterface, int]:
+    """Model ``trial`` of a check and its horizon: a table model for an even
+    trial, an add-k n-gram model for an odd one."""
+    return random_table_lm(rng) if trial % 2 == 0 else random_ngram_lm(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +238,7 @@ def check_exactness(models: int, seed: int) -> list[str]:
     failures: list[str] = []
     rng = random.Random(seed)
     for trial in range(models):
-        model, max_len = random_table_lm(rng)
+        model, max_len = random_model(rng, trial)
         vocab = model.vocabulary
         want = best_finished(model, (), max_len)
         if want is None:
@@ -225,7 +263,7 @@ def check_reductions(models: int, seed: int) -> list[str]:
     failures: list[str] = []
     rng = random.Random(seed)
     for trial in range(models):
-        model, max_len = random_table_lm(rng)
+        model, max_len = random_model(rng, trial)
         vocab = model.vocabulary
 
         greedy = greedy_decode(model, (), max_len)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -176,6 +175,8 @@ def verify(task: Task, text: str, timeout: float = 30.0) -> bool:
     check_timeout(timeout)
     if task.domain == "math":
         return answer_matches(task, extract_bracket_answer(text))
+    import subprocess  # only code tasks spawn a process
+
     try:
         proc = subprocess.run(
             list(task.verify_cmd),

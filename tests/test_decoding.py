@@ -347,6 +347,36 @@ def test_select_rejects_empty():
         select_min_ppl([])
 
 
+@st.composite
+def path_lists(draw):
+    """Paths of 1-6 tokens with cum_logprob in [-50, 0] or -inf, plus paths
+    of different lengths that share a perplexity: a per-token logprob of a
+    few bits times the length is exact, so cum/len gives it back exactly."""
+    cums = st.one_of(st.floats(min_value=-50.0, max_value=0.0), st.just(-math.inf))
+    paths = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        paths.append(path_of(draw(st.lists(st.integers(0, 2), min_size=1, max_size=6)), [draw(cums)]))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        per_token = -draw(st.integers(min_value=0, max_value=66)) / 8
+        for length in draw(st.lists(st.integers(1, 6), min_size=2, max_size=3, unique=True)):
+            tokens = draw(st.lists(st.integers(0, 2), min_size=length, max_size=length))
+            paths.append(path_of(tokens, [per_token * length]))
+    return draw(st.permutations(paths))
+
+
+@given(paths=path_lists())
+def test_selection_orders_paths_by_ppl_length_cum_and_tokens(paths):
+    # The selection order keyed through ppl(); the decoder computes the same
+    # key without the method call.
+    def key(p):
+        return (p.ppl(), len(p.tokens), -p.cum_logprob, p.tokens)
+
+    assert select_min_ppl(paths) is min(paths, key=key)
+    result = DecodeResult(chosen=paths[0], finished_candidates=tuple(paths), truncated=(), k_trace=(),
+                          tokens_generated=0, vocabulary=ABC)
+    assert [id(p) for p in result.ranked_finished()] == [id(p) for p in sorted(paths, key=key)]
+
+
 # ---------------------------------------------------------------------------
 # multipath
 

@@ -162,6 +162,7 @@ def test_log_sum_exp_single_value(kern):
 def test_log_sum_exp_all_neg_inf(kern):
     assert kern.log_sum_exp([-math.inf, -math.inf]) == -math.inf
     assert kern.log_sum_exp([]) == -math.inf
+    assert kern.log_sum_exp(()) == -math.inf
 
 
 def test_log_sum_exp_extreme_values_stable(kern):

@@ -81,6 +81,23 @@ def test_a_table_model_decode_loads_no_wire_module():
     assert {"multipath.remote", "urllib.request", "http.client"} & set(loaded) == set()
 
 
+@pytest.mark.parametrize("command", ["decode", "compare"])
+def test_a_serial_run_loads_no_process_or_thread_pool_module(command, tmp_path):
+    # subprocess is for code-task verifiers and concurrent.futures for
+    # --workers > 1; a serial run over math tasks needs neither.
+    from multipath.correction import STRATEGY_KINDS
+
+    if command == "decode":
+        argv = ["decode", "--model", "data/greedy_trap.json"]
+    else:
+        strategies = [flag for kind in STRATEGY_KINDS for flag in ("--strategy", kind)]
+        argv = ["compare", "--model", "data/toy_table_lm.json", "--dataset", "data/toy_math.jsonl",
+                *strategies, "--out", str(tmp_path / "out")]
+    loaded = loaded_after(f"import multipath.cli\nassert multipath.cli.main({argv!r}) == 0")
+    assert "multipath.cli" in loaded
+    assert {"subprocess", "concurrent.futures"} & set(loaded) == set()
+
+
 def test_readme_paths_exist():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     paths = re.findall(r"`((?:src|data|tests|perfbench|scripts)/[^`\s]*)`", readme)

@@ -19,8 +19,8 @@ Layers, bottom up, each with the layers it imports:
   kernels).
 - toydata: the digit-world fixtures (models, tasks, templates).
 - cli: reproducible runs and the model-spec reader (correction, decoding,
-  evaluation, models, oracle, tasks, errors); it loads remote only for a
-  remote model spec or the judge provider.
+  evaluation, models, tasks, errors); it loads remote only for a remote
+  model spec or the judge provider, and oracle only for oracle-check.
 
 Importing the package imports none of them. Each public name below is
 loaded from its layer on first use, so ``import multipath.decoding`` loads

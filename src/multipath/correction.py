@@ -278,14 +278,20 @@ class ProtocolRun:
         return "".join(_pair_line(initial, final) for initial, final in self.pairs)
 
 
+# The canonical JSON of the attempts log: json.dumps(..., sort_keys=True,
+# separators=(",", ":")), with one encoder built once, not one per call.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _pair_line(initial: Attempt, final: Attempt) -> str:
-    """One attempts-log record: canonical JSON plus the terminating newline."""
-    record = {
-        "task_id": initial.task_id,
-        "initial": initial.to_json_dict(),
-        "final": final.to_json_dict(),
-    }
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    """One attempts-log record: canonical JSON plus the terminating newline.
+
+    Each attempt is encoded once, and once for both when ``final`` is the
+    initial attempt; the record's keys are spliced in sorted order.
+    """
+    first = _encode(initial.to_json_dict())
+    last = first if final is initial else _encode(final.to_json_dict())
+    return f'{{"final":{last},"initial":{first},"task_id":{_encode(initial.task_id)}}}\n'
 
 
 def _load_resume(path: Path, strategy_kind: str) -> dict[str, tuple[Attempt, Attempt]]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -179,12 +180,15 @@ def greedy_decode(model: ModelInterface, prompt: Sequence[int], max_len: int = 1
 
 def nucleus_sample(model: ModelInterface, prompt: Sequence[int], cfg: SamplerConfig) -> DecodeResult:
     """Sample each token from the renormalized top-k / top-p support."""
-    rng = random.Random(cfg.seed)
+    draw = random.Random(cfg.seed).random
+    top_k, top_p = cfg.top_k, cfg.top_p
 
     def pick(dist: StepDistribution) -> int:
-        # The same support as kernels.nucleus_prefix over the dense row.
-        top = dist.ranked(cfg.top_k)
-        return _draw(rng, top[: kernels.nucleus_count((p for _, p in top), cfg.top_p)])
+        # The row's table holds the support (the same as kernels.nucleus_prefix
+        # over the dense row) and _draw's running sums, so one bisect picks
+        # the token _draw's walk would, its last-token fallback included.
+        tokens, cumulative, total = dist.sampling_table(top_k, top_p)
+        return tokens[min(bisect_right(cumulative, draw() * total), len(tokens) - 1)]
 
     return _walk(model, prompt, cfg.max_len, pick)
 

@@ -18,9 +18,9 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import kernels
 from .errors import TrainingError
@@ -121,6 +121,21 @@ def _log(p: float) -> float:
     return math.log(p) if p > 0.0 else -math.inf
 
 
+class SamplingTable(NamedTuple):
+    """The nucleus sampler's view of one row under one (top_k, top_p).
+
+    ``tokens`` is the support, ``ranked(top_k)`` cut by
+    ``kernels.nucleus_count``; ``cumulative`` holds their running sums,
+    added left to right; ``total`` is the ``math.fsum`` of their
+    probabilities. A draw ``r`` in [0, total) picks the first token whose
+    running sum exceeds ``r``, and the last token when none does.
+    """
+
+    tokens: TokenIds
+    cumulative: tuple[float, ...]
+    total: float
+
+
 class StepDistribution:
     """Next-token distribution for one decoding step.
 
@@ -138,8 +153,9 @@ class StepDistribution:
     ``_trusted`` constructor instead.
 
     A row is immutable, so it remembers its ``children(k)`` and ``ranked(k)``
-    answers per ``k``; models hand out one row object per context, so each
-    is computed once.
+    answers per ``k``, and its nucleus ``sampling_table(top_k, top_p)`` per
+    pair, whose running sums let a sampler pick its token with one bisect;
+    models hand out one row object per context, so each is computed once.
     """
 
     def __init__(self, probs: Iterable[float]):
@@ -167,10 +183,11 @@ class StepDistribution:
         self._size = size
         self._floor = floor
         self._entries = entries
-        # children(k) and ranked(k) per k. Concurrent callers at worst
-        # compute an equal answer twice.
+        # children(k) and ranked(k) per k, sampling tables per (top_k,
+        # top_p). Concurrent callers at worst compute an equal answer twice.
         self._children: dict[int, tuple[tuple[int, float], ...]] = {}
         self._ranked: dict[int, tuple[tuple[int, float], ...]] = {}
+        self._tables: dict[tuple[int, float], SamplingTable] = {}
 
     def __len__(self) -> int:
         return self._size
@@ -237,6 +254,21 @@ class StepDistribution:
         if known is None:
             candidates = sorted(self._candidates(k), key=lambda c: (-c[1], c[0]))
             known = self._ranked[k] = tuple(candidates[:k])
+        return known
+
+    def sampling_table(self, top_k: int, top_p: float) -> SamplingTable:
+        """The combined top-k / top-p support with its running sums (see
+        SamplingTable), built once per (top_k, top_p). The support equals
+        ``kernels.nucleus_prefix`` over the dense row."""
+        key = (top_k, top_p)
+        known = self._tables.get(key)
+        if known is None:
+            top = self.ranked(top_k)
+            support = top[: kernels.nucleus_count((p for _, p in top), top_p)]
+            probs = [p for _, p in support]
+            known = self._tables[key] = SamplingTable(
+                tuple(t for t, _ in support), tuple(accumulate(probs)), math.fsum(probs)
+            )
         return known
 
     def entropy(self) -> float:

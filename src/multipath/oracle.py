@@ -1,12 +1,13 @@
 """Independent cross-checks for the decoders.
 
 Everything here recomputes expected behavior by brute force (exhaustive
-sequence enumeration, linear-scan pruning) with none of the decoder's
-shortcuts, and reports human-readable counterexamples on disagreement;
-MUTATIONS lists defects in the shipped code that the checks must catch. The
-pruning check feeds the retention kernel random pools of candidate
-log-probabilities, given as plain lists in the decoder's canonical order, so
-a value tie goes to the lower list position.
+sequence enumeration, linear-scan pruning, sampler replays over the full
+sort of each dense row) with none of the decoder's shortcuts, and reports
+human-readable counterexamples on disagreement; MUTATIONS lists defects in
+the shipped code that the checks must catch. The pruning check feeds the
+retention kernel random pools of candidate log-probabilities, given as
+plain lists in the decoder's canonical order, so a value tie goes to the
+lower list position.
 
 The decoder checks alternate two kinds of random model: dense table rows
 with floor 0 (``random_table_lm``) and add-k n-gram rows, whose floor is
@@ -25,6 +26,14 @@ flip on summation noise and set-level checks are exact:
 A pool's total mass is at most 1, so at horizon <= 5 every candidate's
 relative mass is at least 46**-5, about 5e-9: thousands of times the
 slack, and never the term a mass-1.0 scan could stop short of.
+
+The sampler check replays each sampler with its own ``random.Random(seed)``
+over the dense row, sorted in full, and draws by a linear walk over the
+running sums, where the nucleus sampler bisects its row's sampling table.
+Its top-p cut sums the sorted prefix with fsum, where the sampler uses a
+compensated sum; both are within an ulp of the exact sum, far inside
+MASS_SLACK, so the cuts can differ only for a ``top_p`` within an ulp of a
+prefix's mass less the slack, which no draw here comes near.
 """
 
 from __future__ import annotations
@@ -35,7 +44,17 @@ import random
 from typing import Iterator, Sequence
 
 from . import decoding, kernels
-from .decoding import BeamConfig, MultipathConfig, beam_search, greedy_decode, multipath_decode
+from .decoding import (
+    AdaptiveConfig,
+    BeamConfig,
+    MultipathConfig,
+    SamplerConfig,
+    adaptive_decode,
+    beam_search,
+    greedy_decode,
+    multipath_decode,
+    nucleus_sample,
+)
 from .models import ModelInterface, NGramLM, SequencePath, StepDistribution, TableLM, Vocabulary, train_ngram
 
 LETTERS = ("a", "b", "c")
@@ -185,6 +204,53 @@ def random_pool(rng: random.Random) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
+# Sampler replays
+
+
+def dense_row(row: StepDistribution) -> list[float]:
+    """Every token's probability, in token order, read from the row's
+    sparse store: none of its ranking shortcuts runs."""
+    return [row._entries.get(t, row._floor) for t in range(len(row))]
+
+
+def _full_sort(probs: Sequence[float]) -> list[int]:
+    """Every token id by descending probability, ties to the lower id."""
+    return sorted(range(len(probs)), key=lambda t: (-probs[t], t))
+
+
+def _linear_draw(rng: random.Random, probs: Sequence[float], support: Sequence[int]) -> int:
+    """Probability-proportional draw over ``support`` by a linear walk over
+    its running sums; the last token when the draw lands past them."""
+    r = rng.random() * math.fsum(probs[t] for t in support)
+    cum = 0.0
+    for t in support:
+        cum += probs[t]
+        if r < cum:
+            return t
+    return support[-1]
+
+
+def _nucleus_support(probs: Sequence[float], top_k: int, top_p: float) -> list[int]:
+    """The top-k tokens of the full sort, cut to the shortest prefix whose
+    mass reaches ``top_p`` within MASS_SLACK (all of them when none does)."""
+    top = _full_sort(probs)[:top_k]
+    for n in range(1, len(top) + 1):
+        if math.fsum(probs[t] for t in top[:n]) >= top_p - kernels.MASS_SLACK:
+            return top[:n]
+    return top
+
+
+def replay_sampler(model: ModelInterface, max_len: int, pick) -> tuple[int, ...]:
+    """The tokens of a single-path decode from the empty prompt that picks
+    each token by ``pick(dense row)``, until the end token or ``max_len``."""
+    eos = model.vocabulary.eos_id
+    tokens: tuple[int, ...] = ()
+    while len(tokens) < max_len and tokens[-1:] != (eos,):
+        tokens += (pick(dense_row(model.next_distribution((), tokens))),)
+    return tokens
+
+
+# ---------------------------------------------------------------------------
 # Injected defects and check drivers (shared by tests and the oracle-check command)
 
 
@@ -195,11 +261,22 @@ def _drop_last_retained(prune_prefix):
     return defect
 
 
-# Name -> (module, attribute, make_defect(original) -> replacement). Callers
-# look the attribute up at call time, so every check that reaches it is hit.
+def _drop_last_support_token(sampling_table):
+    def defect(row, top_k, top_p):
+        table = sampling_table(row, top_k, top_p)
+        if len(table.tokens) < 2:
+            return table
+        return table._replace(tokens=table.tokens[:-1], cumulative=table.cumulative[:-1])
+    return defect
+
+
+# Name -> (module or class, attribute, make_defect(original) -> replacement).
+# Callers look the attribute up at call time, so every check that reaches it
+# is hit.
 MUTATIONS = {
     "prune-off-by-one": (kernels, "prune_prefix", _drop_last_retained),
     "selection-max-prob": (decoding, "select_min_ppl", lambda _: lambda paths: max(paths, key=lambda p: p.cum_logprob)),
+    "sampling-table-short": (StepDistribution, "sampling_table", _drop_last_support_token),
 }
 
 
@@ -293,3 +370,48 @@ def _first_divergence(a, b) -> int:
         if x != y:
             return i
     return min(len(a), len(b))
+
+
+def check_samplers(models: int, seed: int) -> list[str]:
+    """greedy_decode, nucleus_sample and adaptive_decode must pick, step for
+    step, the tokens a replay over each dense row picks with the same
+    ``random.Random(seed)``."""
+    failures: list[str] = []
+    rng = random.Random(seed)
+    for trial in range(models):
+        model, max_len = random_model(rng, trial)
+        vocab = model.vocabulary
+        size = vocab.size
+        sampler = SamplerConfig(
+            top_p=rng.choice((0.3, 0.5, 0.8, 0.95, 1.0, rng.uniform(0.05, 1.0))),
+            top_k=rng.randint(1, size + 1), seed=rng.randrange(2**32), max_len=max_len,
+        )
+        adaptive = AdaptiveConfig(base_k=rng.randint(1, size + 1), seed=rng.randrange(2**32), max_len=max_len)
+
+        greedy_want = replay_sampler(model, max_len, lambda probs: _full_sort(probs)[0])
+        draws = random.Random(sampler.seed)
+        nucleus_want = replay_sampler(model, max_len, lambda probs: _linear_draw(
+            draws, probs, _nucleus_support(probs, sampler.top_k, sampler.top_p),
+        ))
+        draws_adaptive = random.Random(adaptive.seed)
+        k_want: list[int] = []
+
+        def adaptive_pick(probs: list[float]) -> int:
+            bits = -math.fsum(p * math.log(p) for p in probs if p > 0.0) / math.log(2.0)
+            k_want.append(min(max(round(bits), 1), adaptive.base_k))
+            return _linear_draw(draws_adaptive, probs, _full_sort(probs)[: k_want[-1]])
+
+        adaptive_want = replay_sampler(model, max_len, adaptive_pick)
+
+        adaptive_got = adaptive_decode(model, (), adaptive)
+        nucleus_got = nucleus_sample(model, (), sampler).chosen.tokens
+        for name, got, want in (
+            ("greedy", greedy_decode(model, (), max_len).chosen.tokens, greedy_want),
+            (f"nucleus(top_k={sampler.top_k}, top_p={sampler.top_p!r})", nucleus_got, nucleus_want),
+            (f"adaptive(base_k={adaptive.base_k})", adaptive_got.chosen.tokens, adaptive_want),
+        ):
+            if got != want:
+                failures.append(f"model {trial}: {name} drew {vocab.decode(got)!r}, replay says {vocab.decode(want)!r}")
+        if adaptive_got.k_trace != tuple(k_want):
+            failures.append(f"model {trial}: adaptive k trace {list(adaptive_got.k_trace)}, replay says {k_want}")
+    return failures

@@ -44,7 +44,7 @@ from multipath.decoding import (
 )
 from multipath.evaluation import ChangeMatrix, breakeven_regen_fraction, cost_ratio, score_run
 from multipath.models import StepDistribution, TableLM, Vocabulary, greedy_trap_lm
-from multipath.oracle import check_exactness, check_pruning, check_reductions
+from multipath.oracle import check_exactness, check_pruning, check_reductions, check_samplers
 from multipath.tasks import Task, load_tasks, verify
 from multipath.templates import CRITIC, FEEDBACK_CODE, FEEDBACK_MATH, IOE, load_prompt
 from multipath.toydata import DIGITS, make_digit_dataset, make_digit_model, task_prompt
@@ -251,6 +251,12 @@ def test_nucleus_support_containment():
                 break
         support = set(order[: min(mass_count, top_k)])
         assert token in support
+
+
+def test_samplers_draw_what_a_dense_replay_draws():
+    # Token for token, with the sampler's own seed: greedy, nucleus and
+    # adaptive sampling against a full sort of each dense row.
+    assert check_samplers(200, seed=0) == []
 
 
 # ---------------------------------------------------------------------------

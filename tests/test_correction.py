@@ -10,6 +10,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from multipath import correction, kernels
 from multipath.correction import (
@@ -679,6 +680,40 @@ def test_protocol_json_lines_are_canonical(small_digit_model, small_digit_datase
         record = json.loads(line)
         assert set(record) == {"task_id", "initial", "final"}
         assert line == json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+# Text that JSON must escape or that is not ASCII: quotes, backslashes,
+# newlines and other control characters, accents, CJK and astral-plane
+# characters (written as surrogate pairs).
+escaped_text = st.text(
+    alphabet=st.sampled_from('"\\\n\r\t\x00\x1f\x7f/é中😀 ab[]') | st.characters(),
+    max_size=30,
+)
+# A bracketed answer gives an int or a float; none, or a malformed one, gives None.
+answer_text = st.sampled_from(["", "[3]", "[-12]", "[1,234]", "[2.5]", "[.75]", "[x]", "[" + "9" * 400 + ".5]"])
+
+
+@st.composite
+def attempts(draw, task_id):
+    return Attempt(
+        task_id=task_id,
+        stage=draw(st.sampled_from([INITIAL, CORRECTED])),
+        strategy=draw(st.sampled_from(correction.STRATEGY_KINDS)),
+        decoder_input=draw(escaped_text),
+        text=draw(escaped_text) + draw(answer_text),
+        tokens_generated=draw(st.integers(min_value=5, max_value=10**6)),
+        steps=draw(st.integers(min_value=1, max_value=5)),
+    )
+
+
+@given(data=st.data(), task_id=escaped_text, same=st.booleans())
+def test_a_pair_line_is_the_canonical_json_of_its_record(data, task_id, same):
+    initial = data.draw(attempts(task_id))
+    final = initial if same else data.draw(attempts(task_id))
+    record = {"task_id": initial.task_id, "initial": initial.to_json_dict(), "final": final.to_json_dict()}
+    want = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    assert correction._pair_line(initial, final) == want
+    assert ProtocolRun(pairs=((initial, final),)).to_json_lines() == want
 
 
 def test_an_answer_beyond_float_range_is_logged_as_strict_json():

@@ -6,11 +6,12 @@ import dataclasses
 import math
 import random
 import re
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from conftest import row_probs
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from multipath import decoding, kernels, oracle
 from multipath.decoding import (
@@ -281,9 +282,17 @@ def test_sparse_supports_match_dense_kernels(row, data, top_p):
     dense = sorted(range(size), key=probs.__getitem__, reverse=True)
     assert row.ranked(k) == tuple((t, probs[t]) for t in dense[:k])
 
+    support = kernels.nucleus_prefix(probs, top_p, k)
+    table = row.sampling_table(k, top_p)
+    assert table.tokens == tuple(support)
+    cum, cumulative = 0.0, []
+    for t in support:
+        cum += probs[t]
+        cumulative.append(cum)
+    assert table.cumulative == tuple(cumulative)
+    assert table.total == math.fsum(probs[t] for t in support)
+
     model = one_row_model(row)
-    _, [support] = drawn_supports(nucleus_sample, model, SamplerConfig(top_p=top_p, top_k=k, max_len=1))
-    assert support == [(t, probs[t]) for t in kernels.nucleus_prefix(probs, top_p, k)]
 
     assert greedy_decode(model, (), 1).chosen.tokens == (kernels.topk_indices(probs, 1)[0],)
 
@@ -291,6 +300,59 @@ def test_sparse_supports_match_dense_kernels(row, data, top_p):
     bits = -math.fsum(p * math.log(p) for p in probs if p > 0.0) / math.log(2.0)
     assert result.k_trace == (min(max(round(bits), 1), k),)
     assert support == [(t, probs[t]) for t in kernels.topk_indices(probs, result.k_trace[0])]
+
+
+class ScriptedRandom(random.Random):
+    """``random.Random(seed)`` whose first ``random()`` values are
+    ``script``."""
+
+    def __init__(self, seed, script):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def random(self):
+        return self.script.pop(0) if self.script else super().random()
+
+
+# The largest value random() returns: a draw of it lands at or past the last
+# running sum whenever the plain sum of the support rounds below its fsum.
+TOP_DRAW = 1.0 - 2.0 ** -53
+
+
+def linear_walk_tokens(row, k, top_p, rng, max_len):
+    """The tokens of a linear-walk sampler: ``_draw`` over ``ranked(k)`` cut
+    by ``nucleus_count``, until the end token (token 0 of one_row_model)."""
+    top = row.ranked(k)
+    support = top[: kernels.nucleus_count((p for _, p in top), top_p)]
+    tokens = []
+    while len(tokens) < max_len and tokens[-1:] != [0]:
+        tokens.append(decoding._draw(rng, support))
+    return tuple(tokens)
+
+
+@given(
+    row=sparse_rows(),
+    k=st.integers(min_value=1, max_value=42),
+    top_p=st.floats(min_value=0.01, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32),
+    script=st.lists(st.sampled_from([0.0, 0.5, TOP_DRAW]) | st.floats(0.0, 1.0, exclude_max=True), max_size=3),
+)
+@example(
+    # Ten floor tokens of 0.1: their running sum ends at 1 - 2**-53, below
+    # the fsum total 1.0, so a first draw of TOP_DRAW takes the fallback.
+    row=StepDistribution._trusted(10, 0.1, {}), k=10, top_p=1.0, seed=0, script=[TOP_DRAW],
+)
+def test_nucleus_bisect_picks_what_the_linear_walk_picked(row, k, top_p, seed, script):
+    cfg = SamplerConfig(top_p=top_p, top_k=k, seed=seed, max_len=8)
+    fake_random = SimpleNamespace(Random=lambda seed: ScriptedRandom(seed, script))
+    with mock.patch.object(decoding, "random", fake_random):
+        got = nucleus_sample(one_row_model(row), (), cfg).chosen.tokens
+    assert got == linear_walk_tokens(row, k, top_p, ScriptedRandom(seed, script), cfg.max_len)
+    # The row builds its table once per (k, top_p): the same object comes back.
+    table = row.sampling_table(k, top_p)
+    assert row.sampling_table(k, top_p) is table
+    if script[:1] == [TOP_DRAW] and TOP_DRAW * table.total >= table.cumulative[-1]:
+        assert got[0] == table.tokens[-1]
 
 
 def test_every_decoder_builds_no_dense_row():

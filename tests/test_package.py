@@ -98,6 +98,15 @@ def test_a_serial_run_loads_no_process_or_thread_pool_module(command, tmp_path):
     assert {"subprocess", "concurrent.futures"} & set(loaded) == set()
 
 
+@pytest.mark.parametrize("argv, oracle", [
+    (["decode", "--model", "data/greedy_trap.json"], False),
+    (["oracle-check", "--models", "1", "--trials", "1"], True),
+], ids=["decode", "oracle-check"])
+def test_only_oracle_check_loads_the_oracle(argv, oracle):
+    loaded = loaded_after(f"import multipath.cli\nassert multipath.cli.main({argv!r}) == 0")
+    assert ("multipath.oracle" in loaded) == oracle
+
+
 def test_readme_paths_exist():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     paths = re.findall(r"`((?:src|data|tests|perfbench|scripts)/[^`\s]*)`", readme)

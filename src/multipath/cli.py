@@ -24,7 +24,9 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from contextlib import nullcontext
+from functools import cache
 from pathlib import Path
 
 from .correction import (
@@ -68,70 +70,73 @@ PROVIDERS = ("ground_truth", "scripted", "judge")
 # imports the oracle; a test holds the two equal.
 MUTATION_NAMES = ["prune-off-by-one", "sampling-table-short", "selection-max-prob"]
 
-DEFAULT_STRATEGY = "ftr_indicator"
+_RUNS = ("bench", "compare")
+_DECODING = ("decode", *_RUNS)
+_EVERY = (*_DECODING, "oracle-check")
+COMMAND_HELP = {
+    "decode": "decode one prompt, print result JSON",
+    "bench": "run one strategy over a dataset, write report files",
+    "compare": "run several strategies, write a joined CSV",
+    "oracle-check": "cross-check decoders against brute-force oracles",
+}
+
+# One CLI setting: its config key (the long flag, underscores for dashes),
+# the commands that take it, its help (which may name %(default)s), type,
+# default and choices. Its ``form`` is "value", "append" (repeatable, resolves
+# to a list), "positional" (optional) or "switch" (on/off, from argv only).
+Setting = namedtuple("Setting", "key commands help type default choices form", defaults=(str, None, None, "value"))
+
+# In --help order. decode's --model help names the spec kinds, so --model
+# has one row per help text.
+SETTINGS = (
+    Setting("model", ("decode",), "model spec file (table JSON, ngram spec, or remote spec)"),
+    Setting("model", _RUNS, "model spec file"),
+    Setting("prompt", ("decode",), "prompt text (default empty)", default="", form="positional"),
+    Setting("decoder", ("decode",), "decoder (default %(default)s)", default="multipath", choices=DECODERS),
+    Setting("beam", ("decode",), "beam width (default %(default)s)", int, BeamConfig.width),
+    Setting("dataset", _RUNS, "dataset JSONL file"),
+    Setting("strategy", _RUNS, "strategy kind (repeatable for compare; default %(default)s)",
+            default="ftr_indicator", choices=STRATEGY_KINDS, form="append"),
+    Setting("provider", _RUNS, "feedback provider (default %(default)s)", default="ground_truth", choices=PROVIDERS),
+    Setting("judge_url", _RUNS, "judge service base URL"),
+    Setting("fn_rate", _RUNS, "scripted judge false-negative rate (default %(default)s)", float, 0.0),
+    Setting("fp_rate", _RUNS, "scripted judge false-positive rate (default %(default)s)", float, 0.0),
+    Setting("out", _RUNS, "output directory (required)"),
+    Setting("workers", _RUNS, "parallel task workers (default %(default)s)", int, 1),
+    Setting("timeout", _RUNS, "verifier/judge timeout in seconds (default %(default)s)", float, 30.0),
+    Setting("resume", _RUNS, "reuse completed tasks from the attempts log", bool, False, form="switch"),
+    Setting("p_star", _DECODING, "multipath retained mass fraction (default %(default)s)",
+            float, MultipathConfig.mass_fraction),
+    Setting("k_star", _DECODING, "multipath width cap (default %(default)s)", int, MultipathConfig.max_width),
+    Setting("top_p", _DECODING, "sampler nucleus mass (default %(default)s)", float, SamplerConfig.top_p),
+    Setting("top_k", _DECODING, "sampler candidate cap (default %(default)s)", int, SamplerConfig.top_k),
+    Setting("max_len", _DECODING, "maximum generated tokens (default %(default)s)", int, MultipathConfig.max_len),
+    Setting("models", ("oracle-check",), "random models per decoder check (default %(default)s)", int, 200),
+    Setting("trials", ("oracle-check",), "random pruning pools (default %(default)s)", int, 10000),
+    Setting("mutate", ("oracle-check",), "inject a deliberate defect; the checks must then fail",
+            choices=MUTATION_NAMES),
+    Setting("config", _EVERY, "JSON file supplying defaults for any flag"),
+    Setting("seed", _EVERY, "base seed (default %(default)s)", int, 0),
+)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file supplying defaults for any flag")
-    parser.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
-
-
-def _add_decoder_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p-star", dest="p_star", type=float, default=MultipathConfig.mass_fraction,
-                        help="multipath retained mass fraction (default %(default)s)")
-    parser.add_argument("--k-star", dest="k_star", type=int, default=MultipathConfig.max_width,
-                        help="multipath width cap (default %(default)s)")
-    parser.add_argument("--top-p", dest="top_p", type=float, default=SamplerConfig.top_p,
-                        help="sampler nucleus mass (default %(default)s)")
-    parser.add_argument("--top-k", dest="top_k", type=int, default=SamplerConfig.top_k,
-                        help="sampler candidate cap (default %(default)s)")
-    parser.add_argument("--max-len", dest="max_len", type=int, default=MultipathConfig.max_len,
-                        help="maximum generated tokens (default %(default)s)")
-
-
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every command, built from ``SETTINGS`` on first use.
+    Each argument defaults to ``argparse.SUPPRESS``, so a parse holds only
+    what argv gave."""
     parser = argparse.ArgumentParser(prog="multipath", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_decode = sub.add_parser("decode", help="decode one prompt, print result JSON")
-    p_decode.add_argument("--model", help="model spec file (table JSON, ngram spec, or remote spec)")
-    p_decode.add_argument("prompt", nargs="?", default="", help="prompt text (default empty)")
-    p_decode.add_argument("--decoder", choices=DECODERS, default="multipath", help="decoder (default %(default)s)")
-    p_decode.add_argument("--beam", type=int, default=BeamConfig.width, help="beam width (default %(default)s)")
-    _add_decoder_flags(p_decode)
-    _add_common(p_decode)
-
-    for name, helptext in (
-        ("bench", "run one strategy over a dataset, write report files"),
-        ("compare", "run several strategies, write a joined CSV"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--model", help="model spec file")
-        p.add_argument("--dataset", help="dataset JSONL file")
-        p.add_argument("--strategy", action="append", choices=STRATEGY_KINDS,
-                       help=f"strategy kind (repeatable for compare; default {DEFAULT_STRATEGY})")
-        p.add_argument("--provider", choices=PROVIDERS, default="ground_truth",
-                       help="feedback provider (default %(default)s)")
-        p.add_argument("--judge-url", dest="judge_url", help="judge service base URL")
-        p.add_argument("--fn-rate", dest="fn_rate", type=float, default=0.0,
-                       help="scripted judge false-negative rate (default %(default)s)")
-        p.add_argument("--fp-rate", dest="fp_rate", type=float, default=0.0,
-                       help="scripted judge false-positive rate (default %(default)s)")
-        p.add_argument("--out", help="output directory (required)")
-        p.add_argument("--workers", type=int, default=1, help="parallel task workers (default %(default)s)")
-        p.add_argument("--timeout", type=float, default=30.0,
-                       help="verifier/judge timeout in seconds (default %(default)s)")
-        p.add_argument("--resume", action="store_true", help="reuse completed tasks from the attempts log")
-        _add_decoder_flags(p)
-        _add_common(p)
-
-    p_oracle = sub.add_parser("oracle-check", help="cross-check decoders against brute-force oracles")
-    p_oracle.add_argument("--models", type=int, default=200,
-                          help="random models per decoder check (default %(default)s)")
-    p_oracle.add_argument("--trials", type=int, default=10000, help="random pruning pools (default %(default)s)")
-    p_oracle.add_argument("--mutate", choices=MUTATION_NAMES,
-                          help="inject a deliberate defect; the checks must then fail")
-    _add_common(p_oracle)
+    for command, helptext in COMMAND_HELP.items():
+        p = sub.add_parser(command, help=helptext, argument_default=argparse.SUPPRESS)
+        for s in [s for s in SETTINGS if command in s.commands]:
+            flag = s.key if s.form == "positional" else f"--{s.key.replace('_', '-')}"
+            text = s.help % {"default": s.default}
+            if s.form == "switch":
+                p.add_argument(flag, action="store_true", help=text)
+            else:
+                p.add_argument(flag, type=s.type, choices=s.choices, nargs="?" if s.form == "positional" else None,
+                               action="append" if s.form == "append" else "store", help=text)
     return parser
 
 
@@ -141,61 +146,55 @@ def _is_a(value: object, kind: type) -> bool:
     return isinstance(value, str) if kind is str else is_number(value) and (kind is float or isinstance(value, int))
 
 
-def _check_config_value(action: argparse.Action, value: object, path: Path) -> None:
-    """Raise ConfigError unless ``value`` is one the flag of ``action`` could
-    produce: of its type and among its choices, or, for a repeatable flag, a
-    string or a nonempty list of them."""
-    kind = action.type or str
-    repeats = isinstance(action, argparse._AppendAction)
+def _check_config_value(setting: Setting, value: object, path: Path) -> None:
+    """Raise ConfigError unless ``value`` is one the flag of ``setting``
+    could produce: of its type and among its choices, or, for a repeatable
+    flag, a string or a nonempty list of them."""
+    kind = setting.type
+    repeats = setting.form == "append"
     items = value if repeats and isinstance(value, list) and value else [value]
     if not all(_is_a(item, kind) for item in items):
         expected = f"a {kind.__name__} or a nonempty list of them" if repeats else f"a {kind.__name__}"
-        raise ConfigError(f"config {path}: {action.dest!r} must be {expected}, got {value!r}")
-    if action.choices is not None and not all(item in action.choices for item in items):
-        raise ConfigError(f"config {path}: {action.dest!r} must be one of {list(action.choices)}, got {value!r}")
+        raise ConfigError(f"config {path}: {setting.key!r} must be {expected}, got {value!r}")
+    if setting.choices is not None and not all(item in setting.choices for item in items):
+        raise ConfigError(f"config {path}: {setting.key!r} must be one of {list(setting.choices)}, got {value!r}")
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """Parse ``argv``, taking each setting from its flag, else from the
-    --config file, else from the flag's default.
+    """Parse ``argv`` once, taking each setting from its flag, else from the
+    --config file, else from ``SETTINGS``.
 
-    Config keys are flag names with dashes as underscores. A key that names
-    no option of any command is rejected as misspelt; one that names no
-    value-taking flag of this command is ignored.
+    The namespace holds ``command``, every setting of that command, and
+    ``given``: the keys that argv or the config file supplied, whatever
+    their values. A null config value supplies nothing.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config is None:
-        config = {}
-    else:
-        path = Path(args.config)
+    given = vars(_parser().parse_args(argv))
+    command = given.pop("command")
+    settings = {s.key: s for s in SETTINGS if command in s.commands}
+    if "config" in given:
+        path = Path(given["config"])
         config = _read_json_object(path, "config", ConfigError)
-        [commands] = [action.choices for action in parser._actions if isinstance(action.choices, dict)]
-        known = {action.dest for sub in commands.values() for action in sub._actions}
-        unknown = sorted(set(config) - known)
+        unknown = sorted(config.keys() - {s.key for s in SETTINGS})
         if unknown:
             raise ConfigError(
                 f"config {path}: unknown key(s) {', '.join(map(repr, unknown))}; "
                 "keys are long flag names with dashes as underscores"
             )
-        command = commands[args.command]
-        flags = {action.dest: action for action in command._actions if action.nargs != 0}
-        config = {key: value for key, value in config.items() if key in flags and value is not None}
+        config = {key: value for key, value in config.items()
+                  if key in settings and settings[key].form != "switch" and value is not None}
         for key, value in config.items():
-            _check_config_value(flags[key], value, path)
-        # An append flag extends its default, so the config's strategy list
-        # is applied after parsing: an explicit --strategy replaces it.
-        command.set_defaults(**{k: v for k, v in config.items() if k != "strategy"})
-        args = parser.parse_args(argv)
-    if "strategy" in args and args.strategy is None:
-        strategy = config.get("strategy", DEFAULT_STRATEGY)
-        args.strategy = [strategy] if isinstance(strategy, str) else strategy
-    if "timeout" in args:
+            _check_config_value(settings[key], value, path)
+        # Merged whole, so an explicit --strategy list replaces the config's.
+        given = config | given
+    values = {key: s.default for key, s in settings.items()} | given
+    if isinstance(values.get("strategy"), str):  # the default, or one config strategy
+        values["strategy"] = [values["strategy"]]
+    if "timeout" in values:
         try:
-            check_timeout(args.timeout, "--timeout (config key 'timeout')")
+            check_timeout(values["timeout"], "--timeout (config key 'timeout')")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    return args
+    return argparse.Namespace(command=command, given=frozenset(given), **values)
 
 
 def _required(args: argparse.Namespace, key: str):
@@ -408,9 +407,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # A provider setting that the run would go on without reading: no chosen
     # strategy asks a provider, or another provider is chosen.
     gated = any(kind in FEEDBACK_GATED for kind in kinds)
-    for key, reader, unset in (("provider", None, "ground_truth"), ("fn_rate", "scripted", 0.0),
-                               ("fp_rate", "scripted", 0.0), ("judge_url", "judge", None)):
-        if getattr(args, key) == unset:
+    for key, reader in (("provider", None), ("fn_rate", "scripted"), ("fp_rate", "scripted"), ("judge_url", "judge")):
+        if key not in args.given:
             continue
         flag = f"--{key.replace('_', '-')} (config key {key!r})"
         if not gated:

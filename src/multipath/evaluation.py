@@ -156,10 +156,12 @@ def score_run(
     regenerated = len(corrected)
     unit_tokens = tokens_stage1 / size
     regen_fraction = regenerated / size
-    mean_width = (
-        sum(a.tokens_generated / a.steps for a in corrected) / regenerated
-        if regenerated else 1.0
-    )
+    # A plain left-to-right loop, not sum(): from Python 3.12 sum() of floats
+    # is compensated, and the report bytes must not depend on the version.
+    width_total = 0.0
+    for a in corrected:
+        width_total += a.tokens_generated / a.steps
+    mean_width = width_total / regenerated if regenerated else 1.0
     est_cost_ratio = cost_ratio(strategy_kind, regen_fraction, mean_width)
     measured_cost_ratio = (tokens_stage1 + tokens_stage2) / tokens_stage1
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -10,7 +11,8 @@ import urllib.request
 
 import pytest
 
-from multipath.cli import build_parser, load_model, main, parse_args
+from multipath import cli
+from multipath.cli import SETTINGS, load_model, main, parse_args
 from multipath.correction import ScriptedJudgeProvider, run_protocol
 from multipath.decoding import (
     AdaptiveConfig,
@@ -57,6 +59,34 @@ def test_settings_precedence_flag_config_default(tmp_path):
     # an explicit --strategy replaces the config list rather than extending it
     assert parse_args(["compare", "--config", str(config), "--strategy", "ioe_prompt"]).strategy == ["ioe_prompt"]
     assert parse_args(["compare"]).strategy == ["ftr_indicator"]
+    # given: what argv or the config named, never a default
+    assert args.given == {"config", "top_k", "top_p", "strategy"}
+    assert parse_args(["compare"]).given == parse_args(["decode"]).given == frozenset()
+    assert parse_args(["bench", "--resume", "--strategy", "none"]).given == {"resume", "strategy"}
+    assert parse_args(["decode", "", "--seed", "0"]).given == {"prompt", "seed"}
+
+
+def test_the_parser_is_built_once_and_argv_is_parsed_once_per_call(monkeypatch, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"top_k": 3}), encoding="utf-8")
+    cli._parser.cache_clear()
+    built, parsed = [], []
+    init, parse = argparse.ArgumentParser.__init__, argparse.ArgumentParser.parse_known_args
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_parse(self, *args, **kwargs):
+        parsed.append(self)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted_parse)
+    for argv in (["decode"], ["compare", "--config", str(config)], ["oracle-check", "--seed", "2"]):
+        parse_args(argv)
+    assert len(built) == 1 + len(cli.COMMAND_HELP)  # the top level and one per command
+    assert parsed.count(cli._parser()) == 3
 
 
 def test_settings_bad_config_file(tmp_path):
@@ -653,10 +683,17 @@ SCRIPTED, JUDGE, GATED = "--provider scripted", "--provider judge", "--strategy 
     (["--strategy", "ioe_prompt", "--judge-url", "http://127.0.0.1:9"], None, "judge_url", GATED),
     ([], {"strategy": "none", "provider": "judge"}, "provider", GATED),
     ([], {"strategy": "critic_prompt", "fn_rate": 0.5}, "fn_rate", GATED),
+    # A setting is given by naming it, whatever its value: the default too.
+    (["--strategy", "none", "--fn-rate", "0.0"], None, "fn_rate", GATED),
+    (["--strategy", "none", "--provider", "ground_truth"], None, "provider", GATED),
+    ([], {"strategy": "none", "fn_rate": 0.0}, "fn_rate", GATED),
+    ([], {"strategy": "none", "provider": "ground_truth"}, "provider", GATED),
 ], ids=["fn-rate-flag", "fp-rate-flag", "judge-url-flag", "judge-url-flag-scripted",
         "fn-rate-config", "fp-rate-config", "judge-url-config",
         "provider-flag-ungated", "fn-rate-flag-ungated", "fp-rate-flag-ungated", "judge-url-flag-ungated",
-        "provider-config-ungated", "fn-rate-config-ungated"])
+        "provider-config-ungated", "fn-rate-config-ungated",
+        "default-fn-rate-flag-ungated", "default-provider-flag-ungated",
+        "default-fn-rate-config-ungated", "default-provider-config-ungated"])
 def test_bench_rejects_a_provider_setting_its_provider_never_reads(capsys, tmp_path, toy_model_path,
                                                                    toy_dataset_path, flags, config, key, reader):
     # Ignored, the setting would print the same row as a run without it:
@@ -832,9 +869,8 @@ def test_oracle_check_detects_each_mutation(capsys, name):
 
 
 def test_oracle_check_offers_the_mutation_table():
-    [commands] = [a.choices for a in build_parser()._actions if isinstance(a.choices, dict)]
-    [action] = [a for a in commands["oracle-check"]._actions if a.dest == "mutate"]
-    assert action.choices == sorted(MUTATIONS)
+    [setting] = [s for s in SETTINGS if s.key == "mutate"]
+    assert setting.commands == ("oracle-check",) and setting.choices == sorted(MUTATIONS)
 
 
 def test_oracle_check_exits_1_when_a_mutation_goes_undetected(capsys):

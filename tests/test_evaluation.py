@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -179,6 +180,24 @@ def test_score_run_counts_and_costs():
     assert report.est_cost_ratio == pytest.approx(1 + (2 / 3) * 2.5)
     assert report.measured_cost_ratio == pytest.approx(16 / 6)
     assert report.est_cost_ratio == pytest.approx(report.measured_cost_ratio)
+
+
+@pytest.mark.parametrize("counts", [
+    [(11, 10)] * 10,
+    [(7, 3), (5, 3), (9, 7), (3, 2), (11, 6), (13, 9), (2, 1), (17, 12)],
+], ids=["ten-widths-of-1.1", "mixed-widths"])
+def test_score_run_mean_width_is_a_left_to_right_sum(counts):
+    # From Python 3.12 the builtin sum() of floats is compensated; the report
+    # must hold the plain loop's value on every version.
+    widths = [tokens / steps for tokens, steps in counts]
+    total = 0.0
+    for width in widths:
+        total += width
+    assert total != math.fsum(widths)  # the two summations differ on these widths
+    dataset = math_dataset([1] * len(counts))
+    pairs = [(attempt(f"t{i}", "[9]"), attempt(f"t{i}", "[1]", stage=CORRECTED, tokens=tokens, steps=steps))
+             for i, (tokens, steps) in enumerate(counts)]
+    assert score_run(pairs, dataset, "ftr_indicator").mean_width == total / len(counts)
 
 
 def test_score_run_none_strategy_is_unit_cost():

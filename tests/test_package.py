@@ -1,8 +1,9 @@
 """The package's public surface: ``multipath.__all__``, what importing a
-layer loads, and the README."""
+layer loads, a rule on its source, and the README."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import json
@@ -105,6 +106,58 @@ def test_a_serial_run_loads_no_process_or_thread_pool_module(command, tmp_path):
 def test_only_oracle_check_loads_the_oracle(argv, oracle):
     loaded = loaded_after(f"import multipath.cli\nassert multipath.cli.main({argv!r}) == 0")
     assert ("multipath.oracle" in loaded) == oracle
+
+
+# Each use of the builtin sum() in src, by module and enclosing function,
+# with its count. Each sums integers.
+INTEGER_SUMS = {
+    ("evaluation.py", "score_run"): 2,  # the stage-1 and stage-2 token totals
+    ("models.py", "NGramLM._row"): 1,  # a context's next-token counts
+    ("oracle.py", "random_table_lm"): 1,  # a random row's integer weights
+}
+
+
+def test_src_sums_floats_without_the_builtin_sum():
+    # From Python 3.12 the builtin sum() of floats is compensated, so a float
+    # sum would give other output bytes on other versions; src adds floats in
+    # a plain left-to-right loop, as kernels.log_sum_exp does.
+    found: dict[tuple[str, str], int] = {}
+
+    def visit(node: ast.AST, module: str, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope + (child.name,) if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+            if isinstance(child, ast.Name) and child.id == "sum":
+                key = (module, ".".join(scope))
+                found[key] = found.get(key, 0) + 1
+            visit(child, module, inner)
+
+    for path in sorted((ROOT / "src" / "multipath").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, ())
+    assert found == INTEGER_SUMS
+
+
+def interpreters() -> list[str]:
+    """This interpreter and each Python >= 3.10 under pyenv's versions."""
+    found = {str(Path(sys.executable).resolve()): sys.executable}
+    versions = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    for folder in sorted(versions.glob("3.*")):
+        match = re.match(r"3\.(\d+)", folder.name)
+        python = folder / "bin" / "python3"
+        if match and int(match.group(1)) >= 10 and python.exists():
+            found.setdefault(str(python.resolve()), str(python))
+    return list(found.values())
+
+
+def test_outputs_are_the_same_bytes_on_every_interpreter():
+    digests = {}
+    for python in interpreters():
+        proc = subprocess.run([python, str(ROOT / "tests" / "interpreter_digest.py")], capture_output=True, text=True,
+                              timeout=300)
+        digests[python] = proc.stdout.strip() if proc.returncode == 0 else f"exit {proc.returncode}: {proc.stderr}"
+    # A failing script is no digest, even when it fails alike everywhere.
+    hexdigest = re.compile("[0-9a-f]{64}")
+    assert len(set(digests.values())) == 1 and all(map(hexdigest.fullmatch, digests.values())), \
+        f"digest by interpreter: {digests}"
 
 
 def test_readme_paths_exist():

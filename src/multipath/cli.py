@@ -68,7 +68,7 @@ DECODERS = ("greedy", "multipath", "beam", "nucleus", "adaptive")
 PROVIDERS = ("ground_truth", "scripted", "judge")
 # The names of oracle.MUTATIONS, written out so that only oracle-check
 # imports the oracle; a test holds the two equal.
-MUTATION_NAMES = ["prune-off-by-one", "sampling-table-short", "selection-max-prob"]
+MUTATION_NAMES = ["floor-shortcut-short", "prune-off-by-one", "sampling-table-short", "selection-max-prob"]
 
 _RUNS = ("bench", "compare")
 _DECODING = ("decode", *_RUNS)
@@ -107,7 +107,8 @@ SETTINGS = (
     Setting("resume", _RUNS, "reuse completed tasks from the attempts log", bool, False, form="switch"),
     Setting("p_star", _DECODING, "multipath retained mass fraction (default %(default)s)",
             float, MultipathConfig.mass_fraction),
-    Setting("k_star", _DECODING, "multipath width cap (default %(default)s)", int, MultipathConfig.max_width),
+    Setting("k_star", _DECODING, "multipath width cap, also the adaptive sampler's base_k (default %(default)s)",
+            int, MultipathConfig.max_width),
     Setting("top_p", _DECODING, "sampler nucleus mass (default %(default)s)", float, SamplerConfig.top_p),
     Setting("top_k", _DECODING, "sampler candidate cap (default %(default)s)", int, SamplerConfig.top_k),
     Setting("max_len", _DECODING, "maximum generated tokens (default %(default)s)", int, MultipathConfig.max_len),
@@ -458,7 +459,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    from .oracle import check_exactness, check_pruning, check_reductions, check_samplers, mutated
+    from .oracle import check_exactness, check_pruning, check_reductions, check_samplers, check_steps, mutated
 
     for key in ("models", "trials"):
         if getattr(args, key) < 0:
@@ -469,6 +470,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             ("prune-minimality", check_pruning(args.trials, args.seed)),
             ("reductions", check_reductions(max(1, args.models // 4), args.seed)),
             ("samplers", check_samplers(args.models, args.seed)),
+            ("step-pools", check_steps(args.models, args.seed)),
         )
     failed = 0
     for name, failures in suites:

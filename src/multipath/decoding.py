@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from . import kernels
-from .models import ModelInterface, SequencePath, StepDistribution, Vocabulary, perplexity
+from .models import ModelInterface, SamplingTable, SequencePath, StepDistribution, Vocabulary, perplexity
 
 LN2 = math.log(2.0)
 
@@ -175,22 +175,14 @@ def greedy_decode(model: ModelInterface, prompt: Sequence[int], max_len: int = 1
     """Highest-probability token at every step (ties to the lowest token id)."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    return _walk(model, prompt, max_len, lambda dist: dist.ranked(1)[0][0])
+    return _walk(model, prompt, max_len, lambda dist: dist.sampling_table(1, 1.0), lambda: 0.0)
 
 
 def nucleus_sample(model: ModelInterface, prompt: Sequence[int], cfg: SamplerConfig) -> DecodeResult:
     """Sample each token from the renormalized top-k / top-p support."""
-    draw = random.Random(cfg.seed).random
     top_k, top_p = cfg.top_k, cfg.top_p
-
-    def pick(dist: StepDistribution) -> int:
-        # The row's table holds the support (the same as kernels.nucleus_prefix
-        # over the dense row) and _draw's running sums, so one bisect picks
-        # the token _draw's walk would, its last-token fallback included.
-        tokens, cumulative, total = dist.sampling_table(top_k, top_p)
-        return tokens[min(bisect_right(cumulative, draw() * total), len(tokens) - 1)]
-
-    return _walk(model, prompt, cfg.max_len, pick)
+    return _walk(model, prompt, cfg.max_len, lambda dist: dist.sampling_table(top_k, top_p),
+                 random.Random(cfg.seed).random)
 
 
 def adaptive_decode(model: ModelInterface, prompt: Sequence[int], cfg: AdaptiveConfig) -> DecodeResult:
@@ -199,40 +191,31 @@ def adaptive_decode(model: ModelInterface, prompt: Sequence[int], cfg: AdaptiveC
     k_step = clamp(round(H_bits), 1, base_k), then a
     probability-proportional draw among the k_step most probable tokens.
     """
-    rng = random.Random(cfg.seed)
     k_trace: list[int] = []
 
-    def pick(dist: StepDistribution) -> int:
+    def table_of(dist: StepDistribution) -> SamplingTable:
         bits = dist.entropy() / LN2
         k_step = min(max(round(bits), 1), cfg.base_k)
         k_trace.append(k_step)
-        return _draw(rng, dist.ranked(k_step))
+        # The top_p = 1.0 cut keeps all of ranked(k_step). Were the first
+        # j < k_step of them to hold 1 - MASS_SLACK of the mass, H would be
+        # at most log2(j) + 1e-7 bits, below k_step - 0.5, the least entropy
+        # that rounds to k_step or more.
+        return dist.sampling_table(k_step, 1.0)
 
-    result = _walk(model, prompt, cfg.max_len, pick)
+    result = _walk(model, prompt, cfg.max_len, table_of, random.Random(cfg.seed).random)
     return replace(result, k_trace=tuple(k_trace))
 
 
-def _draw(rng: random.Random, support: Sequence[tuple[int, float]]) -> int:
-    """Probability-proportional draw over the (token, probability) pairs of
-    ``support`` (inverse CDF walk)."""
-    total = math.fsum(p for _, p in support)
-    if total <= 0.0:
-        raise ValueError("support carries no probability mass")
-    r = rng.random() * total
-    cum = 0.0
-    for t, p in support:
-        cum += p
-        if r < cum:
-            return t
-    return support[-1][0]
-
-
-def _walk(model, prompt, max_len: int, pick) -> DecodeResult:
+def _walk(model, prompt, max_len: int, table_of, draw) -> DecodeResult:
     """Shared single-path loop: pick one token per step until EOS or max_len
     (callers guarantee max_len >= 1).
 
-    The loop carries the tokens and their running logprob sum, added in
-    step order, and builds one path at the end.
+    Each step picks from the row's ``table_of(row)`` (a SamplingTable) with
+    one ``draw()`` in [0, 1): the first token whose running sum exceeds the
+    draw times the total, and the last token when none does. The loop
+    carries the tokens and their running logprob sum, added in step order,
+    and builds one path at the end.
     """
     vocabulary = model.vocabulary
     prompt_ids = vocabulary.check_ids(prompt, "prompt")
@@ -241,7 +224,8 @@ def _walk(model, prompt, max_len: int, pick) -> DecodeResult:
     cum = 0.0
     for _ in range(max_len):
         dist = model.next_distribution(prompt_ids, tokens)
-        token = pick(dist)
+        support, cumulative, total = table_of(dist)
+        token = support[min(bisect_right(cumulative, draw() * total), len(support) - 1)]
         tokens += (token,)
         cum += dist.logprob(token)
         if token == eos:

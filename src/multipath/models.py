@@ -122,13 +122,16 @@ def _log(p: float) -> float:
 
 
 class SamplingTable(NamedTuple):
-    """The nucleus sampler's view of one row under one (top_k, top_p).
+    """What a single-path decoder picks from in one row under one (top_k,
+    top_p): greedy reads (1, 1.0), nucleus sampling its config's pair and
+    adaptive sampling (k_step, 1.0).
 
     ``tokens`` is the support, ``ranked(top_k)`` cut by
     ``kernels.nucleus_count``; ``cumulative`` holds their running sums,
     added left to right; ``total`` is the ``math.fsum`` of their
     probabilities. A draw ``r`` in [0, total) picks the first token whose
-    running sum exceeds ``r``, and the last token when none does.
+    running sum exceeds ``r`` (one ``bisect_right``), and the last token
+    when none does.
     """
 
     tokens: TokenIds
@@ -143,8 +146,9 @@ class StepDistribution:
     except the tokens in ``entries`` (token -> probability). A table row has
     floor 0 and lists its positive entries; an add-k n-gram row has floor
     add_k/denom and lists its seen successors. A row is read through
-    ``logprob(t)``, ``children(k)`` (the multipath decoder) and ``ranked(k)``
-    (the single-path decoders); ``ranked(len(row))`` is the whole row.
+    ``logprob(t)``, ``children(k)`` (the multipath decoder) and
+    ``sampling_table(top_k, top_p)`` (the single-path decoders), which is
+    built from ``ranked(top_k)``; ``ranked(len(row))`` is the whole row.
     Rows compare by identity.
 
     ``StepDistribution(probs=...)`` validates the row: every entry must lie
@@ -152,10 +156,10 @@ class StepDistribution:
     Models that build valid rows by construction use the unchecked
     ``_trusted`` constructor instead.
 
-    A row is immutable, so it remembers its ``children(k)`` and ``ranked(k)``
-    answers per ``k``, and its nucleus ``sampling_table(top_k, top_p)`` per
-    pair, whose running sums let a sampler pick its token with one bisect;
-    models hand out one row object per context, so each is computed once.
+    A row is immutable, so it remembers its ``children(k)`` per ``k`` and
+    its ``sampling_table(top_k, top_p)`` per pair, whose running sums let a
+    sampler pick its token with one bisect; models hand out one row object
+    per context, so each is computed once.
     """
 
     def __init__(self, probs: Iterable[float]):
@@ -183,10 +187,9 @@ class StepDistribution:
         self._size = size
         self._floor = floor
         self._entries = entries
-        # children(k) and ranked(k) per k, sampling tables per (top_k,
-        # top_p). Concurrent callers at worst compute an equal answer twice.
+        # children(k) per k, sampling tables per (top_k, top_p). Concurrent
+        # callers at worst compute an equal answer twice.
         self._children: dict[int, tuple[tuple[int, float], ...]] = {}
-        self._ranked: dict[int, tuple[tuple[int, float], ...]] = {}
         self._tables: dict[tuple[int, float], SamplingTable] = {}
 
     def __len__(self) -> int:
@@ -246,15 +249,11 @@ class StepDistribution:
         probability tokens included, exactly as ``kernels.topk_indices(probs,
         k)`` orders them.
 
-        Read from ``_candidates(k)`` once per ``k``; no dense row is built.
-        It ranks by linear probability, never by logprob: two different
-        probabilities can share a log, which would change the tie order.
+        Read from ``_candidates(k)``; no dense row is built. It ranks by
+        linear probability, never by logprob: two different probabilities
+        can share a log, which would change the tie order.
         """
-        known = self._ranked.get(k)
-        if known is None:
-            candidates = sorted(self._candidates(k), key=lambda c: (-c[1], c[0]))
-            known = self._ranked[k] = tuple(candidates[:k])
-        return known
+        return tuple(sorted(self._candidates(k), key=lambda c: (-c[1], c[0]))[:k])
 
     def sampling_table(self, top_k: int, top_p: float) -> SamplingTable:
         """The combined top-k / top-p support with its running sums (see

@@ -1,8 +1,9 @@
 """Independent cross-checks for the decoders.
 
 Everything here recomputes expected behavior by brute force (exhaustive
-sequence enumeration, linear-scan pruning, sampler replays over the full
-sort of each dense row) with none of the decoder's shortcuts, and reports
+sequence enumeration, linear-scan pruning, multipath steps over the
+untrimmed pool of every child, sampler replays over the full sort of each
+dense row) with none of the decoder's shortcuts, and reports
 human-readable counterexamples on disagreement; MUTATIONS lists defects in
 the shipped code that the checks must catch. The pruning check feeds the
 retention kernel random pools of candidate log-probabilities, given as
@@ -27,9 +28,14 @@ A pool's total mass is at most 1, so at horizon <= 5 every candidate's
 relative mass is at least 46**-5, about 5e-9: thousands of times the
 slack, and never the term a mass-1.0 scan could stop short of.
 
+The step check rebuilds each multipath step at widths 1-3 from the dense
+rows, with no per-parent trim and no floor-token shortcut, and cuts the
+whole pool with ``prune_scan``; ``check_exactness`` cannot see either
+shortcut, because its width cap of V**horizon never trims a row.
+
 The sampler check replays each sampler with its own ``random.Random(seed)``
 over the dense row, sorted in full, and draws by a linear walk over the
-running sums, where the nucleus sampler bisects its row's sampling table.
+running sums, where every sampler bisects its row's sampling table.
 Its top-p cut sums the sorted prefix with fsum, where the sampler uses a
 compensated sum; both are within an ulp of the exact sum, far inside
 MASS_SLACK, so the cuts can differ only for a ``top_p`` within an ulp of a
@@ -189,6 +195,28 @@ def prune_scan(values: Sequence[float], mass_fraction: float, max_width: int) ->
     return ranked[:count], count
 
 
+def untrimmed_retained_trace(model: ModelInterface, cfg: MultipathConfig) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Retained token paths per step of a multipath decode from the empty
+    prompt when every positive-probability child of every active path,
+    read from the dense row, enters the pool and the whole pool goes
+    through ``prune_scan``: no per-parent trim and no floor-token shortcut."""
+    eos = model.vocabulary.eos_id
+    actives = [SequencePath(tokens=(), cum_logprob=0.0, finished=False)]
+    trace = []
+    while actives and len(trace) < cfg.max_len:
+        pool = [
+            SequencePath(tokens=parent.tokens + (t,), cum_logprob=parent.cum_logprob + math.log(p), finished=t == eos)
+            for parent in actives
+            for t, p in enumerate(dense_row(model.next_distribution((), parent.tokens)))
+            if p > 0.0
+        ]
+        keep, _ = prune_scan([p.cum_logprob for p in pool], cfg.mass_fraction, cfg.max_width)
+        retained = [pool[i] for i in keep]
+        trace.append(tuple(p.tokens for p in retained))
+        actives = sorted((p for p in retained if not p.finished), key=lambda p: p.tokens)
+    return tuple(trace)
+
+
 def random_pool(rng: random.Random) -> list[float]:
     """Random pruning pool of candidate log-probabilities, with duplicate
     values (so the index tie order is exercised) and occasional
@@ -270,6 +298,12 @@ def _drop_last_support_token(sampling_table):
     return defect
 
 
+def _one_floor_token_fewer(candidates):
+    def defect(row, k):
+        return candidates(row, k)[: len(row._entries) + k - 1]
+    return defect
+
+
 # Name -> (module or class, attribute, make_defect(original) -> replacement).
 # Callers look the attribute up at call time, so every check that reaches it
 # is hit.
@@ -277,6 +311,7 @@ MUTATIONS = {
     "prune-off-by-one": (kernels, "prune_prefix", _drop_last_retained),
     "selection-max-prob": (decoding, "select_min_ppl", lambda _: lambda paths: max(paths, key=lambda p: p.cum_logprob)),
     "sampling-table-short": (StepDistribution, "sampling_table", _drop_last_support_token),
+    "floor-shortcut-short": (StepDistribution, "_candidates", _one_floor_token_fewer),
 }
 
 
@@ -361,6 +396,27 @@ def check_reductions(models: int, seed: int) -> list[str]:
                 failures.append(
                     f"model {trial}: width-{width} retained sets diverge at step "
                     f"{_first_divergence(wide.retained_trace, beam.retained_trace)}"
+                )
+    return failures
+
+
+def check_steps(models: int, seed: int) -> list[str]:
+    """Each multipath step at widths 1-3 must keep what ``prune_scan``
+    keeps of the untrimmed pool of every child of every active path."""
+    failures: list[str] = []
+    rng = random.Random(seed)
+    for trial in range(models):
+        model, max_len = random_model(rng, trial)
+        for width in (1, 2, 3):
+            cfg = MultipathConfig(
+                mass_fraction=rng.choice((0.5, 0.8, 0.9, 1.0)), max_width=width, max_len=max_len,
+            )
+            got = multipath_decode(model, (), cfg, record_trace=True).retained_trace
+            want = untrimmed_retained_trace(model, cfg)
+            if got != want:
+                failures.append(
+                    f"model {trial}: width-{width} mass-{cfg.mass_fraction!r} retained sets diverge from the "
+                    f"untrimmed pool at step {_first_divergence(got, want)}"
                 )
     return failures
 

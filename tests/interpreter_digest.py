@@ -8,7 +8,8 @@ it, so it runs on an interpreter without pytest. The digest covers:
 
 - every file and the stdout of a ``bench --strategy ftr_indicator`` run of
   a small add-k n-gram model, whose regenerated tasks have varied widths;
-- the ``decode`` stdout of each decoder on ``data/greedy_trap.json``;
+- the ``decode`` stdout of each decoder on that n-gram model and on
+  ``data/greedy_trap.json``;
 - the resolved settings of a fixed set of argv and config combinations,
   and the message of each one the CLI refuses.
 
@@ -75,9 +76,9 @@ def ngram_bench(work: Path) -> list[bytes]:
     return [code, stdout] + [path.name.encode() + b"\0" + path.read_bytes() for path in files]
 
 
-def trap_decodes() -> list[bytes]:
-    model = str(ROOT / "data" / "greedy_trap.json")
-    return [b"".join(run(["decode", "--model", model, "--decoder", decoder])) for decoder in cli.DECODERS]
+def decodes(model: str, *flags: str) -> list[bytes]:
+    """The exit code and stdout of ``decode`` with each decoder."""
+    return [b"".join(run(["decode", "--model", model, "--decoder", decoder, *flags])) for decoder in cli.DECODERS]
 
 
 def resolved_settings(work: Path) -> list[bytes]:
@@ -107,7 +108,10 @@ def main() -> None:
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for output in ngram_bench(Path(tmp)) + trap_decodes() + resolved_settings(Path(tmp)):
+        outputs = ngram_bench(Path(tmp))
+        outputs += decodes("ngram.json", "solve item 3", "--max-len", "12", "--seed", "5")
+        outputs += decodes(str(ROOT / "data" / "greedy_trap.json"))
+        for output in outputs + resolved_settings(Path(tmp)):
             digest.update(len(output).to_bytes(8, "big") + output)
         os.chdir(ROOT)
     print(digest.hexdigest())

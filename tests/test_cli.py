@@ -855,7 +855,9 @@ def test_oracle_check_passes(capsys):
     rc = main(["oracle-check", "--models", "20", "--trials", "200", "--seed", "1"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert out.splitlines() == ["decode-exactness: ok", "prune-minimality: ok", "reductions: ok", "samplers: ok"]
+    assert out.splitlines() == [
+        "decode-exactness: ok", "prune-minimality: ok", "reductions: ok", "samplers: ok", "step-pools: ok",
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))

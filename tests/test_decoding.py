@@ -10,7 +10,6 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from conftest import row_probs
 from hypothesis import assume, example, given, strategies as st
 
 from multipath import decoding, kernels, oracle
@@ -265,12 +264,19 @@ def one_row_model(row):
     return TableLM(vocabulary=Vocabulary(tokens=tuple(f"t{i}" for i in range(len(row))), eos_id=0), default=row)
 
 
-def drawn_supports(decode, model, cfg):
-    """The result of ``decode`` and the (token, probability) support each of
-    its steps drew from."""
-    with mock.patch.object(decoding, "_draw", wraps=decoding._draw) as draw:
+def drawn_tables(decode, model, cfg):
+    """The result of ``decode`` and the sampling table each of its steps
+    drew from."""
+    tables = []
+    sampling_table = StepDistribution.sampling_table
+
+    def recording(row, top_k, top_p):
+        tables.append(sampling_table(row, top_k, top_p))
+        return tables[-1]
+
+    with mock.patch.object(StepDistribution, "sampling_table", recording):
         result = decode(model, (), cfg)
-    return result, [list(call.args[1]) for call in draw.call_args_list]
+    return result, tables
 
 
 @given(row=sparse_rows(), data=st.data(), top_p=st.floats(min_value=0.01, max_value=1.0))
@@ -296,10 +302,32 @@ def test_sparse_supports_match_dense_kernels(row, data, top_p):
 
     assert greedy_decode(model, (), 1).chosen.tokens == (kernels.topk_indices(probs, 1)[0],)
 
-    result, [support] = drawn_supports(adaptive_decode, model, AdaptiveConfig(base_k=k, max_len=1))
+    result, [table] = drawn_tables(adaptive_decode, model, AdaptiveConfig(base_k=k, max_len=1))
     bits = -math.fsum(p * math.log(p) for p in probs if p > 0.0) / math.log(2.0)
     assert result.k_trace == (min(max(round(bits), 1), k),)
-    assert support == [(t, probs[t]) for t in kernels.topk_indices(probs, result.k_trace[0])]
+    support = kernels.topk_indices(probs, result.k_trace[0])
+    assert table.tokens == tuple(support)
+    assert table.total == math.fsum(probs[t] for t in support)
+
+
+def adaptive_k_step(row, base_k):
+    return min(max(round(row.entropy() / math.log(2.0)), 1), base_k)
+
+
+@given(row=sparse_rows(), base_k=st.integers(min_value=1, max_value=42))
+@example(
+    # Two tokens hold all but 1e-13 of the mass, so a top-3 table at top_p
+    # 1.0 keeps two; but the row has one bit of entropy, so k_step is 1.
+    row=StepDistribution._trusted(3, 0.0, {0: 0.5, 1: 0.5 - 1e-13, 2: 1e-13}), base_k=3,
+)
+def test_adaptive_table_keeps_every_ranked_token(row, base_k):
+    # Adaptive sampling reads sampling_table(k_step, 1.0): its top_p = 1.0
+    # cut must never drop a token of ranked(k_step).
+    k_step = adaptive_k_step(row, base_k)
+    top = row.ranked(k_step)
+    table = row.sampling_table(k_step, 1.0)
+    assert table.tokens == tuple(t for t, _ in top)
+    assert table.total == math.fsum(p for _, p in top)
 
 
 class ScriptedRandom(random.Random):
@@ -319,14 +347,13 @@ class ScriptedRandom(random.Random):
 TOP_DRAW = 1.0 - 2.0 ** -53
 
 
-def linear_walk_tokens(row, k, top_p, rng, max_len):
-    """The tokens of a linear-walk sampler: ``_draw`` over ``ranked(k)`` cut
-    by ``nucleus_count``, until the end token (token 0 of one_row_model)."""
-    top = row.ranked(k)
-    support = top[: kernels.nucleus_count((p for _, p in top), top_p)]
+def linear_walk_tokens(row, support, rng, max_len):
+    """The tokens of a linear-walk sampler: the oracle's ``_linear_draw``
+    over ``support``, until the end token (token 0 of one_row_model)."""
+    probs = oracle.dense_row(row)
     tokens = []
     while len(tokens) < max_len and tokens[-1:] != [0]:
-        tokens.append(decoding._draw(rng, support))
+        tokens.append(oracle._linear_draw(rng, probs, support))
     return tuple(tokens)
 
 
@@ -339,20 +366,45 @@ def linear_walk_tokens(row, k, top_p, rng, max_len):
 )
 @example(
     # Ten floor tokens of 0.1: their running sum ends at 1 - 2**-53, below
-    # the fsum total 1.0, so a first draw of TOP_DRAW takes the fallback.
+    # the fsum total 1.0, so a first nucleus draw of TOP_DRAW takes the
+    # fallback.
     row=StepDistribution._trusted(10, 0.1, {}), k=10, top_p=1.0, seed=0, script=[TOP_DRAW],
 )
+@example(
+    # Ten entries of 0.01 and 1990 floor tokens: about 10.7 bits, so both
+    # samplers keep the ten entries, whose running sum ends below their fsum
+    # total 0.1, and a first draw of TOP_DRAW takes the fallback.
+    row=StepDistribution._trusted(2000, 0.9 / 1990, dict.fromkeys(range(10), 0.01)),
+    k=10, top_p=1.0, seed=0, script=[TOP_DRAW],
+)
 def test_nucleus_bisect_picks_what_the_linear_walk_picked(row, k, top_p, seed, script):
+    # Every single-path sampler bisects its row's sampling table; each must
+    # pick what a linear walk over ranked(k) picks from the same draws.
+    model = one_row_model(row)
     cfg = SamplerConfig(top_p=top_p, top_k=k, seed=seed, max_len=8)
     fake_random = SimpleNamespace(Random=lambda seed: ScriptedRandom(seed, script))
     with mock.patch.object(decoding, "random", fake_random):
-        got = nucleus_sample(one_row_model(row), (), cfg).chosen.tokens
-    assert got == linear_walk_tokens(row, k, top_p, ScriptedRandom(seed, script), cfg.max_len)
+        nucleus = nucleus_sample(model, (), cfg).chosen.tokens
+        adaptive = adaptive_decode(model, (), AdaptiveConfig(base_k=k, seed=seed, max_len=cfg.max_len)).chosen.tokens
+    greedy = greedy_decode(model, (), cfg.max_len).chosen.tokens
+
+    def ranked_tokens(n):
+        return [t for t, _ in row.ranked(n)]
+
+    top = row.ranked(k)
+    k_step = adaptive_k_step(row, k)
+    for got, support in (
+        (nucleus, ranked_tokens(k)[: kernels.nucleus_count((p for _, p in top), top_p)]),
+        (adaptive, ranked_tokens(k_step)),
+        (greedy, ranked_tokens(1)),
+    ):
+        assert got == linear_walk_tokens(row, support, ScriptedRandom(seed, script), cfg.max_len)
+    nucleus_table = row.sampling_table(k, top_p)
     # The row builds its table once per (k, top_p): the same object comes back.
-    table = row.sampling_table(k, top_p)
-    assert row.sampling_table(k, top_p) is table
-    if script[:1] == [TOP_DRAW] and TOP_DRAW * table.total >= table.cumulative[-1]:
-        assert got[0] == table.tokens[-1]
+    assert row.sampling_table(k, top_p) is nucleus_table
+    for got, table in ((nucleus, nucleus_table), (adaptive, row.sampling_table(k_step, 1.0))):
+        if script[:1] == [TOP_DRAW] and TOP_DRAW * table.total >= table.cumulative[-1]:
+            assert got[0] == table.tokens[-1]
 
 
 def test_every_decoder_builds_no_dense_row():
@@ -467,28 +519,6 @@ def test_multipath_width_one_is_greedy(trap_model):
     assert all(k == 1 for k in out.k_trace)
 
 
-def untrimmed_retained_trace(model, cfg):
-    """Retained token paths per step when every positive-probability child
-    enters the pool and the whole pool goes through the linear-scan oracle."""
-    eos = model.vocabulary.eos_id
-    actives = [SequencePath(tokens=(), cum_logprob=0.0, finished=False)]
-    trace = []
-    for _ in range(cfg.max_len):
-        if not actives:
-            break
-        pool = [
-            SequencePath(tokens=parent.tokens + (t,), cum_logprob=parent.cum_logprob + math.log(p), finished=t == eos)
-            for parent in actives
-            for t, p in enumerate(row_probs(model.next_distribution((), parent.tokens)))
-            if p > 0.0
-        ]
-        keep, _ = oracle.prune_scan([p.cum_logprob for p in pool], cfg.mass_fraction, cfg.max_width)
-        retained = [pool[i] for i in keep]
-        trace.append(tuple(p.tokens for p in retained))
-        actives = sorted((p for p in retained if not p.finished), key=lambda p: p.tokens)
-    return tuple(trace)
-
-
 def test_multipath_child_trim_matches_untrimmed_pool(trap_model, monkeypatch):
     trims = []
     topk = kernels.topk_indices
@@ -520,7 +550,7 @@ def test_multipath_child_trim_matches_untrimmed_pool(trap_model, monkeypatch):
         cases.append((model, cfg))
     for model, cfg in cases:
         got = multipath_decode(model, (), cfg, record_trace=True).retained_trace
-        assert got == untrimmed_retained_trace(model, cfg)
+        assert got == oracle.untrimmed_retained_trace(model, cfg)
     # the per-parent trim must actually have dropped children
     assert trims
 

@@ -68,7 +68,10 @@ DECODERS = ("greedy", "multipath", "beam", "nucleus", "adaptive")
 PROVIDERS = ("ground_truth", "scripted", "judge")
 # The names of oracle.MUTATIONS, written out so that only oracle-check
 # imports the oracle; a test holds the two equal.
-MUTATION_NAMES = ["floor-shortcut-short", "prune-off-by-one", "sampling-table-short", "selection-max-prob"]
+MUTATION_NAMES = [
+    "entropy-floor-short", "expand-short", "floor-shortcut-short", "prune-off-by-one", "ranked-by-logprob",
+    "sampling-table-short", "selection-max-prob",
+]
 
 _RUNS = ("bench", "compare")
 _DECODING = ("decode", *_RUNS)

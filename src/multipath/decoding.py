@@ -6,8 +6,15 @@ Each step pools the single-token extensions of every active path, prunes
 the pool to the smallest high-probability prefix covering
 ``mass_fraction`` of its total probability (capped at ``max_width``), moves
 finished paths to a finished pool, and answers with the finished path of
-minimum perplexity. Width 1 reduces to greedy; mass_fraction 1.0 with cap B
-retains the same sets as beam search of width B.
+minimum perplexity. Each step's kept paths are the decode's record
+(``DecodeResult.retained``); every other step count is derived from them.
+
+Two limits reduce to classical decoders, each away from one corner case.
+Width 1 picks greedy's tokens unless two probabilities of a row share a
+log: ``children`` ranks by logprob, so such a tie goes to the lower id,
+where greedy ranks by probability. mass_fraction 1.0 with cap B keeps the
+sets of beam search of width B unless fewer than B of a step's candidates
+hold all but MASS_SLACK of its pool: the scan stops there, and beam keeps B.
 
 The pool is lazy: it holds each candidate as (parent, token, value), with
 value the candidate's cumulative logprob, and a SequencePath is built only
@@ -130,7 +137,9 @@ class DecodeResult:
 
     tokens_generated counts one token per model call, i.e. the number of
     active paths entering each step summed over steps; for the single-path
-    decoders it equals the chosen sequence's length.
+    decoders it equals the chosen sequence's length. ``retained`` holds the
+    kept paths of each step of multipath and beam decoding, whose k_trace
+    is the number kept per step; the single-path decoders leave it empty.
     """
 
     chosen: SequencePath
@@ -139,7 +148,7 @@ class DecodeResult:
     k_trace: tuple[int, ...]
     tokens_generated: int
     vocabulary: Vocabulary
-    retained_trace: tuple[tuple[tuple[int, ...], ...], ...] | None = field(default=None, compare=False)
+    retained: tuple[tuple[SequencePath, ...], ...] = field(default=(), compare=False)
 
     @property
     def steps(self) -> int:
@@ -276,50 +285,42 @@ def _expand(model, prompt_ids, actives, width_cap: int):
     return parents, tokens, values, kernels.log_sum_exp([p.cum_logprob for p in actives])
 
 
-def _multi_walk(model, prompt, max_len, retain, record_trace, width_cap):
+def _multi_walk(model, prompt, max_len, retain, width_cap):
     prompt_ids = model.vocabulary.check_ids(prompt, "prompt")
     eos = model.vocabulary.eos_id
     actives = [SequencePath((), 0.0, False)]
     finished: list[SequencePath] = []
-    k_trace: list[int] = []
-    trace: list[tuple[tuple[int, ...], ...]] = []
+    steps: list[tuple[SequencePath, ...]] = []
     tokens_generated = 0
 
-    while actives and len(k_trace) < max_len:
+    while actives and len(steps) < max_len:
         tokens_generated += len(actives)
         parents, tokens, values, total = _expand(model, prompt_ids, actives, width_cap)
-        retained_idx, k_i = retain(values, total)
+        kept_idx = retain(values, total)
         # Positional on purpose: a keyword call matches each keyword to its
         # field by name, which CPython 3.11 does not specialize, and this
         # runs once per kept path per step (0.44 us per path by keyword
         # against 0.23 us positional, CPython 3.11.7).
-        retained = [SequencePath(parents[i].tokens + (tokens[i],), values[i], tokens[i] == eos) for i in retained_idx]
-        k_trace.append(k_i)
-        if record_trace:
-            trace.append(tuple(p.tokens for p in retained))
-        finished.extend(p for p in retained if p.finished)
+        kept = tuple([SequencePath(parents[i].tokens + (tokens[i],), values[i], tokens[i] == eos) for i in kept_idx])
+        steps.append(kept)
+        finished.extend(p for p in kept if p.finished)
         # Pool order is lexicographic token order (see the module docstring),
         # so ascending pool index keeps the actives sorted.
-        actives = [p for _, p in sorted(zip(retained_idx, retained)) if not p.finished]
+        actives = [p for _, p in sorted(zip(kept_idx, kept)) if not p.finished]
 
     pool = finished if finished else actives
     return DecodeResult(
         chosen=select_min_ppl(pool),
         finished_candidates=tuple(finished),
         truncated=tuple(actives),
-        k_trace=tuple(k_trace),
+        k_trace=tuple(map(len, steps)),
         tokens_generated=tokens_generated,
         vocabulary=model.vocabulary,
-        retained_trace=tuple(trace) if record_trace else None,
+        retained=tuple(steps),
     )
 
 
-def multipath_decode(
-    model: ModelInterface,
-    prompt: Sequence[int],
-    cfg: MultipathConfig,
-    record_trace: bool = False,
-) -> DecodeResult:
+def multipath_decode(model: ModelInterface, prompt: Sequence[int], cfg: MultipathConfig) -> DecodeResult:
     """Mass-threshold tree decoding with min-perplexity selection.
 
     Per step, the children of all active paths are pooled and the pool is
@@ -332,15 +333,10 @@ def multipath_decode(
     def retain(values, total):
         return kernels.prune_prefix(values, cfg.mass_fraction, cfg.max_width, total)
 
-    return _multi_walk(model, prompt, cfg.max_len, retain, record_trace, cfg.max_width)
+    return _multi_walk(model, prompt, cfg.max_len, retain, cfg.max_width)
 
 
-def beam_search(
-    model: ModelInterface,
-    prompt: Sequence[int],
-    cfg: BeamConfig,
-    record_trace: bool = False,
-) -> DecodeResult:
+def beam_search(model: ModelInterface, prompt: Sequence[int], cfg: BeamConfig) -> DecodeResult:
     """Fixed-width search: keep the ``width`` highest-probability paths per step.
 
     Only positive-probability extensions compete (a zero-probability path
@@ -349,7 +345,6 @@ def beam_search(
     """
 
     def retain(values, _total):
-        idx = kernels.topk_indices(values, cfg.width)
-        return idx, len(idx)
+        return kernels.topk_indices(values, cfg.width)
 
-    return _multi_walk(model, prompt, cfg.max_len, retain, record_trace, cfg.width)
+    return _multi_walk(model, prompt, cfg.max_len, retain, cfg.width)

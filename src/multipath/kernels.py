@@ -35,7 +35,7 @@ def prune_prefix(
     mass_fraction: float,
     max_width: int,
     total_logprob: float | None = None,
-) -> tuple[list[int], int]:
+) -> list[int]:
     """Retain the minimal high-probability prefix covering ``mass_fraction``.
 
     Sorts candidates by descending log-probability (ties to lower index) and
@@ -48,7 +48,7 @@ def prune_prefix(
     ``logprobs`` holds only a (sufficiently large) top subset of it; by
     default the total is the log-sum-exp of ``logprobs`` itself.
 
-    Returns (retained indices into ``logprobs``, retained count).
+    Returns the retained indices into ``logprobs``, in rank order.
     """
     n = len(logprobs)
     if n == 0:
@@ -61,7 +61,6 @@ def prune_prefix(
 
     order = sorted(range(n), key=logprobs.__getitem__, reverse=True)
     limit = min(n, max_width)
-    count = limit
     cum = 0.0
     comp = 0.0  # Kahan compensation
     for rank in range(limit):
@@ -71,9 +70,8 @@ def prune_prefix(
         comp = (t - cum) - y
         cum = t
         if cum >= mass_fraction - MASS_SLACK:
-            count = rank + 1
-            break
-    return order[:count], count
+            return order[: rank + 1]
+    return order[:limit]
 
 
 def nucleus_prefix(probs: Sequence[float], top_p: float, top_k: int) -> list[int]:

@@ -28,6 +28,19 @@ A pool's total mass is at most 1, so at horizon <= 5 every candidate's
 relative mass is at least 46**-5, about 5e-9: thousands of times the
 slack, and never the term a mass-1.0 scan could stop short of.
 
+That keeps the reductions check clear of the two corner cases where the
+reductions are not exact (see the decoding module docstring). Mass-1.0
+multipath with cap B keeps fewer paths than beam(B) only when some
+candidate holds less than MASS_SLACK of its pool, which the bound above
+rules out. Width-1 multipath picks another token than greedy only when two
+different probabilities of one row share a log, that is when they lie
+within a few ulps of each other. Two different conditionals of one random
+row differ by at least 1/20.5 of the smaller: a table row's weights are
+integers of at most MAX_WEIGHT over one total (1/15), and an n-gram row's
+are counts of at most 20 plus NGRAM_ADD_K over one denominator (1/20.5).
+The samplers suite adds one fixed model with such a row (``tied_log_lm``),
+on which greedy must pick the more probable of the two tokens.
+
 The step check rebuilds each multipath step at widths 1-3 from the dense
 rows, with no per-parent trim and no floor-token shortcut, and cuts the
 whole pool with ``prune_scan``; ``check_exactness`` cannot see either
@@ -39,7 +52,9 @@ running sums, where every sampler bisects its row's sampling table.
 Its top-p cut sums the sorted prefix with fsum, where the sampler uses a
 compensated sum; both are within an ulp of the exact sum, far inside
 MASS_SLACK, so the cuts can differ only for a ``top_p`` within an ulp of a
-prefix's mass less the slack, which no draw here comes near.
+prefix's mass less the slack, which no draw here comes near. The check
+also holds the ``entropy()`` of each row the adaptive replay visits, which
+adaptive sampling reads, to the fsum over the dense row, bit for bit.
 """
 
 from __future__ import annotations
@@ -132,6 +147,19 @@ def random_model(rng: random.Random, trial: int) -> tuple[ModelInterface, int]:
     return random_table_lm(rng) if trial % 2 == 0 else random_ngram_lm(rng)
 
 
+def tied_log_lm() -> TableLM:
+    """A fixed model whose first row holds two different probabilities that
+    share a log: 0.01 for token 0 and the next double up for token 1; the
+    other 98 tokens, the end token 99 among them, share the rest as the
+    row's floor. Every later row gives the end token all the mass. Greedy
+    picks token 1 first; width-1 multipath, which ranks children by
+    logprob, picks token 0."""
+    size, low, high = 100, 0.01, 0.010000000000000002
+    vocab = Vocabulary(tokens=tuple(f"t{i}" for i in range(size - 1)) + ("$",), eos_id=size - 1)
+    first = StepDistribution._trusted(size, (1.0 - low - high) / (size - 2), {0: low, 1: high})
+    return TableLM(vocabulary=vocab, rows={(): first}, default=StepDistribution._trusted(size, 0.0, {size - 1: 1.0}))
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration
 
@@ -174,11 +202,11 @@ def best_finished(model: ModelInterface, prompt: Sequence[int], max_len: int) ->
 # Linear-scan pruning oracle
 
 
-def prune_scan(values: Sequence[float], mass_fraction: float, max_width: int) -> tuple[list[int], int]:
+def prune_scan(values: Sequence[float], mass_fraction: float, max_width: int) -> list[int]:
     """Reference pruning: explicit sort, fsum normalization, linear scan.
 
-    Ranks pool positions by (-value, index) and returns (retained indices in
-    rank order, retained count), the same contract as kernels.prune_prefix.
+    Ranks pool positions by (-value, index) and returns the retained indices
+    in rank order, the same contract as kernels.prune_prefix.
     """
     ranked = sorted(range(len(values)), key=lambda i: (-values[i], i))
     shift = max(values, default=-math.inf)
@@ -187,34 +215,31 @@ def prune_scan(values: Sequence[float], mass_fraction: float, max_width: int) ->
     masses = [math.exp(values[i] - shift) for i in ranked]
     total = math.fsum(masses)
     limit = min(len(ranked), max_width)
-    count = limit
     for k in range(1, limit + 1):
         if math.fsum(masses[:k]) / total >= mass_fraction - kernels.MASS_SLACK:
-            count = k
-            break
-    return ranked[:count], count
+            return ranked[:k]
+    return ranked[:limit]
 
 
-def untrimmed_retained_trace(model: ModelInterface, cfg: MultipathConfig) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Retained token paths per step of a multipath decode from the empty
+def untrimmed_retained(model: ModelInterface, cfg: MultipathConfig) -> tuple[tuple[SequencePath, ...], ...]:
+    """Retained paths per step of a multipath decode from the empty
     prompt when every positive-probability child of every active path,
     read from the dense row, enters the pool and the whole pool goes
     through ``prune_scan``: no per-parent trim and no floor-token shortcut."""
     eos = model.vocabulary.eos_id
     actives = [SequencePath(tokens=(), cum_logprob=0.0, finished=False)]
-    trace = []
-    while actives and len(trace) < cfg.max_len:
+    steps = []
+    while actives and len(steps) < cfg.max_len:
         pool = [
             SequencePath(tokens=parent.tokens + (t,), cum_logprob=parent.cum_logprob + math.log(p), finished=t == eos)
             for parent in actives
             for t, p in enumerate(dense_row(model.next_distribution((), parent.tokens)))
             if p > 0.0
         ]
-        keep, _ = prune_scan([p.cum_logprob for p in pool], cfg.mass_fraction, cfg.max_width)
-        retained = [pool[i] for i in keep]
-        trace.append(tuple(p.tokens for p in retained))
-        actives = sorted((p for p in retained if not p.finished), key=lambda p: p.tokens)
-    return tuple(trace)
+        kept = tuple(pool[i] for i in prune_scan([p.cum_logprob for p in pool], cfg.mass_fraction, cfg.max_width))
+        steps.append(kept)
+        actives = sorted((p for p in kept if not p.finished), key=lambda p: p.tokens)
+    return tuple(steps)
 
 
 def random_pool(rng: random.Random) -> list[float]:
@@ -268,6 +293,11 @@ def _nucleus_support(probs: Sequence[float], top_k: int, top_p: float) -> list[i
     return top
 
 
+def dense_entropy(probs: Sequence[float]) -> float:
+    """Shannon entropy in nats of a dense row, one fsum over its terms."""
+    return -math.fsum(p * math.log(p) for p in probs if p > 0.0)
+
+
 def replay_sampler(model: ModelInterface, max_len: int, pick) -> tuple[int, ...]:
     """The tokens of a single-path decode from the empty prompt that picks
     each token by ``pick(dense row)``, until the end token or ``max_len``."""
@@ -284,8 +314,8 @@ def replay_sampler(model: ModelInterface, max_len: int, pick) -> tuple[int, ...]
 
 def _drop_last_retained(prune_prefix):
     def defect(*args):
-        kept, k = prune_prefix(*args)
-        return (kept[:-1], k - 1) if k > 1 else (kept, k)
+        kept = prune_prefix(*args)
+        return kept[:-1] if len(kept) > 1 else kept
     return defect
 
 
@@ -304,6 +334,27 @@ def _one_floor_token_fewer(candidates):
     return defect
 
 
+def _one_child_fewer(expand):
+    def defect(model, prompt_ids, actives, width_cap):
+        return expand(model, prompt_ids, actives, width_cap - 1)
+    return defect
+
+
+def _ranked_by_logprob(_ranked):
+    def defect(row, k):
+        return tuple(sorted(row._candidates(k), key=lambda c: (-row.logprob(c[0]), c[0]))[:k])
+    return defect
+
+
+def _one_floor_term_fewer(entropy):
+    def defect(row):
+        floor = row._floor
+        if floor == 0.0 or len(row._entries) == len(row):
+            return entropy(row)
+        return entropy(row) + floor * math.log(floor)
+    return defect
+
+
 # Name -> (module or class, attribute, make_defect(original) -> replacement).
 # Callers look the attribute up at call time, so every check that reaches it
 # is hit.
@@ -312,6 +363,9 @@ MUTATIONS = {
     "selection-max-prob": (decoding, "select_min_ppl", lambda _: lambda paths: max(paths, key=lambda p: p.cum_logprob)),
     "sampling-table-short": (StepDistribution, "sampling_table", _drop_last_support_token),
     "floor-shortcut-short": (StepDistribution, "_candidates", _one_floor_token_fewer),
+    "expand-short": (decoding, "_expand", _one_child_fewer),
+    "ranked-by-logprob": (StepDistribution, "ranked", _ranked_by_logprob),
+    "entropy-floor-short": (StepDistribution, "entropy", _one_floor_term_fewer),
 }
 
 
@@ -327,6 +381,17 @@ def mutated(name: str) -> Iterator[None]:
         setattr(module, attribute, original)
 
 
+@contextlib.contextmanager
+def _failing_on_raise(failures: list[str], label: str) -> Iterator[None]:
+    """Record an exception raised by the enclosed check of ``label`` as one
+    of its failures, and go on with the next: a defect that makes the
+    decoder raise is a counterexample like any other."""
+    try:
+        yield
+    except Exception as exc:
+        failures.append(f"{label}: raised {type(exc).__name__}: {exc}")
+
+
 def check_pruning(trials: int, seed: int) -> list[str]:
     """Compare kernels.prune_prefix against the linear-scan reference."""
     failures: list[str] = []
@@ -335,13 +400,14 @@ def check_pruning(trials: int, seed: int) -> list[str]:
         values = random_pool(rng)
         mass_fraction = rng.random()
         max_width = rng.randint(1, len(values) + 3)
-        got, got_k = kernels.prune_prefix(values, mass_fraction, max_width)
-        want, want_k = prune_scan(values, mass_fraction, max_width)
-        if (got_k, got) != (want_k, want):
-            failures.append(
-                f"trial {trial}: retained {got_k} candidates, linear scan says {want_k} "
-                f"(n={len(values)}, mass_fraction={mass_fraction!r}, max_width={max_width})"
-            )
+        with _failing_on_raise(failures, f"trial {trial}"):
+            got = kernels.prune_prefix(values, mass_fraction, max_width)
+            want = prune_scan(values, mass_fraction, max_width)
+            if got != want:
+                failures.append(
+                    f"trial {trial}: retained {got}, linear scan says {want} "
+                    f"(n={len(values)}, mass_fraction={mass_fraction!r}, max_width={max_width})"
+                )
     return failures
 
 
@@ -352,56 +418,56 @@ def check_exactness(models: int, seed: int) -> list[str]:
     for trial in range(models):
         model, max_len = random_model(rng, trial)
         vocab = model.vocabulary
-        want = best_finished(model, (), max_len)
-        if want is None:
-            continue
-        cfg = MultipathConfig(mass_fraction=1.0, max_width=vocab.size ** max_len, max_len=max_len)
-        got = multipath_decode(model, (), cfg).chosen
-        if got.tokens != want.tokens:
-            failures.append(
-                f"model {trial}: chose {vocab.decode(got.tokens)!r} "
-                f"(ppl {got.ppl():.12g}), enumeration says {vocab.decode(want.tokens)!r} "
-                f"(ppl {want.ppl():.12g})"
-            )
-        elif abs(got.ppl() - want.ppl()) > 1e-9 * want.ppl():
-            failures.append(
-                f"model {trial}: ppl {got.ppl()!r} disagrees with enumerated {want.ppl()!r}"
-            )
+        with _failing_on_raise(failures, f"model {trial}"):
+            want = best_finished(model, (), max_len)
+            if want is None:
+                continue
+            cfg = MultipathConfig(mass_fraction=1.0, max_width=vocab.size ** max_len, max_len=max_len)
+            got = multipath_decode(model, (), cfg).chosen
+            if got.tokens != want.tokens:
+                failures.append(
+                    f"model {trial}: chose {vocab.decode(got.tokens)!r} "
+                    f"(ppl {got.ppl():.12g}), enumeration says {vocab.decode(want.tokens)!r} "
+                    f"(ppl {want.ppl():.12g})"
+                )
+            elif abs(got.ppl() - want.ppl()) > 1e-9 * want.ppl():
+                failures.append(
+                    f"model {trial}: ppl {got.ppl()!r} disagrees with enumerated {want.ppl()!r}"
+                )
     return failures
 
 
 def check_reductions(models: int, seed: int) -> list[str]:
-    """Width-1 multipath equals greedy; mass 1.0 with cap B matches beam(B) sets."""
+    """Width-1 multipath equals greedy; mass 1.0 with cap B keeps the paths
+    beam(B) keeps at every step (see the module docstring for why the random
+    models stay clear of the corner cases where neither holds)."""
     failures: list[str] = []
     rng = random.Random(seed)
     for trial in range(models):
         model, max_len = random_model(rng, trial)
         vocab = model.vocabulary
-
-        greedy = greedy_decode(model, (), max_len)
-        narrow = multipath_decode(model, (), MultipathConfig(mass_fraction=1.0, max_width=1, max_len=max_len))
-        if narrow.chosen.tokens != greedy.chosen.tokens:
-            failures.append(
-                f"model {trial}: width-1 decode {vocab.decode(narrow.chosen.tokens)!r} "
-                f"!= greedy {vocab.decode(greedy.chosen.tokens)!r}"
-            )
-
-        for width in (2, 3):
-            beam = beam_search(model, (), BeamConfig(width=width, max_len=max_len), record_trace=True)
-            wide = multipath_decode(
-                model, (), MultipathConfig(mass_fraction=1.0, max_width=width, max_len=max_len),
-                record_trace=True,
-            )
-            if wide.retained_trace != beam.retained_trace:
+        with _failing_on_raise(failures, f"model {trial}"):
+            greedy = greedy_decode(model, (), max_len)
+            narrow = multipath_decode(model, (), MultipathConfig(mass_fraction=1.0, max_width=1, max_len=max_len))
+            if narrow.chosen.tokens != greedy.chosen.tokens:
                 failures.append(
-                    f"model {trial}: width-{width} retained sets diverge at step "
-                    f"{_first_divergence(wide.retained_trace, beam.retained_trace)}"
+                    f"model {trial}: width-1 decode {vocab.decode(narrow.chosen.tokens)!r} "
+                    f"!= greedy {vocab.decode(greedy.chosen.tokens)!r}"
                 )
+
+            for width in (2, 3):
+                beam = beam_search(model, (), BeamConfig(width=width, max_len=max_len))
+                wide = multipath_decode(model, (), MultipathConfig(mass_fraction=1.0, max_width=width, max_len=max_len))
+                if wide.retained != beam.retained:
+                    failures.append(
+                        f"model {trial}: width-{width} retained sets diverge at step "
+                        f"{_first_divergence(wide.retained, beam.retained)}"
+                    )
     return failures
 
 
 def check_steps(models: int, seed: int) -> list[str]:
-    """Each multipath step at widths 1-3 must keep what ``prune_scan``
+    """Each multipath step at widths 1-3 must keep the paths ``prune_scan``
     keeps of the untrimmed pool of every child of every active path."""
     failures: list[str] = []
     rng = random.Random(seed)
@@ -411,13 +477,14 @@ def check_steps(models: int, seed: int) -> list[str]:
             cfg = MultipathConfig(
                 mass_fraction=rng.choice((0.5, 0.8, 0.9, 1.0)), max_width=width, max_len=max_len,
             )
-            got = multipath_decode(model, (), cfg, record_trace=True).retained_trace
-            want = untrimmed_retained_trace(model, cfg)
-            if got != want:
-                failures.append(
-                    f"model {trial}: width-{width} mass-{cfg.mass_fraction!r} retained sets diverge from the "
-                    f"untrimmed pool at step {_first_divergence(got, want)}"
-                )
+            with _failing_on_raise(failures, f"model {trial}"):
+                got = multipath_decode(model, (), cfg).retained
+                want = untrimmed_retained(model, cfg)
+                if got != want:
+                    failures.append(
+                        f"model {trial}: width-{width} mass-{cfg.mass_fraction!r} retained sets diverge from the "
+                        f"untrimmed pool at step {_first_divergence(got, want)}"
+                    )
     return failures
 
 
@@ -431,11 +498,16 @@ def _first_divergence(a, b) -> int:
 def check_samplers(models: int, seed: int) -> list[str]:
     """greedy_decode, nucleus_sample and adaptive_decode must pick, step for
     step, the tokens a replay over each dense row picks with the same
-    ``random.Random(seed)``."""
+    ``random.Random(seed)``, and each row the adaptive replay visits must
+    give the entropy of its dense row. The random models are followed by
+    ``tied_log_lm``."""
     failures: list[str] = []
     rng = random.Random(seed)
-    for trial in range(models):
-        model, max_len = random_model(rng, trial)
+    for trial in range(models + 1):
+        if trial < models:
+            label, (model, max_len) = f"model {trial}", random_model(rng, trial)
+        else:
+            label, model, max_len = "tied_log_lm", tied_log_lm(), 2
         vocab = model.vocabulary
         size = vocab.size
         sampler = SamplerConfig(
@@ -444,30 +516,37 @@ def check_samplers(models: int, seed: int) -> list[str]:
         )
         adaptive = AdaptiveConfig(base_k=rng.randint(1, size + 1), seed=rng.randrange(2**32), max_len=max_len)
 
-        greedy_want = replay_sampler(model, max_len, lambda probs: _full_sort(probs)[0])
-        draws = random.Random(sampler.seed)
-        nucleus_want = replay_sampler(model, max_len, lambda probs: _linear_draw(
-            draws, probs, _nucleus_support(probs, sampler.top_k, sampler.top_p),
-        ))
-        draws_adaptive = random.Random(adaptive.seed)
-        k_want: list[int] = []
+        with _failing_on_raise(failures, label):
+            greedy_want = replay_sampler(model, max_len, lambda probs: _full_sort(probs)[0])
+            draws = random.Random(sampler.seed)
+            nucleus_want = replay_sampler(model, max_len, lambda probs: _linear_draw(
+                draws, probs, _nucleus_support(probs, sampler.top_k, sampler.top_p),
+            ))
+            draws_adaptive = random.Random(adaptive.seed)
+            k_want: list[int] = []
 
-        def adaptive_pick(probs: list[float]) -> int:
-            bits = -math.fsum(p * math.log(p) for p in probs if p > 0.0) / math.log(2.0)
-            k_want.append(min(max(round(bits), 1), adaptive.base_k))
-            return _linear_draw(draws_adaptive, probs, _full_sort(probs)[: k_want[-1]])
+            def adaptive_pick(probs: list[float]) -> int:
+                k_want.append(min(max(round(dense_entropy(probs) / math.log(2.0)), 1), adaptive.base_k))
+                return _linear_draw(draws_adaptive, probs, _full_sort(probs)[: k_want[-1]])
 
-        adaptive_want = replay_sampler(model, max_len, adaptive_pick)
+            adaptive_want = replay_sampler(model, max_len, adaptive_pick)
+            for n in range(len(adaptive_want)):
+                row = model.next_distribution((), adaptive_want[:n])
+                got, want = row.entropy(), dense_entropy(dense_row(row))
+                if got.hex() != want.hex():
+                    failures.append(
+                        f"{label}: entropy {got!r} after {vocab.decode(adaptive_want[:n])!r}, dense row says {want!r}"
+                    )
 
-        adaptive_got = adaptive_decode(model, (), adaptive)
-        nucleus_got = nucleus_sample(model, (), sampler).chosen.tokens
-        for name, got, want in (
-            ("greedy", greedy_decode(model, (), max_len).chosen.tokens, greedy_want),
-            (f"nucleus(top_k={sampler.top_k}, top_p={sampler.top_p!r})", nucleus_got, nucleus_want),
-            (f"adaptive(base_k={adaptive.base_k})", adaptive_got.chosen.tokens, adaptive_want),
-        ):
-            if got != want:
-                failures.append(f"model {trial}: {name} drew {vocab.decode(got)!r}, replay says {vocab.decode(want)!r}")
-        if adaptive_got.k_trace != tuple(k_want):
-            failures.append(f"model {trial}: adaptive k trace {list(adaptive_got.k_trace)}, replay says {k_want}")
+            adaptive_got = adaptive_decode(model, (), adaptive)
+            nucleus_got = nucleus_sample(model, (), sampler).chosen.tokens
+            for name, got, want in (
+                ("greedy", greedy_decode(model, (), max_len).chosen.tokens, greedy_want),
+                (f"nucleus(top_k={sampler.top_k}, top_p={sampler.top_p!r})", nucleus_got, nucleus_want),
+                (f"adaptive(base_k={adaptive.base_k})", adaptive_got.chosen.tokens, adaptive_want),
+            ):
+                if got != want:
+                    failures.append(f"{label}: {name} drew {vocab.decode(got)!r}, replay says {vocab.decode(want)!r}")
+            if adaptive_got.k_trace != tuple(k_want):
+                failures.append(f"{label}: adaptive k trace {list(adaptive_got.k_trace)}, replay says {k_want}")
     return failures

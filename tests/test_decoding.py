@@ -310,6 +310,11 @@ def test_sparse_supports_match_dense_kernels(row, data, top_p):
     assert table.total == math.fsum(probs[t] for t in support)
 
 
+@given(row=sparse_rows())
+def test_entropy_is_the_fsum_over_the_dense_row(row):
+    assert row.entropy().hex() == oracle.dense_entropy(oracle.dense_row(row)).hex()
+
+
 def adaptive_k_step(row, base_k):
     return min(max(round(row.entropy() / math.log(2.0)), 1), base_k)
 
@@ -519,6 +524,16 @@ def test_multipath_width_one_is_greedy(trap_model):
     assert all(k == 1 for k in out.k_trace)
 
 
+def test_width_one_is_not_greedy_when_two_probabilities_share_a_log():
+    # children() ranks by logprob, so the shared log goes to the lower id;
+    # greedy ranks by probability and takes the larger one.
+    model = oracle.tied_log_lm()
+    eos = model.vocabulary.eos_id
+    assert greedy_decode(model, ()).chosen.tokens == (1, eos)
+    out = multipath_decode(model, (), MultipathConfig(mass_fraction=1.0, max_width=1))
+    assert out.chosen.tokens == (0, eos)
+
+
 def test_multipath_child_trim_matches_untrimmed_pool(trap_model, monkeypatch):
     trims = []
     topk = kernels.topk_indices
@@ -549,8 +564,7 @@ def test_multipath_child_trim_matches_untrimmed_pool(trap_model, monkeypatch):
         )
         cases.append((model, cfg))
     for model, cfg in cases:
-        got = multipath_decode(model, (), cfg, record_trace=True).retained_trace
-        assert got == oracle.untrimmed_retained_trace(model, cfg)
+        assert multipath_decode(model, (), cfg).retained == oracle.untrimmed_retained(model, cfg)
     # the per-parent trim must actually have dropped children
     assert trims
 
@@ -635,16 +649,20 @@ def test_beam_width_one_is_greedy(trap_model):
 
 def test_beam_matches_full_mass_multipath_sets(trap_model):
     width = 2
-    beam = beam_search(trap_model, (), BeamConfig(width=width, max_len=4), record_trace=True)
-    multi = multipath_decode(
-        trap_model,
-        (),
-        MultipathConfig(mass_fraction=1.0, max_width=width, max_len=4),
-        record_trace=True,
-    )
-    assert len(beam.retained_trace) == len(multi.retained_trace)
-    for b_step, m_step in zip(beam.retained_trace, multi.retained_trace):
-        assert set(b_step) == set(m_step)
+    beam = beam_search(trap_model, (), BeamConfig(width=width, max_len=4))
+    multi = multipath_decode(trap_model, (), MultipathConfig(mass_fraction=1.0, max_width=width, max_len=4))
+    assert len(beam.retained) == 2
+    assert beam.retained == multi.retained
+
+
+def test_full_mass_multipath_keeps_fewer_than_beam_within_mass_slack():
+    # The first two tokens hold all but 1e-13 of every pool, within
+    # MASS_SLACK of the total, so the full-mass scan stops after them.
+    vocab = Vocabulary(tokens=("$", "a", "b"), eos_id=0)
+    model = TableLM(vocabulary=vocab, default=StepDistribution(probs=(0.5, 0.5 - 1e-13, 1e-13)))
+    assert beam_search(model, (), BeamConfig(width=3, max_len=2)).k_trace == (3, 3)
+    multi = multipath_decode(model, (), MultipathConfig(mass_fraction=1.0, max_width=3, max_len=2))
+    assert multi.k_trace == (2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -688,11 +706,12 @@ def test_every_decoder_takes_one_k_trace_entry_per_step(seed):
         adaptive_decode(model, (), AdaptiveConfig(base_k=3, seed=seed, max_len=horizon)),
     ):
         assert result.steps == len(result.k_trace) == len(result.chosen.tokens)
+        assert result.retained == ()
     for result in (
-        multipath_decode(model, (), MultipathConfig(mass_fraction=0.9, max_width=3, max_len=horizon), record_trace=True),
-        beam_search(model, (), BeamConfig(width=3, max_len=horizon), record_trace=True),
+        multipath_decode(model, (), MultipathConfig(mass_fraction=0.9, max_width=3, max_len=horizon)),
+        beam_search(model, (), BeamConfig(width=3, max_len=horizon)),
     ):
-        assert result.steps == len(result.k_trace) == len(result.retained_trace)
+        assert result.k_trace == tuple(map(len, result.retained))
         assert result.steps == max(len(p.tokens) for p in result.finished_candidates + result.truncated)
 
 
@@ -740,9 +759,9 @@ def test_check_reductions_reports_a_greedy_mismatch(monkeypatch):
 
 
 def test_check_reductions_reports_where_beam_sets_diverge(monkeypatch):
-    def beam_missing_last_step(model, prompt, cfg, record_trace=False):
-        result = beam_search(model, prompt, cfg, record_trace=record_trace)
-        return dataclasses.replace(result, retained_trace=result.retained_trace[:-1])
+    def beam_missing_last_step(model, prompt, cfg):
+        result = beam_search(model, prompt, cfg)
+        return dataclasses.replace(result, retained=result.retained[:-1])
 
     monkeypatch.setattr(oracle, "beam_search", beam_missing_last_step)
     failures = oracle.check_reductions(3, seed=0)
@@ -751,19 +770,37 @@ def test_check_reductions_reports_where_beam_sets_diverge(monkeypatch):
         assert re.fullmatch(r"model \d: width-[23] retained sets diverge at step \d+", failure), failure
 
 
+def test_a_check_that_raises_reports_the_model_and_the_exception(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr(oracle, "multipath_decode", broken)
+    for check in (oracle.check_exactness, oracle.check_reductions, oracle.check_steps):
+        failures = check(3, seed=0)
+        assert failures, check
+        for failure in failures:
+            assert re.fullmatch(r"model \d: raised RuntimeError: broken", failure), failure
+    monkeypatch.setattr(oracle, "greedy_decode", broken)
+    assert oracle.check_samplers(2, seed=0) == [
+        "model 0: raised RuntimeError: broken",
+        "model 1: raised RuntimeError: broken",
+        "tied_log_lm: raised RuntimeError: broken",
+    ]
+    monkeypatch.setattr(kernels, "prune_prefix", broken)
+    assert oracle.check_pruning(2, seed=0) == ["trial 0: raised RuntimeError: broken", "trial 1: raised RuntimeError: broken"]
+
+
 def test_check_pruning_reports_a_result_wider_than_max_width(monkeypatch):
-    monkeypatch.setattr(kernels, "prune_prefix", lambda values, mass_fraction, max_width: (
-        list(range(max_width + 1)), max_width + 1,
-    ))
+    monkeypatch.setattr(kernels, "prune_prefix", lambda values, mass_fraction, max_width: list(range(max_width + 1)))
     failures = oracle.check_pruning(5, seed=0)
     assert len(failures) == 5
     for failure in failures:
         match = re.fullmatch(
-            r"trial \d: retained (\d+) candidates, linear scan says \d+ \(n=\d+, mass_fraction=\S+, max_width=(\d+)\)",
+            r"trial \d: retained (\[[\d, ]+\]), linear scan says \[[\d, ]+\] \(n=\d+, mass_fraction=\S+, max_width=(\d+)\)",
             failure,
         )
-        got, cap = map(int, match.groups())
-        assert got == cap + 1
+        got, cap = match.groups()
+        assert got == str(list(range(int(cap) + 1)))
 
 
 @pytest.mark.parametrize("name", sorted(oracle.MUTATIONS))

@@ -48,55 +48,49 @@ def test_topk_zero_k(kern):
 
 def test_prune_keeps_minimal_mass_prefix(kern):
     lp = logprobs_of([0.5, 0.3, 0.2])
-    assert kern.prune_prefix(lp, 0.75, 10) == ([0, 1], 2)
-    assert kern.prune_prefix(lp, 0.5, 10) == ([0], 1)
-    assert kern.prune_prefix(lp, 1.0, 10) == ([0, 1, 2], 3)
+    assert kern.prune_prefix(lp, 0.75, 10) == [0, 1]
+    assert kern.prune_prefix(lp, 0.5, 10) == [0]
+    assert kern.prune_prefix(lp, 1.0, 10) == [0, 1, 2]
 
 
 def test_prune_zero_mass_keeps_one(kern):
     lp = logprobs_of([0.5, 0.3, 0.2])
-    assert kern.prune_prefix(lp, 0.0, 10) == ([0], 1)
+    assert kern.prune_prefix(lp, 0.0, 10) == [0]
 
 
 def test_prune_caps_at_max_width(kern):
     lp = logprobs_of([0.25, 0.25, 0.25, 0.25])
-    assert kern.prune_prefix(lp, 1.0, 2) == ([0, 1], 2)
+    assert kern.prune_prefix(lp, 1.0, 2) == [0, 1]
 
 
 def test_prune_ties_prefer_lower_index(kern):
     lp = logprobs_of([0.25, 0.5, 0.25])
-    retained, k = kern.prune_prefix(lp, 0.75, 10)
-    assert retained == [1, 0]
-    assert k == 2
+    assert kern.prune_prefix(lp, 0.75, 10) == [1, 0]
 
 
 def test_prune_threshold_within_slack_counts_as_reached(kern):
     # exact boundary: first candidate holds exactly half the mass
     lp = logprobs_of([0.5, 0.5])
-    assert kern.prune_prefix(lp, 0.5, 10) == ([0], 1)
-    assert kern.prune_prefix(lp, 0.5 + 1e-6, 10)[1] == 2
+    assert kern.prune_prefix(lp, 0.5, 10) == [0]
+    assert kern.prune_prefix(lp, 0.5 + 1e-6, 10) == [0, 1]
 
 
 def test_prune_total_override_treats_list_as_subset(kern):
     # the two listed candidates hold 0.4 of a pool of mass 1.0
     lp = logprobs_of([0.25, 0.15])
-    retained, k = kern.prune_prefix(lp, 0.3, 10, 0.0)
-    assert (retained, k) == ([0, 1], 2)
-    retained, k = kern.prune_prefix(lp, 0.2, 10, 0.0)
-    assert (retained, k) == ([0], 1)
+    assert kern.prune_prefix(lp, 0.3, 10, 0.0) == [0, 1]
+    assert kern.prune_prefix(lp, 0.2, 10, 0.0) == [0]
 
 
 def test_prune_unnormalized_values_allowed(kern):
     # total defaults to the log-sum-exp of the inputs
     lp = [math.log(3.0), math.log(1.0)]
-    assert kern.prune_prefix(lp, 0.75, 10) == ([0], 1)
+    assert kern.prune_prefix(lp, 0.75, 10) == [0]
 
 
 def test_prune_ignores_zero_probability_tail(kern):
     lp = logprobs_of([0.6, 0.4, 0.0])
-    retained, k = kern.prune_prefix(lp, 1.0, 10)
-    assert retained[:2] == [0, 1]
-    assert k >= 2
+    assert kern.prune_prefix(lp, 1.0, 10)[:2] == [0, 1]
 
 
 def test_prune_rejects_empty(kern):
@@ -194,13 +188,11 @@ def _prune_reference(logprobs, mass_fraction, max_width, total_logprob=None):
         total_logprob = kernels.log_sum_exp(logprobs)
     order = sorted(range(len(logprobs)), key=lambda i: (-logprobs[i], i))
     limit = min(len(logprobs), max_width)
-    count = limit
     terms = [math.exp(logprobs[i] - total_logprob) for i in order[:limit]]
     for rank in range(limit):
         if math.fsum(terms[: rank + 1]) >= mass_fraction - kernels.MASS_SLACK:
-            count = rank + 1
-            break
-    return order[:count], count
+            return order[: rank + 1]
+    return order[:limit]
 
 
 weights = st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=40)

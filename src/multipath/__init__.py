@@ -15,8 +15,8 @@ Layers, bottom up, each with the layers it imports:
 - correction: feedback providers and stage-2 strategies (decoding, tasks,
   templates, models, errors).
 - evaluation: metrics and the cost model (correction, tasks).
-- oracle: brute-force cross-checks of the decoders (decoding, models,
-  kernels).
+- oracle: brute-force cross-checks of the decoders and the wire-row parser
+  (decoding, models, kernels, remote).
 - toydata: the digit-world fixtures (models, tasks, templates).
 - cli: reproducible runs and the model-spec reader (correction, decoding,
   evaluation, models, tasks, errors); it loads remote only for a remote

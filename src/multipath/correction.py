@@ -27,10 +27,11 @@ import hashlib
 import json
 import os
 from abc import ABC, abstractmethod
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .decoding import DecodeResult, MultipathConfig, SamplerConfig, multipath_decode, nucleus_sample
 from .errors import ConfigError, LoadError, MultipathError
@@ -129,10 +130,11 @@ class FeedbackProvider(ABC):
         """Whether the feedback on ``attempt`` is positive."""
 
 
-def _true_verdict(task: Task, attempt: Attempt, timeout: float) -> bool:
+def true_verdict(task: Task, attempt: Attempt, timeout: float) -> bool:
     """Whether ``attempt`` answers ``task``, by the rule verify applies to its
     text: a math attempt already holds its extracted answer, so only a code
-    attempt runs the verifier."""
+    attempt runs the verifier. The ground-truth and scripted providers and
+    evaluation.score_run all judge by it."""
     if task.domain == "math":
         return answer_matches(task, attempt.answer)
     return verify(task, attempt.text, timeout=timeout)
@@ -146,7 +148,7 @@ class GroundTruthProvider(FeedbackProvider):
         self._timeout = timeout
 
     def feedback(self, task: Task, attempt: Attempt) -> bool:
-        return _true_verdict(task, attempt, self._timeout)
+        return true_verdict(task, attempt, self._timeout)
 
 
 class ScriptedJudgeProvider(FeedbackProvider):
@@ -168,7 +170,7 @@ class ScriptedJudgeProvider(FeedbackProvider):
         self._timeout = timeout
 
     def feedback(self, task: Task, attempt: Attempt) -> bool:
-        truth = _true_verdict(task, attempt, self._timeout)
+        truth = true_verdict(task, attempt, self._timeout)
         r = Random(derive_seed(self.seed, task.id, stage=0)).random()
         return r >= self.fn_rate if truth else r < self.fp_rate
 
@@ -265,6 +267,24 @@ def prompt_correct(
 
 # ---------------------------------------------------------------------------
 # Protocol runner
+
+
+@contextmanager
+def fan_out(workers: int) -> Iterator[Callable]:
+    """The ``map`` that runs a run's independent calls: the builtin for
+    ``workers`` <= 1, else a pool of that many threads, which on exit cancels
+    the calls that have not started. run_protocol and evaluation.score_run
+    both fan out through it."""
+    if workers <= 1:
+        yield map
+        return
+    from concurrent.futures import ThreadPoolExecutor  # only for parallel runs
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        yield pool.map
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -367,12 +387,12 @@ def run_protocol(
         raise ConfigError(f"workers must be >= 1, got {workers}")
 
     resume: dict[str, tuple[Attempt, Attempt]] = {}
-    log_file = None
+    log = nullcontext()
     if resume_path is not None:
         resume_path = Path(resume_path)
         resume = _load_resume(resume_path, kind)
         resume_path.parent.mkdir(parents=True, exist_ok=True)
-        log_file = resume_path.open("a", encoding="utf-8")
+        log = resume_path.open("a", encoding="utf-8")
 
     def one(task: Task) -> tuple[Attempt, Attempt]:
         initial = run_stage1(model, task, sampler_cfg, strategy=kind)
@@ -395,14 +415,8 @@ def run_protocol(
         except MultipathError as exc:
             return task.id, None, f"{type(exc).__name__}: {exc}"
 
-    pool = None
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only for parallel runs
-
-        pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        outcomes = map(run_one, pending) if pool is None else pool.map(run_one, pending)
-        for task_id, pair, error in outcomes:
+    with log as log_file, fan_out(workers) as each:
+        for task_id, pair, error in each(run_one, pending):
             if error is not None:
                 errors.append((task_id, error))
                 continue
@@ -410,11 +424,6 @@ def run_protocol(
             if log_file is not None:
                 log_file.write(_pair_line(*pair))
                 log_file.flush()
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-        if log_file is not None:
-            log_file.close()
 
     ordered = tuple(results[t.id] for t in dataset.tasks if t.id in results)
     errors.sort(key=lambda e: e[0])

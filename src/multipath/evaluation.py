@@ -16,9 +16,9 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
-from .correction import CORRECTED, STRATEGY_KINDS, Attempt
+from .correction import CORRECTED, STRATEGY_KINDS, Attempt, fan_out, true_verdict
 from .models import check_timeout
-from .tasks import Dataset, Task, answer_matches, verify
+from .tasks import Dataset, Task, verify  # verify: not called here; perfbench/tracing.py wraps it by name
 
 CSV_COLUMNS = (
     "strategy", "dataset", "N", "acc", "cc", "ci", "ic", "ii",
@@ -128,10 +128,12 @@ def score_run(
 ) -> RunReport:
     """Verify all attempts against ground truth and aggregate the metrics.
 
-    Verdicts always follow verify()'s rule, regardless of which provider
-    gated stage 2 during the run: a math attempt's derived answer must match
-    the task's, a code attempt runs the task's verifier. Requires exactly one
-    pair per dataset task, and a timeout that check_timeout accepts.
+    Verdicts come from correction.true_verdict, verify()'s rule, whichever
+    provider gated stage 2 during the run: a math attempt's derived answer
+    must match the task's, a code attempt runs the task's verifier. They fan
+    out over ``workers`` threads through correction.fan_out. Requires
+    exactly one pair per dataset task, and a timeout that check_timeout
+    accepts.
     """
     check_timeout(timeout)
     by_task: dict[str, Task] = {t.id: t for t in dataset.tasks}
@@ -165,26 +167,16 @@ def score_run(
     est_cost_ratio = cost_ratio(strategy_kind, regen_fraction, mean_width)
     measured_cost_ratio = (tokens_stage1 + tokens_stage2) / tokens_stage1
 
-    def verdict(task: Task, attempt: Attempt) -> bool:
-        if task.domain == "math":
-            return answer_matches(task, attempt.answer)
-        return verify(task, attempt.text, timeout=timeout)
-
     def verdicts(pair: tuple[Attempt, Attempt]) -> tuple[bool, bool]:
         initial, final = pair
         task = by_task[initial.task_id]
-        before = verdict(task, initial)
+        before = true_verdict(task, initial, timeout)
         # An identity stage 2 cannot change the verdict; skip re-verifying.
-        after = before if final.stage != CORRECTED else verdict(task, final)
+        after = before if final.stage != CORRECTED else true_verdict(task, final, timeout)
         return before, after
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only for parallel runs
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            matrix = ChangeMatrix.from_verdicts(pool.map(verdicts, pairs))
-    else:
-        matrix = ChangeMatrix.from_verdicts(map(verdicts, pairs))
+    with fan_out(workers) as each:
+        matrix = ChangeMatrix.from_verdicts(each(verdicts, pairs))
 
     return RunReport(
         strategy=strategy_kind,

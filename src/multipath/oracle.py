@@ -55,6 +55,11 @@ MASS_SLACK, so the cuts can differ only for a ``top_p`` within an ulp of a
 prefix's mass less the slack, which no draw here comes near. The check
 also holds the ``entropy()`` of each row the adaptive replay visits, which
 adaptive sampling reads, to the fsum over the dense row, bit for bit.
+
+The wire check (the one reason this module imports ``remote``) sends the
+dense rows a step walk reads through ``remote._parse_distribution`` as a
+model server's reply, a null logprob for each zero, and holds the parsed
+row to exp(log p) of each probability p, and to 0.0 for each null.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ import math
 import random
 from typing import Iterator, Sequence
 
-from . import decoding, kernels
+from . import decoding, kernels, remote
 from .decoding import (
     AdaptiveConfig,
     BeamConfig,
@@ -355,6 +360,13 @@ def _one_floor_term_fewer(entropy):
     return defect
 
 
+def _null_as_tiny(parse):
+    def defect(payload, vocab_size, origin):
+        tiny = math.log(math.ulp(0.0))  # exp gives back math.ulp(0.0)
+        return parse({"logprobs": [tiny if lp is None else lp for lp in payload["logprobs"]]}, vocab_size, origin)
+    return defect
+
+
 # Name -> (module or class, attribute, make_defect(original) -> replacement).
 # Callers look the attribute up at call time, so every check that reaches it
 # is hit.
@@ -366,6 +378,7 @@ MUTATIONS = {
     "expand-short": (decoding, "_expand", _one_child_fewer),
     "ranked-by-logprob": (StepDistribution, "ranked", _ranked_by_logprob),
     "entropy-floor-short": (StepDistribution, "entropy", _one_floor_term_fewer),
+    "wire-null-as-tiny": (remote, "_parse_distribution", _null_as_tiny),
 }
 
 
@@ -485,6 +498,29 @@ def check_steps(models: int, seed: int) -> list[str]:
                         f"model {trial}: width-{width} mass-{cfg.mass_fraction!r} retained sets diverge from the "
                         f"untrimmed pool at step {_first_divergence(got, want)}"
                     )
+    return failures
+
+
+def check_wire_rows(models: int, seed: int) -> list[str]:
+    """Each row a width-3 ``untrimmed_retained`` walk reads, sent through
+    ``remote._parse_distribution`` as a wire reply (a null logprob for each
+    zero), must parse to exp(log p) of each probability p, bit for bit."""
+    failures: list[str] = []
+    rng = random.Random(seed)
+    for trial in range(models):
+        model, max_len = random_model(rng, trial)
+        vocab = model.vocabulary
+        with _failing_on_raise(failures, f"model {trial}"):
+            walk = untrimmed_retained(model, MultipathConfig(mass_fraction=1.0, max_width=3, max_len=max_len))
+            read = [()] + [p.tokens for step in walk for p in step if not p.finished and len(p) < max_len]
+            for tokens in read:
+                probs = dense_row(model.next_distribution((), tokens))
+                reply = {"logprobs": [math.log(p) if p > 0.0 else None for p in probs]}
+                got = dense_row(remote._parse_distribution(reply, vocab.size, f"model {trial}"))
+                want = [math.exp(math.log(p)) if p > 0.0 else 0.0 for p in probs]
+                if got != want:
+                    failures.append(f"model {trial}: the row after {vocab.decode(tokens)!r} parses as {got}, "
+                                    f"its wire logprobs give {want}")
     return failures
 
 

@@ -4,8 +4,9 @@ Each test pins one externally visible guarantee of the package: decoder
 exactness against brute force, reductions to classical decoders, pruning
 minimality at scale, the trap-recovery phenomenon, protocol safety on
 verified answers, byte purity of regeneration inputs, cost-model fidelity,
-scripted-judge error rates, sampler support containment, bit-for-bit
-reproducibility of the benchmark pipeline, and the README quick start.
+scripted-judge error rates, sampler support containment, multipath step
+pools, bit-for-bit reproducibility of the benchmark pipeline, and the README
+quick start.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from multipath.decoding import (
 )
 from multipath.evaluation import ChangeMatrix, breakeven_regen_fraction, cost_ratio, score_run
 from multipath.models import StepDistribution, TableLM, Vocabulary, greedy_trap_lm
-from multipath.oracle import check_exactness, check_pruning, check_reductions, check_samplers
+from multipath.oracle import check_exactness, check_pruning, check_reductions, check_samplers, check_steps
 from multipath.tasks import Task, load_tasks, verify
 from multipath.templates import CRITIC, FEEDBACK_CODE, FEEDBACK_MATH, IOE, load_prompt
 from multipath.toydata import DIGITS, make_digit_dataset, make_digit_model, task_prompt
@@ -257,6 +258,12 @@ def test_samplers_draw_what_a_dense_replay_draws():
     # Token for token, with the sampler's own seed: greedy, nucleus and
     # adaptive sampling against a full sort of each dense row.
     assert check_samplers(200, seed=0) == []
+
+
+def test_multipath_steps_keep_what_the_untrimmed_pool_keeps():
+    # Step for step at widths 1-3: the decode's kept paths against a linear
+    # scan over every child of every active path, read from the dense rows.
+    assert check_steps(200, seed=0) == []
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import urllib.request
 import pytest
 
 from multipath import cli
-from multipath.cli import SETTINGS, load_model, main, parse_args
+from multipath.cli import load_model, main, parse_args
 from multipath.correction import ScriptedJudgeProvider, run_protocol
 from multipath.decoding import (
     AdaptiveConfig,
@@ -857,6 +857,7 @@ def test_oracle_check_passes(capsys):
     out = capsys.readouterr().out
     assert out.splitlines() == [
         "decode-exactness: ok", "prune-minimality: ok", "reductions: ok", "samplers: ok", "step-pools: ok",
+        "wire-rows: ok",
     ]
 
 
@@ -870,9 +871,19 @@ def test_oracle_check_detects_each_mutation(capsys, name):
     assert "not detected" not in captured.err
 
 
-def test_oracle_check_offers_the_mutation_table():
-    [setting] = [s for s in SETTINGS if s.key == "mutate"]
-    assert setting.commands == ("oracle-check",) and setting.choices == sorted(MUTATIONS)
+@pytest.mark.parametrize("flags, config", [
+    (["--mutate", "nope"], {}),
+    ([], {"mutate": "nope"}),
+], ids=["flag", "config"])
+def test_oracle_check_refuses_an_unknown_mutation(capsys, tmp_path, flags, config):
+    # oracle.MUTATIONS is the one list of defects; an unknown name exits 2
+    # before any suite runs, naming every known defect.
+    (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["oracle-check", "--config", str(tmp_path / "cfg.json")] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --mutate (config key 'mutate') 'nope' is none of" in captured.err
+    assert all(repr(name) in captured.err for name in MUTATIONS)
 
 
 def test_oracle_check_exits_1_when_a_mutation_goes_undetected(capsys):

@@ -25,6 +25,7 @@ from multipath.correction import (
     ScriptedJudgeProvider,
     collect_feedback,
     derive_seed,
+    fan_out,
     indicator_correct,
     prompt_correct,
     run_protocol,
@@ -383,12 +384,36 @@ def test_protocol_requires_provider_when_feedback_gated(small_digit_model, small
         run_protocol(small_digit_model, small_digit_dataset, strategy, None, SAMPLER)
 
 
-def test_protocol_rejects_bad_worker_count(small_digit_model, small_digit_dataset):
+def test_protocol_rejects_bad_worker_count(tmp_path, small_digit_model, small_digit_dataset):
+    # Before the resume log is read, truncated or opened.
+    log = tmp_path / "attempts.jsonl"
+    log.write_bytes(b'{"unterminated')
     with pytest.raises(ConfigError, match="workers"):
         run_protocol(
             small_digit_model, small_digit_dataset,
-            "none", None, SAMPLER, workers=0,
+            "none", None, SAMPLER, workers=0, resume_path=log,
         )
+    assert log.read_bytes() == b'{"unterminated'
+
+
+def test_fan_out_is_map_when_serial_and_cancels_unstarted_calls_after_an_error():
+    for workers in (0, 1):
+        with fan_out(workers) as each:
+            assert each is map
+    started = []
+
+    def call(i):
+        started.append(i)
+        if i == 0:
+            raise RuntimeError("first")
+        time.sleep(0.01)
+        return i
+
+    with pytest.raises(RuntimeError, match="first"):
+        with fan_out(2) as each:
+            list(each(call, range(100)))
+    # Without the cancel, every call would run before the error surfaced.
+    assert len(started) < 100
 
 
 def unverifiable_task(prompt: str) -> Task:

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from multipath import correction
 from multipath.correction import CORRECTED, INITIAL, Attempt
 from multipath.evaluation import (
     CSV_COLUMNS,
@@ -255,6 +256,23 @@ def test_score_run_rejects_a_repeated_pair():
     pairs = [(attempt(t, f"[{i}]"), attempt(t, f"[{i}]")) for i, t in ((1, "t0"), (1, "t0"), (2, "t1"))]
     with pytest.raises(ValueError, match="more than one pair for task 't0'"):
         score_run(pairs, dataset, "none")
+
+
+def test_score_run_judges_code_through_correction_verify(monkeypatch):
+    # score_run and the feedback providers share correction.true_verdict,
+    # so one patch of the verify it calls sees every code verdict.
+    calls = []
+
+    def fake_verify(task, text, timeout):
+        calls.append(text)
+        return text == "pass"
+
+    monkeypatch.setattr(correction, "verify", fake_verify)
+    task = Task(id="c0", prompt="q", domain="code", verify_cmd=("true",))
+    pairs = [(attempt("c0", "pass"), attempt("c0", "fail", stage=CORRECTED))]
+    report = score_run(pairs, Dataset(name="d", tasks=(task,)), "ftr_indicator")
+    assert report.matrix == ChangeMatrix(cc=0, ci=1, ic=0, ii=0)
+    assert calls == ["pass", "fail"]
 
 
 def test_score_run_parallel_verification_matches_serial():

@@ -167,6 +167,20 @@ def test_readme_paths_exist():
     assert [path for path in paths if not (ROOT / path).exists()] == []
 
 
+def test_readme_names_every_defect_and_oracle_suite(capsys):
+    # --help does not list the defects, so the README is the list users
+    # read: it must name each entry of oracle.MUTATIONS and each suite line
+    # that oracle-check prints.
+    from multipath.cli import main
+    from multipath.oracle import MUTATIONS
+
+    assert main(["oracle-check", "--models", "0", "--trials", "0"]) == 0
+    suites = [line.partition(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert suites
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert [name for name in [*MUTATIONS, *suites] if f"`{name}`" not in readme] == []
+
+
 def test_readme_calls_name_the_code():
     # Every backticked `name(` in the prose is a function, class or method
     # of a multipath module, so a renamed one cannot leave stale docs.

@@ -7,9 +7,9 @@ imported at collection would hold one copy of a class, and a lazy import
 in a later test would load another. Restoring the entries after each test
 keeps every test on the generation that collection imported, whatever the
 order the tests run in. The package's own attributes are restored too: an
-import binds each submodule it loads there, and the lazy ``__getattr__``
-caches each public name it resolves, so a test that loaded a layer would
-otherwise leave the next test a copy that ``sys.modules`` no longer holds.
+import binds each submodule it loads there, so a test that loaded a layer
+would otherwise leave the next test a copy that ``sys.modules`` no longer
+holds.
 """
 
 from __future__ import annotations

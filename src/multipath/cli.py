@@ -467,7 +467,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         suites = (
             ("decode-exactness", oracle.check_exactness(args.models, args.seed)),
             ("prune-minimality", oracle.check_pruning(args.trials, args.seed)),
-            ("reductions", oracle.check_reductions(max(1, args.models // 4), args.seed)),
+            ("reductions", oracle.check_reductions(args.models and max(1, args.models // 4), args.seed)),
             ("samplers", oracle.check_samplers(args.models, args.seed)),
             ("step-pools", oracle.check_steps(args.models, args.seed)),
             ("wire-rows", oracle.check_wire_rows(args.models, args.seed)),

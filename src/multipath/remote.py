@@ -8,13 +8,16 @@ normalization; a null entry stands for probability zero (JSON has no -inf).
 Judge protocol: HTTP POST <base>/judge with {"task_id", "prompt",
 "response"}, answered by {"verdict": "correct"|"incorrect", "category"?}.
 
-Transport failures (unreachable, timeout, 5xx) raise TransportError and are
-retried; malformed payloads (bad JSON, wrong length, unnormalized rows, 4xx)
-raise ProtocolError immediately. Neither is ever mapped to a verdict.
+Transport failures (unreachable, timeout, 5xx, a body cut short) raise
+TransportError and are retried; malformed replies (a bad status line or
+headers, bad JSON, wrong length, unnormalized rows, 4xx) raise ProtocolError
+immediately. Neither is ever mapped to a verdict. A URL without a host or
+with a bad port is refused when the client is built.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import threading
@@ -64,8 +67,13 @@ def _http_post_json(url: str, payload: dict, timeout: float) -> object:
         if 400 <= exc.code < 500:
             raise ProtocolError(f"POST {url}: server rejected request ({exc.code})") from exc
         raise TransportError(f"POST {url}: server error {exc.code}") from exc
-    except (urllib.error.URLError, TimeoutError, ConnectionError, OSError) as exc:
+    except OSError as exc:  # URLError, a timeout, a refused or dropped connection
+        # Before HTTPException: RemoteDisconnected is also a BadStatusLine.
         raise TransportError(f"POST {url}: {exc}") from exc
+    except http.client.IncompleteRead as exc:  # the body ended before its Content-Length
+        raise TransportError(f"POST {url}: {exc!r}") from exc
+    except http.client.HTTPException as exc:  # a malformed status line or headers
+        raise ProtocolError(f"POST {url}: malformed HTTP response: {exc!r}") from exc
     try:
         return json.loads(raw.decode("utf-8"))
     except ValueError as exc:  # bad UTF-8, bad JSON, an integer beyond int()'s digit limit
@@ -74,9 +82,17 @@ def _http_post_json(url: str, payload: dict, timeout: float) -> object:
 
 def _check_settings(url: str, timeout: float, retries: int) -> None:
     """Raise ValueError unless ``url`` is http(s) (urllib would also open a
-    file: URL), ``timeout`` passes check_timeout and ``retries`` >= 0."""
-    if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+    file: URL) with a host and a valid port if any, ``timeout`` passes
+    check_timeout and ``retries`` >= 0."""
+    parts = urllib.parse.urlsplit(url)
+    if parts.scheme not in ("http", "https"):
         raise ValueError(f"the URL must be http:// or https://, got {url!r}")
+    if not parts.hostname:
+        raise ValueError(f"the URL names no host, got {url!r}")
+    try:
+        parts.port  # raises ValueError for a port that is not a number in 0-65535
+    except ValueError as exc:
+        raise ValueError(f"the URL's port is invalid, got {url!r}: {exc}") from None
     check_timeout(timeout)
     if retries < 0:
         raise ValueError(f"'retries' must be >= 0, got {retries!r}")

@@ -11,7 +11,7 @@ import urllib.request
 
 import pytest
 
-from multipath import cli
+from multipath import cli, oracle
 from multipath.cli import load_model, main, parse_args
 from multipath.correction import ScriptedJudgeProvider, run_protocol
 from multipath.decoding import (
@@ -24,7 +24,7 @@ from multipath.decoding import (
 )
 from multipath.errors import LoadError
 from multipath.models import NGramLM, TableLM
-from multipath.oracle import MUTATIONS
+from multipath.oracle import MUTATIONS, random_model
 from multipath.remote import HttpModelClient
 from multipath.tasks import load_tasks
 
@@ -434,6 +434,10 @@ def test_load_model_rejects_wrong_json_types_with_exit_2(capsys, tmp_path, spec,
     # An unhashable kind is no kind, not a TypeError.
     ({"kind": []}, "unrecognized spec"),
     ({"kind": 3}, "unrecognized spec"),
+    # Refused when the spec is read, not at the first request.
+    (dict(REMOTE_SPEC, url="http://"), "the URL names no host, got 'http://'"),
+    (dict(REMOTE_SPEC, url="http://127.0.0.1:notaport"), "the URL's port is invalid"),
+    (dict(REMOTE_SPEC, url="http://127.0.0.1:99999"), "the URL's port is invalid"),
 ])
 def test_load_model_rejects_bad_values_with_exit_2(capsys, tmp_path, spec, match):
     path = tmp_path / "model.json"
@@ -633,7 +637,11 @@ def test_compare_of_one_strategy_writes_compare_csv(tmp_path, toy_model_path, to
     ["--p-star", "1.5"],
     ["--provider", "judge", "--strategy", "ftr_indicator"],
     ["--provider", "judge", "--strategy", "ftr_indicator", "--judge-url", "file:///tmp"],
-], ids=["unknown-strategy", "bad-p-star", "judge-without-url", "judge-file-url"])
+    ["--provider", "judge", "--strategy", "ftr_indicator", "--judge-url", "http://"],
+    ["--provider", "judge", "--strategy", "ftr_indicator", "--judge-url", "http://127.0.0.1:notaport"],
+    ["--provider", "judge", "--strategy", "ftr_indicator", "--judge-url", "http://127.0.0.1:99999"],
+], ids=["unknown-strategy", "bad-p-star", "judge-without-url", "judge-file-url", "judge-url-no-host",
+        "judge-url-port-not-a-number", "judge-url-port-out-of-range"])
 def test_compare_rejects_bad_input_before_any_strategy_runs(tmp_path, toy_model_path, toy_dataset_path, flags):
     out = tmp_path / "out"
     argv = [
@@ -886,9 +894,25 @@ def test_oracle_check_refuses_an_unknown_mutation(capsys, tmp_path, flags, confi
     assert all(repr(name) in captured.err for name in MUTATIONS)
 
 
+@pytest.mark.parametrize("models, drawn", [(0, 0), (1, 5), (8, 34)])
+def test_oracle_check_draws_models_in_proportion_to_models(monkeypatch, capsys, models, drawn):
+    # Four suites draw --models random models and reductions a quarter of
+    # them, at least one, so --models 0 draws none at all.
+    calls = []
+
+    def counting(rng, trial):
+        calls.append(trial)
+        return random_model(rng, trial)
+
+    monkeypatch.setattr(oracle, "random_model", counting)
+    assert main(["oracle-check", "--models", str(models), "--trials", "0", "--seed", "1"]) == 0
+    assert len(calls) == drawn
+
+
 def test_oracle_check_exits_1_when_a_mutation_goes_undetected(capsys):
-    # With no models and no pruning trials, only one reductions model runs,
-    # and width-1 and beam-set checks never read the selection.
+    # With no models and no pruning trials, no random model runs, and the
+    # samplers suite's one fixed model goes through single-path samplers,
+    # which never read the selection.
     rc = main([
         "oracle-check", "--models", "0", "--trials", "0", "--seed", "1",
         "--mutate", "selection-max-prob",

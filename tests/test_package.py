@@ -1,5 +1,5 @@
-"""The package's public surface: ``multipath.__all__``, what importing a
-layer loads, a rule on its source, and the README."""
+"""The package's public surface: the layer map, what importing a layer
+loads, a rule on its source, and the README."""
 
 from __future__ import annotations
 
@@ -21,32 +21,6 @@ import multipath
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_all_is_sorted_unique_and_resolves():
-    names = multipath.__all__
-    assert names == sorted(set(names))
-    missing = [name for name in names if not hasattr(multipath, name)]
-    assert missing == []
-
-
-def test_star_import_binds_every_public_name():
-    namespace: dict = {}
-    exec("from multipath import *", namespace)
-    assert set(multipath.__all__) <= set(namespace)
-
-
-def test_each_public_name_is_its_layers_object():
-    for name in multipath.__all__:
-        layer = importlib.import_module(f"multipath.{multipath._EXPORTS[name]}")
-        assert getattr(multipath, name) is getattr(layer, name), name
-    assert set(multipath.__all__) <= set(dir(multipath))
-
-
-def test_a_submodule_resolves_and_an_unknown_name_raises():
-    assert multipath.remote is importlib.import_module("multipath.remote")
-    with pytest.raises(AttributeError, match="'nope'"):
-        multipath.nope
-
-
 def loaded_after(statement: str) -> list[str]:
     """The modules a fresh interpreter holds after running ``statement`` in
     the repository root."""
@@ -60,12 +34,41 @@ def loaded_after(statement: str) -> list[str]:
     ("import multipath", ["multipath"]),
     ("import multipath.decoding",
      ["multipath", "multipath.decoding", "multipath.errors", "multipath.kernels", "multipath.models"]),
-    ("from multipath import ConfigError", ["multipath", "multipath.errors"]),
-    ("import multipath; multipath.remote", ["multipath", "multipath.errors", "multipath.kernels",
-                                            "multipath.models", "multipath.remote"]),
-], ids=["package", "decoding", "name", "submodule"])
+    ("import multipath.remote", ["multipath", "multipath.errors", "multipath.kernels", "multipath.models",
+                                 "multipath.remote"]),
+], ids=["package", "decoding", "submodule"])
 def test_importing_a_layer_loads_only_the_layers_below_it(statement, loaded):
     assert [m for m in loaded_after(statement) if m.partition(".")[0] == "multipath"] == loaded
+
+
+def documented_layers() -> dict[str, set[str]]:
+    """Each layer the package docstring lists, with the layers in the first
+    parentheses of its entry (none when the entry has no list)."""
+    layers = {}
+    for entry in re.findall(r"^- (.*?)(?=^- |^$)", multipath.__doc__, flags=re.M | re.S):
+        name, _, text = entry.partition(":")
+        listed = re.search(r"\(([^)]*)\)", text)
+        layers[name] = {layer.strip() for layer in listed.group(1).split(",")} if listed else set()
+    return layers
+
+
+def imported_layers(tree: ast.Module) -> set[str]:
+    """The layers a module imports at its top level, by ``from .x import``
+    or ``from . import x``; imports inside functions and ``if TYPE_CHECKING:``
+    blocks are not top level."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else [alias.name for alias in node.names])
+    return found
+
+
+def test_the_docstring_lists_the_layers_each_module_imports():
+    documented = documented_layers()
+    modules = {path.stem: path for path in (ROOT / "src" / "multipath").glob("*.py") if path.stem != "__init__"}
+    assert set(documented) == set(modules)
+    imported = {name: imported_layers(ast.parse(path.read_text(encoding="utf-8"))) for name, path in modules.items()}
+    assert imported == documented
 
 
 def test_correction_does_not_load_the_wire_layer():

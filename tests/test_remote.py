@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import socketserver
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -11,6 +12,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 from conftest import row_probs
 
+from multipath.cli import main
 from multipath.correction import GroundTruthProvider, run_protocol
 from multipath.decoding import MultipathConfig, SamplerConfig, greedy_decode
 from multipath.errors import ProtocolError, TransportError
@@ -51,6 +53,42 @@ class _Server(ThreadingHTTPServer):
 @pytest.fixture
 def server():
     srv = _Server()
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+
+
+class _RawHandler(socketserver.StreamRequestHandler):
+    def handle(self):
+        self.server.connections += 1
+        length = 0
+        while (line := self.rfile.readline()) not in (b"\r\n", b""):
+            name, _, value = line.partition(b":")
+            if name.lower() == b"content-length":
+                length = int(value)
+        self.rfile.read(length)
+        self.wfile.write(self.server.reply)
+
+
+class _RawServer(socketserver.TCPServer):
+    """Reads each request, answers it with the bytes of ``reply`` whatever
+    they are, and closes the connection; counts the connections."""
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _RawHandler)
+        self.connections = 0
+        self.reply = b""
+
+    @property
+    def url(self):
+        return f"http://127.0.0.1:{self.server_address[1]}"
+
+
+@pytest.fixture
+def raw_server():
+    srv = _RawServer()
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     yield srv
@@ -245,6 +283,43 @@ def test_http_client_unnormalized_row_is_protocol_error(server):
         client.next_distribution((), ())
 
 
+# http.client raises these outside urllib's OSError family: BadStatusLine
+# for the first reply, IncompleteRead for the second (a body shorter than
+# its Content-Length).
+BAD_STATUS_LINE = b"garbage\r\n\r\n"
+SHORT_BODY = b'HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{"logprobs"'
+
+
+@pytest.mark.parametrize("reply, error, connections", [
+    (BAD_STATUS_LINE, ProtocolError, 1),
+    (SHORT_BODY, TransportError, 3),
+], ids=["bad-status-line", "short-body"])
+@pytest.mark.parametrize("call", [
+    lambda url: HttpModelClient(ABC, url, retries=2).next_distribution((), ()),
+    lambda url: JudgeClient(url, retries=2).judge("t1", "p", "r"),
+], ids=["HttpModelClient", "JudgeClient"])
+def test_a_malformed_http_reply_is_a_wire_error(raw_server, call, reply, error, connections):
+    # A malformed reply is not retried; a body cut short is, like a dropped
+    # connection.
+    raw_server.reply = reply
+    with pytest.raises(error, match=f"POST {raw_server.url}"):
+        call(raw_server.url)
+    assert raw_server.connections == connections
+
+
+@pytest.mark.parametrize("reply, connections", [(BAD_STATUS_LINE, 1), (SHORT_BODY, 2)],
+                         ids=["bad-status-line", "short-body"])
+def test_decode_on_a_malformed_http_reply_exits_1(capsys, tmp_path, raw_server, reply, connections):
+    raw_server.reply = reply
+    spec = tmp_path / "remote.json"
+    spec.write_text(json.dumps({"kind": "remote", "url": raw_server.url, "vocab": ["a", "b", "$"], "eos": "$",
+                                "retries": 1}), encoding="utf-8")
+    assert main(["decode", "--model", str(spec)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: POST {raw_server.url}")
+    assert raw_server.connections == connections
+
+
 def test_http_client_rejects_negative_retries():
     with pytest.raises(ValueError, match="retries"):
         HttpModelClient(ABC, "http://x", retries=-1)
@@ -274,6 +349,22 @@ def test_clients_check_their_settings_at_construction(server, make, key, value):
 def test_clients_accept_only_http_urls(make, url):
     # urllib opens a file: URL too, and would read that file as every reply.
     with pytest.raises(ValueError, match="must be http:// or https://"):
+        make(url)
+
+
+@pytest.mark.parametrize("url, match", [
+    ("http://", "names no host"),
+    ("http://127.0.0.1:notaport", "port is invalid"),
+    ("http://127.0.0.1:99999", "port is invalid"),
+], ids=["no-host", "port-not-a-number", "port-out-of-range"])
+@pytest.mark.parametrize("make", [
+    lambda url: HttpModelClient(ABC, url),
+    lambda url: JudgeClient(url),
+], ids=["HttpModelClient", "JudgeClient"])
+def test_clients_check_the_url_at_construction(make, url, match):
+    # Not an http.client.InvalidURL traceback, or a TransportError, at the
+    # first request.
+    with pytest.raises(ValueError, match=match):
         make(url)
 
 

@@ -37,6 +37,7 @@ from .correction import (
     JudgeServiceProvider,
     ScriptedJudgeProvider,
     run_protocol,
+    stage_inputs,
 )
 from .decoding import (
     AdaptiveConfig,
@@ -419,6 +420,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     provider = _build_provider(args) if gated else None
     model = load_model(_required(args, "model"))
     dataset = load_tasks(_required(args, "dataset"))
+    # Built once for every strategy; a prompt outside the vocabulary exits 2
+    # here, before any file is written.
+    inputs = stage_inputs(model.vocabulary, dataset.tasks, sampler_cfg.seed)
     out_dir = Path(_required(args, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -430,6 +434,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             model, dataset, kind, provider, sampler_cfg, multipath_cfg,
             workers=args.workers,
             resume_path=attempts_path if args.resume else None,
+            inputs=inputs,
         )
         # Rewrite the attempts log in dataset order so the artifact does not
         # depend on worker scheduling or on how many runs it took.

@@ -29,13 +29,14 @@ import os
 from abc import ABC, abstractmethod
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from random import Random
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .decoding import DecodeResult, MultipathConfig, SamplerConfig, multipath_decode, nucleus_sample
 from .errors import ConfigError, LoadError, MultipathError
-from .models import ModelInterface, check_timeout
+from .models import ModelInterface, TokenIds, Vocabulary, check_timeout
 from .tasks import Dataset, Task, answer_matches, extract_bracket_answer, verify
 from .templates import CRITIC, FEEDBACK_CODE, FEEDBACK_MATH, IOE, load_prompt
 
@@ -100,15 +101,12 @@ class Attempt:
             )
         object.__setattr__(self, "answer", extract_bracket_answer(self.text))
 
-    def to_json_dict(self) -> dict:
-        # "verdict" is the one record field that is no attribute: it is null.
-        return {key: getattr(self, key, None) for key in _ATTEMPT_FIELDS}
-
     @classmethod
     def from_json_dict(cls, data: object) -> "Attempt":
-        """Inverse of to_json_dict. ValueError unless ``data`` is an object
-        with exactly the attempt fields, each of its JSON type, whose
-        ``answer`` is the one its text gives and whose ``verdict`` is null."""
+        """The attempt an attempts-log record holds, the inverse of
+        _attempt_json. ValueError unless ``data`` is an object with exactly
+        the attempt fields, each of its JSON type, whose ``answer`` is the one
+        its text gives and whose ``verdict`` is null."""
         if not isinstance(data, dict) or data.keys() != _ATTEMPT_FIELDS.keys():
             raise ValueError(f"an attempt must be an object with exactly the fields {list(_ATTEMPT_FIELDS)}")
         for key, types in _ATTEMPT_FIELDS.items():
@@ -202,23 +200,38 @@ def _attempt_from(result: DecodeResult, task: Task, stage: str, strategy: str, d
     )
 
 
-def _stage_sampler(sampler_cfg: SamplerConfig, task: Task, stage: int) -> SamplerConfig:
-    """``sampler_cfg`` under the task's seed for ``stage``. Built by keyword:
+class StageInputs(NamedTuple):
+    """What a task's stages decode from, the same for every strategy of a
+    run: the prompt's ids and the task's stage-1 and stage-2 sampling seeds
+    (derive_seed of the run's seed)."""
+
+    prompt_ids: TokenIds
+    stage1_seed: int
+    stage2_seed: int
+
+
+def stage_inputs(vocabulary: Vocabulary, tasks: Iterable[Task], seed: int) -> dict[str, StageInputs]:
+    """Each task's StageInputs by task id, for a run of base seed ``seed``.
+    Every prompt is encoded here, so a prompt outside the vocabulary raises
+    ValueError before any task runs."""
+    encode = vocabulary.encode
+    return {t.id: StageInputs(encode(t.prompt), derive_seed(seed, t.id, 1), derive_seed(seed, t.id, 2)) for t in tasks}
+
+
+def _stage_sampler(sampler_cfg: SamplerConfig, seed: int) -> SamplerConfig:
+    """``sampler_cfg`` under a stage's ``seed``. Built by keyword:
     ``dataclasses.replace`` spends more on generic field handling than a
-    two-token decode spends sampling. A new SamplerConfig field must be
-    copied here."""
-    return SamplerConfig(
-        top_p=sampler_cfg.top_p,
-        top_k=sampler_cfg.top_k,
-        seed=derive_seed(sampler_cfg.seed, task.id, stage=stage),
-        max_len=sampler_cfg.max_len,
-    )
+    two-token decode spends sampling. A test fails when a SamplerConfig
+    field is not copied here."""
+    return SamplerConfig(top_p=sampler_cfg.top_p, top_k=sampler_cfg.top_k, seed=seed, max_len=sampler_cfg.max_len)
 
 
-def run_stage1(model: ModelInterface, task: Task, sampler_cfg: SamplerConfig, strategy: str = "none") -> Attempt:
-    """Sample the initial response (per-task seed derived from the config seed)."""
-    cfg = _stage_sampler(sampler_cfg, task, stage=1)
-    result = nucleus_sample(model, model.vocabulary.encode(task.prompt), cfg)
+def run_stage1(
+    model: ModelInterface, task: Task, sampler_cfg: SamplerConfig, inputs: StageInputs, strategy: str = "none"
+) -> Attempt:
+    """Sample the initial response from the task's prompt ids, under its
+    stage-1 seed."""
+    result = nucleus_sample(model, inputs.prompt_ids, _stage_sampler(sampler_cfg, inputs.stage1_seed))
     return _attempt_from(result, task, INITIAL, strategy, task.prompt)
 
 
@@ -226,13 +239,15 @@ def collect_feedback(provider: FeedbackProvider, task: Task, attempt: Attempt) -
     return provider.feedback(task, attempt)
 
 
-def indicator_correct(model: ModelInterface, task: Task, attempt: Attempt, multipath_cfg: MultipathConfig) -> Attempt:
+def indicator_correct(
+    model: ModelInterface, task: Task, attempt: Attempt, multipath_cfg: MultipathConfig, inputs: StageInputs
+) -> Attempt:
     """Stage 2 of the indicator strategy, run after negative feedback.
 
-    Regenerates with the multipath decoder on the original prompt,
+    Regenerates with the multipath decoder on the original prompt's ids,
     unmodified; the feedback text never reaches the model.
     """
-    result = multipath_decode(model, model.vocabulary.encode(task.prompt), multipath_cfg)
+    result = multipath_decode(model, inputs.prompt_ids, multipath_cfg)
     return _attempt_from(result, task, CORRECTED, attempt.strategy, task.prompt)
 
 
@@ -242,11 +257,13 @@ def prompt_correct(
     attempt: Attempt,
     kind: str,
     sampler_cfg: SamplerConfig,
+    inputs: StageInputs,
 ) -> Attempt:
     """Stage 2 of the prompt-based strategies.
 
     The stage-2 input is prompt, initial response, and correction prompt
-    joined by newlines, decoded by the stage-1 sampler under a stage-2 seed.
+    joined by newlines, decoded by the stage-1 sampler under the task's
+    stage-2 seed.
     feedback_as_prompt, run after negative feedback, picks its template by
     task domain.
     """
@@ -260,7 +277,7 @@ def prompt_correct(
         raise ConfigError(f"{kind!r} is not a prompt strategy")
 
     stage2_input = f"{task.prompt}\n{attempt.text}\n{p_cor}"
-    cfg = _stage_sampler(sampler_cfg, task, stage=2)
+    cfg = _stage_sampler(sampler_cfg, inputs.stage2_seed)
     result = nucleus_sample(model, model.vocabulary.encode(stage2_input), cfg)
     return _attempt_from(result, task, CORRECTED, attempt.strategy, stage2_input)
 
@@ -298,20 +315,28 @@ class ProtocolRun:
         return "".join(_pair_line(initial, final) for initial, final in self.pairs)
 
 
-# The canonical JSON of the attempts log: json.dumps(..., sort_keys=True,
-# separators=(",", ":")), with one encoder built once, not one per call.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# The attempts log is canonical JSON: the bytes of json.dumps(record,
+# sort_keys=True, separators=(",", ":")), written by hand. Strings go through
+# _json_str, the escaper json.dumps itself uses under ensure_ascii, and
+# numbers through int and float repr.
+
+
+def _attempt_json(a: Attempt) -> str:
+    """One attempt's record, keys in sorted order; ``verdict`` is null."""
+    answer = "null" if a.answer is None else repr(a.answer)
+    return (
+        f'{{"answer":{answer},"decoder_input":{_json_str(a.decoder_input)},"stage":{_json_str(a.stage)},'
+        f'"steps":{a.steps!r},"strategy":{_json_str(a.strategy)},"task_id":{_json_str(a.task_id)},'
+        f'"text":{_json_str(a.text)},"tokens_generated":{a.tokens_generated!r},"verdict":null}}'
+    )
 
 
 def _pair_line(initial: Attempt, final: Attempt) -> str:
-    """One attempts-log record: canonical JSON plus the terminating newline.
-
-    Each attempt is encoded once, and once for both when ``final`` is the
-    initial attempt; the record's keys are spliced in sorted order.
-    """
-    first = _encode(initial.to_json_dict())
-    last = first if final is initial else _encode(final.to_json_dict())
-    return f'{{"final":{last},"initial":{first},"task_id":{_encode(initial.task_id)}}}\n'
+    """One attempts-log record plus the terminating newline. Each attempt is
+    written once, and once for both when ``final`` is the initial attempt."""
+    first = _attempt_json(initial)
+    last = first if final is initial else _attempt_json(final)
+    return f'{{"final":{last},"initial":{first},"task_id":{_json_str(initial.task_id)}}}\n'
 
 
 def _load_resume(path: Path, strategy_kind: str) -> dict[str, tuple[Attempt, Attempt]]:
@@ -363,21 +388,25 @@ def run_protocol(
     multipath_cfg: MultipathConfig = MultipathConfig(),
     workers: int = 1,
     resume_path: str | Path | None = None,
+    inputs: Mapping[str, StageInputs] | None = None,
 ) -> ProtocolRun:
     """Run stage 1 and stage 2 of the strategy ``kind`` over the whole dataset.
 
     Stage 2 of ftr_indicator decodes with ``multipath_cfg``; the prompt
-    strategies reuse ``sampler_cfg``.
+    strategies reuse ``sampler_cfg``. ``inputs`` is
+    ``stage_inputs(model.vocabulary, dataset.tasks, sampler_cfg.seed)``,
+    built here when not given; a caller that runs several strategies builds
+    it once and passes it to each.
 
     Tasks run in parallel up to ``workers``; results are ordered by dataset
     position regardless, and per-task seeds make the output independent of
     scheduling. A task that raises a MultipathError (a transport, protocol
     or verification failure, which a rerun may not meet again) is recorded
-    under errors and the run continues; any other error, such as a prompt
-    the vocabulary cannot encode, ends the run. With ``resume_path``,
-    previously completed tasks (matching strategy) are reused and each new
-    completion is appended and flushed as it arrives, so a killed run keeps
-    every pair it finished.
+    under errors and the run continues; any other error ends the run. A
+    prompt the vocabulary cannot encode ends it before any task runs. With
+    ``resume_path``, previously completed tasks (matching strategy) are
+    reused and each new completion is appended and flushed as it arrives, so
+    a killed run keeps every pair it finished.
     """
     if kind not in STRATEGY_KINDS:
         raise ConfigError(f"unknown strategy kind {kind!r}; expected one of {STRATEGY_KINDS}")
@@ -385,6 +414,8 @@ def run_protocol(
         raise ConfigError(f"strategy {kind!r} requires a feedback provider")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    if inputs is None:
+        inputs = stage_inputs(model.vocabulary, dataset.tasks, sampler_cfg.seed)
 
     resume: dict[str, tuple[Attempt, Attempt]] = {}
     log = nullcontext()
@@ -395,15 +426,16 @@ def run_protocol(
         log = resume_path.open("a", encoding="utf-8")
 
     def one(task: Task) -> tuple[Attempt, Attempt]:
-        initial = run_stage1(model, task, sampler_cfg, strategy=kind)
+        own = inputs[task.id]
+        initial = run_stage1(model, task, sampler_cfg, own, strategy=kind)
         if kind == "none":
             return initial, initial
         # The feedback gate: stage 2 runs only on negative feedback.
         if kind in FEEDBACK_GATED and collect_feedback(provider, task, initial):
             return initial, initial
         if kind == "ftr_indicator":
-            return initial, indicator_correct(model, task, initial, multipath_cfg)
-        return initial, prompt_correct(model, task, initial, kind, sampler_cfg)
+            return initial, indicator_correct(model, task, initial, multipath_cfg, own)
+        return initial, prompt_correct(model, task, initial, kind, sampler_cfg, own)
 
     pending = [t for t in dataset.tasks if t.id not in resume]
     results: dict[str, tuple[Attempt, Attempt]] = dict(resume)

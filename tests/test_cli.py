@@ -11,7 +11,7 @@ import urllib.request
 
 import pytest
 
-from multipath import cli, oracle
+from multipath import cli, correction, oracle
 from multipath.cli import load_model, main, parse_args
 from multipath.correction import ScriptedJudgeProvider, run_protocol
 from multipath.decoding import (
@@ -23,7 +23,7 @@ from multipath.decoding import (
     nucleus_sample,
 )
 from multipath.errors import LoadError
-from multipath.models import NGramLM, TableLM
+from multipath.models import NGramLM, TableLM, Vocabulary
 from multipath.oracle import MUTATIONS, random_model
 from multipath.remote import HttpModelClient
 from multipath.tasks import load_tasks
@@ -603,6 +603,52 @@ def test_bench_prompt_outside_the_vocabulary_exits_2(capsys, tmp_path, toy_model
     err = capsys.readouterr().err
     assert "'zebra' not in vocabulary" in err
     assert "--resume" not in err
+
+
+def test_compare_checks_every_prompt_before_any_task_runs(capsys, tmp_path, toy_model_path, toy_dataset_path):
+    # The first task is fine; with --resume it would be logged as it
+    # completes, were the second prompt not checked before it runs.
+    first = json.loads(open(toy_dataset_path, encoding="utf-8").readline())
+    dataset = tmp_path / "zebra.jsonl"
+    bad = {"id": "t-zebra", "prompt": "zebra", "answer": 0, "domain": "math"}
+    dataset.write_text(json.dumps(first) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main([
+        "compare", "--model", toy_model_path, "--dataset", str(dataset),
+        "--strategy", "none", "--strategy", "critic_prompt", "--out", str(out), "--resume",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'zebra' not in vocabulary" in err
+    assert "--resume" not in err
+    assert [path.read_text(encoding="utf-8") for path in out.glob("attempts_*.jsonl")] == []
+
+
+def test_compare_encodes_each_prompt_once_and_derives_each_stage_seed_once(monkeypatch, tmp_path, toy_model_path,
+                                                                             toy_dataset_path):
+    encoded, derived = [], []
+    encode, derive_seed = Vocabulary.encode, correction.derive_seed
+
+    def counted_encode(self, text):
+        encoded.append(text)
+        return encode(self, text)
+
+    def counted_derive_seed(base_seed, task_id, stage):
+        derived.append((base_seed, task_id, stage))
+        return derive_seed(base_seed, task_id, stage)
+
+    monkeypatch.setattr(Vocabulary, "encode", counted_encode)
+    monkeypatch.setattr(correction, "derive_seed", counted_derive_seed)
+    rc = main([
+        "compare", "--model", toy_model_path, "--dataset", toy_dataset_path, "--out", str(tmp_path / "out"),
+        *(arg for kind in correction.STRATEGY_KINDS for arg in ("--strategy", kind)), "--seed", "5",
+    ])
+    assert rc == 0
+    tasks = load_tasks(toy_dataset_path).tasks
+    prompts = [task.prompt for task in tasks]
+    assert len(set(prompts)) == len(prompts)
+    assert sorted(text for text in encoded if text in prompts) == sorted(prompts)
+    assert sorted(derived) == sorted((5, task.id, stage) for task in tasks for stage in (1, 2))
 
 
 def test_compare_joins_strategies(capsys, tmp_path, toy_model_path, toy_dataset_path):

@@ -30,6 +30,7 @@ from multipath.correction import (
     prompt_correct,
     run_protocol,
     run_stage1,
+    stage_inputs,
 )
 from multipath.decoding import MultipathConfig, SamplerConfig, multipath_decode, nucleus_sample
 from multipath.errors import ConfigError, LoadError
@@ -40,6 +41,11 @@ from multipath.toydata import make_digit_dataset, make_digit_model
 
 MPCFG = MultipathConfig(mass_fraction=0.9, max_width=7, max_len=8)
 SAMPLER = SamplerConfig(top_p=0.95, top_k=15, seed=0, max_len=8)
+
+
+def inputs_of(model, task, seed=SAMPLER.seed):
+    """The stage inputs a run of base seed ``seed`` gives ``task``."""
+    return stage_inputs(model.vocabulary, [task], seed)[task.id]
 
 
 def make_attempt(task_id="t000", text="[3] $", stage=INITIAL, strategy="none", decoder_input="p"):
@@ -117,7 +123,7 @@ def test_derive_seed_separates_stages_and_tasks():
 
 def test_attempt_round_trips_through_json():
     attempt = make_attempt()
-    record = json.loads(json.dumps(attempt.to_json_dict()))
+    record = json.loads(correction._pair_line(attempt, attempt))["initial"]
     assert record["answer"] == 3 and record["verdict"] is None
     assert Attempt.from_json_dict(record) == attempt
     # A record no run writes: a verdict, or an answer its text does not give.
@@ -221,24 +227,26 @@ def test_judge_service_provider_sends_task_fields():
 
 def test_run_stage1_conditions_on_the_raw_prompt(small_digit_model, small_digit_dataset):
     task = small_digit_dataset.tasks[0]
-    attempt = run_stage1(small_digit_model, task, SAMPLER)
+    attempt = run_stage1(small_digit_model, task, SAMPLER, inputs_of(small_digit_model, task))
     assert attempt.stage == INITIAL
     assert attempt.decoder_input == task.prompt
     assert attempt.task_id == task.id
     assert attempt.tokens_generated == 2
     assert attempt.text.endswith("$")
-    again = run_stage1(small_digit_model, task, SAMPLER)
+    again = run_stage1(small_digit_model, task, SAMPLER, inputs_of(small_digit_model, task))
     assert again == attempt
 
 
 def test_stage_samplers_are_the_config_under_the_stage_seed(monkeypatch, small_digit_model, small_digit_dataset):
-    # Every field differs from its default, so a field the stages' keyword
-    # build forgets to copy shows as a difference; a field added to
-    # SamplerConfig fails the first assert until it is listed here.
+    # _stage_sampler builds the stage config by keyword. Every field here
+    # differs from its default, so a field it does not copy shows as a
+    # difference below; a field added to SamplerConfig fails the first assert
+    # until it is given a value here.
+    fields = dataclasses.fields(SamplerConfig)
     values = {"top_p": 0.5, "top_k": 3, "seed": 11, "max_len": 4}
-    assert {f.name for f in dataclasses.fields(SamplerConfig)} == values.keys()
+    assert {f.name for f in fields} == values.keys()
     sampler = SamplerConfig(**values)
-    assert all(getattr(sampler, f.name) != f.default for f in dataclasses.fields(SamplerConfig))
+    assert all(getattr(sampler, f.name) != f.default for f in fields)
     seen = []
 
     def recording_sample(model, prompt, cfg):
@@ -247,14 +255,19 @@ def test_stage_samplers_are_the_config_under_the_stage_seed(monkeypatch, small_d
 
     monkeypatch.setattr(correction, "nucleus_sample", recording_sample)
     task = small_digit_dataset.tasks[0]
-    attempt = run_stage1(small_digit_model, task, sampler)
-    prompt_correct(small_digit_model, task, attempt, "critic_prompt", sampler)
-    assert seen == [dataclasses.replace(sampler, seed=derive_seed(11, task.id, stage=stage)) for stage in (1, 2)]
+    inputs = inputs_of(small_digit_model, task, sampler.seed)
+    attempt = run_stage1(small_digit_model, task, sampler, inputs)
+    prompt_correct(small_digit_model, task, attempt, "critic_prompt", sampler, inputs)
+    assert len(seen) == 2
+    for stage, cfg in zip((1, 2), seen):
+        want = dataclasses.replace(sampler, seed=derive_seed(11, task.id, stage))
+        for f in fields:
+            assert getattr(cfg, f.name) == getattr(want, f.name), (stage, f.name)
 
 
 def test_run_stage1_seed_is_per_task(small_digit_model, small_digit_dataset):
     texts = {
-        task.id: run_stage1(small_digit_model, task, SAMPLER).text
+        task.id: run_stage1(small_digit_model, task, SAMPLER, inputs_of(small_digit_model, task)).text
         for task in small_digit_dataset.tasks
     }
     # ten tasks with distinct best digits cannot all sample the same token
@@ -265,8 +278,9 @@ def test_indicator_negative_feedback_regenerates_on_original_prompt(
     small_digit_model, small_digit_dataset
 ):
     task = small_digit_dataset.tasks[0]
-    attempt = run_stage1(small_digit_model, task, SAMPLER, strategy="ftr_indicator")
-    corrected = indicator_correct(small_digit_model, task, attempt, MPCFG)
+    inputs = inputs_of(small_digit_model, task)
+    attempt = run_stage1(small_digit_model, task, SAMPLER, inputs, strategy="ftr_indicator")
+    corrected = indicator_correct(small_digit_model, task, attempt, MPCFG, inputs)
     assert corrected.stage == CORRECTED
     assert corrected.decoder_input == task.prompt
 
@@ -282,20 +296,18 @@ def test_prompt_correct_concatenates_prompt_response_template(
     small_digit_model, small_digit_dataset
 ):
     task = small_digit_dataset.tasks[0]
-    attempt = run_stage1(small_digit_model, task, SAMPLER, strategy="critic_prompt")
-    corrected = prompt_correct(
-        small_digit_model, task, attempt, "critic_prompt", SAMPLER
-    )
+    inputs = inputs_of(small_digit_model, task)
+    attempt = run_stage1(small_digit_model, task, SAMPLER, inputs, strategy="critic_prompt")
+    corrected = prompt_correct(small_digit_model, task, attempt, "critic_prompt", SAMPLER, inputs)
     assert corrected.stage == CORRECTED
     assert corrected.decoder_input == f"{task.prompt}\n{attempt.text}\n{load_prompt(CRITIC)}"
 
 
 def test_prompt_correct_ioe_uses_its_own_template(small_digit_model, small_digit_dataset):
     task = small_digit_dataset.tasks[0]
-    attempt = run_stage1(small_digit_model, task, SAMPLER, strategy="ioe_prompt")
-    corrected = prompt_correct(
-        small_digit_model, task, attempt, "ioe_prompt", SAMPLER
-    )
+    inputs = inputs_of(small_digit_model, task)
+    attempt = run_stage1(small_digit_model, task, SAMPLER, inputs, strategy="ioe_prompt")
+    corrected = prompt_correct(small_digit_model, task, attempt, "ioe_prompt", SAMPLER, inputs)
     assert corrected.decoder_input.endswith("\n" + load_prompt(IOE))
     assert load_prompt(IOE) != load_prompt(CRITIC)
 
@@ -305,12 +317,14 @@ def test_feedback_as_prompt_picks_template_by_domain(small_digit_model, small_di
 
     math_task = small_digit_dataset.tasks[0]
     attempt = make_attempt(task_id=math_task.id, strategy="feedback_as_prompt")
-    out = prompt_correct(small_digit_model, math_task, attempt, strategy, SAMPLER)
+    inputs = inputs_of(small_digit_model, math_task)
+    out = prompt_correct(small_digit_model, math_task, attempt, strategy, SAMPLER, inputs)
     assert out.decoder_input.endswith("\n" + load_prompt(FEEDBACK_MATH))
 
     code_task = Task(id="c1", prompt="solve item 5", domain="code", verify_cmd=("true",))
     attempt = make_attempt(task_id="c1", strategy="feedback_as_prompt")
-    out = prompt_correct(small_digit_model, code_task, attempt, strategy, SAMPLER)
+    inputs = inputs_of(small_digit_model, code_task)
+    out = prompt_correct(small_digit_model, code_task, attempt, strategy, SAMPLER, inputs)
     assert out.decoder_input.endswith("\n" + load_prompt(FEEDBACK_CODE))
     assert load_prompt(FEEDBACK_CODE) != load_prompt(FEEDBACK_MATH)
 
@@ -319,7 +333,7 @@ def test_prompt_correct_rejects_non_prompt_strategies(small_digit_model, small_d
     task = small_digit_dataset.tasks[0]
     attempt = make_attempt(task_id=task.id)
     with pytest.raises(ConfigError, match="not a prompt strategy"):
-        prompt_correct(small_digit_model, task, attempt, "ftr_indicator", SAMPLER)
+        prompt_correct(small_digit_model, task, attempt, "ftr_indicator", SAMPLER, inputs_of(small_digit_model, task))
 
 
 def test_collect_feedback_delegates(small_digit_dataset):
@@ -708,37 +722,72 @@ def test_protocol_json_lines_are_canonical(small_digit_model, small_digit_datase
 
 
 # Text that JSON must escape or that is not ASCII: quotes, backslashes,
-# newlines and other control characters, accents, CJK and astral-plane
-# characters (written as surrogate pairs).
+# newlines and other control characters, accents, CJK, astral-plane
+# characters (written as surrogate pairs) and lone surrogates.
 escaped_text = st.text(
-    alphabet=st.sampled_from('"\\\n\r\t\x00\x1f\x7f/é中😀 ab[]') | st.characters(),
+    alphabet=st.sampled_from('"\\\n\r\t\x00\x1f\x7f/é中😀 ab[]\ud800\udc80\udfff') | st.characters(),
     max_size=30,
 )
-# A bracketed answer gives an int or a float; none, or a malformed one, gives None.
-answer_text = st.sampled_from(["", "[3]", "[-12]", "[1,234]", "[2.5]", "[.75]", "[x]", "[" + "9" * 400 + ".5]"])
+# A bracketed answer gives an int or a float: any int, any finite float, a
+# 4,000-digit int and a float near the top of its range. None, a malformed
+# one and a decimal beyond float range give None.
+answer_text = (
+    st.sampled_from(["", "[3]", "[-12]", "[1,234]", "[2.5]", "[.75]", "[-0.0]", "[x]",
+                     "[" + "9" * 4000 + "]", "[179" + "0" * 306 + ".5]", "[" + "9" * 400 + ".5]"])
+    | st.integers().map("[{}]".format)
+    | st.floats(allow_nan=False, allow_infinity=False).map("[{:f}]".format)
+)
 
 
 @st.composite
 def attempts(draw, task_id):
-    return Attempt(
+    attempt = Attempt(
         task_id=task_id,
-        stage=draw(st.sampled_from([INITIAL, CORRECTED])),
-        strategy=draw(st.sampled_from(correction.STRATEGY_KINDS)),
+        stage=INITIAL,
+        strategy=draw(escaped_text),
         decoder_input=draw(escaped_text),
         text=draw(escaped_text) + draw(answer_text),
         tokens_generated=draw(st.integers(min_value=5, max_value=10**6)),
         steps=draw(st.integers(min_value=1, max_value=5)),
     )
+    # Construction allows two stages only; the writer must escape any text
+    # in that field all the same.
+    object.__setattr__(attempt, "stage", draw(st.sampled_from([INITIAL, CORRECTED]) | escaped_text))
+    return attempt
+
+
+def record_of(attempt):
+    """The attempts-log record of ``attempt``, built field by field."""
+    return {
+        "task_id": attempt.task_id,
+        "stage": attempt.stage,
+        "strategy": attempt.strategy,
+        "decoder_input": attempt.decoder_input,
+        "text": attempt.text,
+        "answer": attempt.answer,
+        "tokens_generated": attempt.tokens_generated,
+        "steps": attempt.steps,
+        "verdict": None,
+    }
 
 
 @given(data=st.data(), task_id=escaped_text, same=st.booleans())
 def test_a_pair_line_is_the_canonical_json_of_its_record(data, task_id, same):
     initial = data.draw(attempts(task_id))
     final = initial if same else data.draw(attempts(task_id))
-    record = {"task_id": initial.task_id, "initial": initial.to_json_dict(), "final": final.to_json_dict()}
+    record = {"task_id": initial.task_id, "initial": record_of(initial), "final": record_of(final)}
     want = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
     assert correction._pair_line(initial, final) == want
     assert ProtocolRun(pairs=((initial, final),)).to_json_lines() == want
+
+
+def test_a_pair_line_writes_its_keys_in_sorted_order():
+    initial = make_attempt()
+    final = make_attempt(stage=CORRECTED, text="[4] $")
+    record = json.loads(correction._pair_line(initial, final))
+    assert list(record) == sorted(correction._PAIR_FIELDS)
+    for attempt in (record["initial"], record["final"]):
+        assert list(attempt) == sorted(correction._ATTEMPT_FIELDS)
 
 
 def test_an_answer_beyond_float_range_is_logged_as_strict_json():

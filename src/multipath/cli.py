@@ -193,6 +193,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
             check_timeout(values["timeout"], "--timeout (config key 'timeout')")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+    if values.get("workers", 1) < 1:
+        raise ConfigError(f"--workers (config key 'workers') must be >= 1, got {values['workers']!r}")
     return argparse.Namespace(command=command, given=frozenset(given), **values)
 
 
@@ -351,7 +353,7 @@ def _multipath_config(args: argparse.Namespace) -> MultipathConfig:
 
 
 def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
-    return SamplerConfig(top_p=args.top_p, top_k=args.top_k, seed=args.seed, max_len=args.max_len)
+    return SamplerConfig(top_p=args.top_p, top_k=args.top_k, max_len=args.max_len)
 
 
 def _run_decoder(model: ModelInterface, prompt_ids, args: argparse.Namespace):
@@ -362,8 +364,8 @@ def _run_decoder(model: ModelInterface, prompt_ids, args: argparse.Namespace):
     if args.decoder == "beam":
         return beam_search(model, prompt_ids, BeamConfig(width=args.beam, max_len=args.max_len))
     if args.decoder == "nucleus":
-        return nucleus_sample(model, prompt_ids, _sampler_config(args))
-    return adaptive_decode(model, prompt_ids, AdaptiveConfig(base_k=args.k_star, seed=args.seed, max_len=args.max_len))
+        return nucleus_sample(model, prompt_ids, _sampler_config(args), args.seed)
+    return adaptive_decode(model, prompt_ids, AdaptiveConfig(base_k=args.k_star, max_len=args.max_len), args.seed)
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
@@ -422,19 +424,23 @@ def cmd_bench(args: argparse.Namespace) -> int:
     dataset = load_tasks(_required(args, "dataset"))
     # Built once for every strategy; a prompt outside the vocabulary exits 2
     # here, before any file is written.
-    inputs = stage_inputs(model.vocabulary, dataset.tasks, sampler_cfg.seed)
+    inputs = stage_inputs(model.vocabulary, dataset.tasks, args.seed)
     out_dir = Path(_required(args, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / ("compare.csv" if args.command == "compare" else "report.csv")
+    # A report left by an earlier run into --out would pass for this run's
+    # when this run fails before writing its own.
+    for path in [out_dir / f"report_{kind}.json" for kind in kinds] + [csv_path]:
+        path.unlink(missing_ok=True)
 
     reports = []
     failed_tasks: list[tuple[str, str, str]] = []
     for kind in kinds:
         attempts_path = out_dir / f"attempts_{kind}.jsonl"
         run = run_protocol(
-            model, dataset, kind, provider, sampler_cfg, multipath_cfg,
+            model, dataset, kind, provider, sampler_cfg, inputs, multipath_cfg,
             workers=args.workers,
             resume_path=attempts_path if args.resume else None,
-            inputs=inputs,
         )
         # Rewrite the attempts log in dataset order so the artifact does not
         # depend on worker scheduling or on how many runs it took.
@@ -448,7 +454,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         _write_atomic(out_dir / f"report_{kind}.json", report.to_json())
 
     csv_text = reports_to_csv(reports)
-    _write_atomic(out_dir / ("compare.csv" if args.command == "compare" else "report.csv"), csv_text)
+    _write_atomic(csv_path, csv_text)
 
     if failed_tasks:
         for kind, task_id, message in failed_tasks:

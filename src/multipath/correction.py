@@ -218,20 +218,12 @@ def stage_inputs(vocabulary: Vocabulary, tasks: Iterable[Task], seed: int) -> di
     return {t.id: StageInputs(encode(t.prompt), derive_seed(seed, t.id, 1), derive_seed(seed, t.id, 2)) for t in tasks}
 
 
-def _stage_sampler(sampler_cfg: SamplerConfig, seed: int) -> SamplerConfig:
-    """``sampler_cfg`` under a stage's ``seed``. Built by keyword:
-    ``dataclasses.replace`` spends more on generic field handling than a
-    two-token decode spends sampling. A test fails when a SamplerConfig
-    field is not copied here."""
-    return SamplerConfig(top_p=sampler_cfg.top_p, top_k=sampler_cfg.top_k, seed=seed, max_len=sampler_cfg.max_len)
-
-
 def run_stage1(
-    model: ModelInterface, task: Task, sampler_cfg: SamplerConfig, inputs: StageInputs, strategy: str = "none"
+    model: ModelInterface, task: Task, sampler_cfg: SamplerConfig, inputs: StageInputs, strategy: str
 ) -> Attempt:
     """Sample the initial response from the task's prompt ids, under its
     stage-1 seed."""
-    result = nucleus_sample(model, inputs.prompt_ids, _stage_sampler(sampler_cfg, inputs.stage1_seed))
+    result = nucleus_sample(model, inputs.prompt_ids, sampler_cfg, inputs.stage1_seed)
     return _attempt_from(result, task, INITIAL, strategy, task.prompt)
 
 
@@ -277,8 +269,7 @@ def prompt_correct(
         raise ConfigError(f"{kind!r} is not a prompt strategy")
 
     stage2_input = f"{task.prompt}\n{attempt.text}\n{p_cor}"
-    cfg = _stage_sampler(sampler_cfg, inputs.stage2_seed)
-    result = nucleus_sample(model, model.vocabulary.encode(stage2_input), cfg)
+    result = nucleus_sample(model, model.vocabulary.encode(stage2_input), sampler_cfg, inputs.stage2_seed)
     return _attempt_from(result, task, CORRECTED, attempt.strategy, stage2_input)
 
 
@@ -289,10 +280,12 @@ def prompt_correct(
 @contextmanager
 def fan_out(workers: int) -> Iterator[Callable]:
     """The ``map`` that runs a run's independent calls: the builtin for
-    ``workers`` <= 1, else a pool of that many threads, which on exit cancels
+    ``workers`` == 1, else a pool of that many threads, which on exit cancels
     the calls that have not started. run_protocol and evaluation.score_run
-    both fan out through it."""
-    if workers <= 1:
+    both fan out through it. ConfigError for ``workers`` < 1."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
         yield map
         return
     from concurrent.futures import ThreadPoolExecutor  # only for parallel runs
@@ -385,25 +378,24 @@ def run_protocol(
     kind: str,
     provider: FeedbackProvider | None,
     sampler_cfg: SamplerConfig,
+    inputs: Mapping[str, StageInputs],
     multipath_cfg: MultipathConfig = MultipathConfig(),
     workers: int = 1,
     resume_path: str | Path | None = None,
-    inputs: Mapping[str, StageInputs] | None = None,
 ) -> ProtocolRun:
     """Run stage 1 and stage 2 of the strategy ``kind`` over the whole dataset.
 
     Stage 2 of ftr_indicator decodes with ``multipath_cfg``; the prompt
-    strategies reuse ``sampler_cfg``. ``inputs`` is
-    ``stage_inputs(model.vocabulary, dataset.tasks, sampler_cfg.seed)``,
-    built here when not given; a caller that runs several strategies builds
-    it once and passes it to each.
+    strategies reuse ``sampler_cfg``. ``inputs`` holds each task's
+    StageInputs, ``stage_inputs(model.vocabulary, dataset.tasks, seed)`` for
+    the run's base seed; a caller that runs several strategies builds it
+    once and passes it to each.
 
     Tasks run in parallel up to ``workers``; results are ordered by dataset
     position regardless, and per-task seeds make the output independent of
     scheduling. A task that raises a MultipathError (a transport, protocol
     or verification failure, which a rerun may not meet again) is recorded
-    under errors and the run continues; any other error ends the run. A
-    prompt the vocabulary cannot encode ends it before any task runs. With
+    under errors and the run continues; any other error ends the run. With
     ``resume_path``, previously completed tasks (matching strategy) are
     reused and each new completion is appended and flushed as it arrives, so
     a killed run keeps every pair it finished.
@@ -414,8 +406,6 @@ def run_protocol(
         raise ConfigError(f"strategy {kind!r} requires a feedback provider")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    if inputs is None:
-        inputs = stage_inputs(model.vocabulary, dataset.tasks, sampler_cfg.seed)
 
     resume: dict[str, tuple[Attempt, Attempt]] = {}
     log = nullcontext()

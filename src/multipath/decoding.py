@@ -86,7 +86,6 @@ class SamplerConfig:
 
     top_p: float = 0.95
     top_k: int = 15
-    seed: int = 0
     max_len: int = 128
 
     def __post_init__(self) -> None:
@@ -104,7 +103,6 @@ class AdaptiveConfig:
     step distribution's entropy in bits, capped at base_k."""
 
     base_k: int = 7
-    seed: int = 0
     max_len: int = 128
 
     def __post_init__(self) -> None:
@@ -187,15 +185,17 @@ def greedy_decode(model: ModelInterface, prompt: Sequence[int], max_len: int = 1
     return _walk(model, prompt, max_len, lambda dist: dist.sampling_table(1, 1.0), lambda: 0.0)
 
 
-def nucleus_sample(model: ModelInterface, prompt: Sequence[int], cfg: SamplerConfig) -> DecodeResult:
-    """Sample each token from the renormalized top-k / top-p support."""
+def nucleus_sample(model: ModelInterface, prompt: Sequence[int], cfg: SamplerConfig, seed: int) -> DecodeResult:
+    """Sample each token from the renormalized top-k / top-p support, drawing
+    from ``random.Random(seed)``."""
     top_k, top_p = cfg.top_k, cfg.top_p
     return _walk(model, prompt, cfg.max_len, lambda dist: dist.sampling_table(top_k, top_p),
-                 random.Random(cfg.seed).random)
+                 random.Random(seed).random)
 
 
-def adaptive_decode(model: ModelInterface, prompt: Sequence[int], cfg: AdaptiveConfig) -> DecodeResult:
-    """Sample within a top-k set whose size tracks the step entropy.
+def adaptive_decode(model: ModelInterface, prompt: Sequence[int], cfg: AdaptiveConfig, seed: int) -> DecodeResult:
+    """Sample within a top-k set whose size tracks the step entropy, drawing
+    from ``random.Random(seed)``.
 
     k_step = clamp(round(H_bits), 1, base_k), then a
     probability-proportional draw among the k_step most probable tokens.
@@ -212,7 +212,7 @@ def adaptive_decode(model: ModelInterface, prompt: Sequence[int], cfg: AdaptiveC
         # that rounds to k_step or more.
         return dist.sampling_table(k_step, 1.0)
 
-    result = _walk(model, prompt, cfg.max_len, table_of, random.Random(cfg.seed).random)
+    result = _walk(model, prompt, cfg.max_len, table_of, random.Random(seed).random)
     return replace(result, k_trace=tuple(k_trace))
 
 

@@ -546,19 +546,19 @@ def check_samplers(models: int, seed: int) -> list[str]:
             label, model, max_len = "tied_log_lm", tied_log_lm(), 2
         vocab = model.vocabulary
         size = vocab.size
-        sampler = SamplerConfig(
-            top_p=rng.choice((0.3, 0.5, 0.8, 0.95, 1.0, rng.uniform(0.05, 1.0))),
-            top_k=rng.randint(1, size + 1), seed=rng.randrange(2**32), max_len=max_len,
-        )
-        adaptive = AdaptiveConfig(base_k=rng.randint(1, size + 1), seed=rng.randrange(2**32), max_len=max_len)
+        top_p = rng.choice((0.3, 0.5, 0.8, 0.95, 1.0, rng.uniform(0.05, 1.0)))
+        sampler = SamplerConfig(top_p=top_p, top_k=rng.randint(1, size + 1), max_len=max_len)
+        sampler_seed = rng.randrange(2**32)
+        adaptive = AdaptiveConfig(base_k=rng.randint(1, size + 1), max_len=max_len)
+        adaptive_seed = rng.randrange(2**32)
 
         with _failing_on_raise(failures, label):
             greedy_want = replay_sampler(model, max_len, lambda probs: _full_sort(probs)[0])
-            draws = random.Random(sampler.seed)
+            draws = random.Random(sampler_seed)
             nucleus_want = replay_sampler(model, max_len, lambda probs: _linear_draw(
                 draws, probs, _nucleus_support(probs, sampler.top_k, sampler.top_p),
             ))
-            draws_adaptive = random.Random(adaptive.seed)
+            draws_adaptive = random.Random(adaptive_seed)
             k_want: list[int] = []
 
             def adaptive_pick(probs: list[float]) -> int:
@@ -574,8 +574,8 @@ def check_samplers(models: int, seed: int) -> list[str]:
                         f"{label}: entropy {got!r} after {vocab.decode(adaptive_want[:n])!r}, dense row says {want!r}"
                     )
 
-            adaptive_got = adaptive_decode(model, (), adaptive)
-            nucleus_got = nucleus_sample(model, (), sampler).chosen.tokens
+            adaptive_got = adaptive_decode(model, (), adaptive, adaptive_seed)
+            nucleus_got = nucleus_sample(model, (), sampler, sampler_seed).chosen.tokens
             for name, got, want in (
                 ("greedy", greedy_decode(model, (), max_len).chosen.tokens, greedy_want),
                 (f"nucleus(top_k={sampler.top_k}, top_p={sampler.top_p!r})", nucleus_got, nucleus_want),

@@ -1,5 +1,6 @@
-"""Shared fixtures: canonical demo models and the bundled data directory,
-and ``row_probs``, the one way tests compare model rows."""
+"""Shared fixtures: canonical demo models and the bundled data directory;
+``row_probs``, the one way tests compare model rows; and ``run_seeded``,
+the one way tests run a protocol."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from multipath.correction import run_protocol, stage_inputs
 from multipath.models import greedy_trap_lm
 from multipath.toydata import make_digit_dataset, make_digit_model
 
@@ -21,6 +23,15 @@ def row_probs(row) -> tuple[float, ...]:
     equality, so tests compare rows by this tuple.
     """
     return tuple(p for _, p in sorted(row.ranked(len(row))))
+
+
+def run_seeded(model, dataset, kind, provider, sampler_cfg, *args, seed: int = 0, **kwargs):
+    """``run_protocol`` of a run of base seed ``seed``: its ``inputs`` are the
+    stage inputs ``stage_inputs`` builds for that seed, as a CLI run of
+    ``--seed`` builds them. Further arguments go to ``run_protocol`` after
+    ``inputs``."""
+    inputs = stage_inputs(model.vocabulary, dataset.tasks, seed)
+    return run_protocol(model, dataset, kind, provider, sampler_cfg, inputs, *args, **kwargs)
 
 
 @pytest.fixture(scope="session")

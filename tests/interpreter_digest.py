@@ -6,8 +6,9 @@ package accepts (3.10 and later).
 The script needs only the standard library and the package source beside
 it, so it runs on an interpreter without pytest. The digest covers:
 
-- every file and the stdout of a ``bench --strategy ftr_indicator`` run of
-  a small add-k n-gram model, whose regenerated tasks have varied widths;
+- every file and the stdout of a ``compare`` of all five strategies on a
+  small add-k n-gram model, whose regenerated tasks have varied widths and
+  whose prompt strategies decode stage 2 under each task's stage-2 seed;
 - the ``decode`` stdout of each decoder on that n-gram model and on
   ``data/greedy_trap.json``;
 - the resolved settings of a fixed set of argv and config combinations,
@@ -32,8 +33,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from multipath import cli  # noqa: E402
+from multipath.correction import STRATEGY_KINDS  # noqa: E402
 from multipath.errors import ConfigError  # noqa: E402
-from multipath.templates import MATH_TEMPLATE, load_prompt  # noqa: E402
+from multipath.templates import CRITIC, FEEDBACK_MATH, IOE, MATH_TEMPLATE, load_prompt  # noqa: E402
 
 WORDS = ["solve", "item", "gives", "or", "so"] + [f"[{d}]" for d in range(10)] + [str(d) for d in range(10)]
 
@@ -56,11 +58,12 @@ SETTINGS_CASES = [
 ]
 
 
-def ngram_bench(work: Path) -> list[bytes]:
-    """The stdout and every output file of an ftr_indicator bench."""
-    # The first two lines put every prompt word in the vocabulary; the rest
-    # vary the rows, so regenerated attempts have varied widths.
-    lines = [load_prompt(MATH_TEMPLATE), " ".join(WORDS)]
+def ngram_compare(work: Path) -> list[bytes]:
+    """The stdout and every output file of a compare of every strategy."""
+    # The first lines put in the vocabulary every word of the task prompts
+    # and of the templates that math tasks decode; the rest vary the rows,
+    # so regenerated attempts have varied widths.
+    lines = [load_prompt(name) for name in (MATH_TEMPLATE, CRITIC, IOE, FEEDBACK_MATH)] + [" ".join(WORDS)]
     lines += [" ".join(WORDS[(i * 7 + j * j * 3 + j) % len(WORDS)] for j in range(3 + i % 6)) for i in range(30)]
     corpus = "\n".join(lines) + "\n"
     spec = {"kind": "ngram", "corpus": corpus, "order": 1, "add_k": 0.5}
@@ -68,10 +71,11 @@ def ngram_bench(work: Path) -> list[bytes]:
     tasks = [{"id": f"t{i:03d}", "prompt": f"solve item {i % 10}", "domain": "math", "answer": i * 7 % 10}
              for i in range(60)]
     (work / "tasks.jsonl").write_text("".join(json.dumps(task) + "\n" for task in tasks), encoding="utf-8")
-    code, stdout = run(["bench", "--model", "ngram.json", "--dataset", "tasks.jsonl", "--strategy", "ftr_indicator",
+    strategies = [flag for kind in STRATEGY_KINDS for flag in ("--strategy", kind)]
+    code, stdout = run(["compare", "--model", "ngram.json", "--dataset", "tasks.jsonl", *strategies,
                         "--out", "out", "--max-len", "10", "--seed", "5"])
     if code != b"0":
-        sys.exit(f"the n-gram bench exited {code.decode()}")
+        sys.exit(f"the n-gram compare exited {code.decode()}")
     files = sorted((work / "out").iterdir())
     return [code, stdout] + [path.name.encode() + b"\0" + path.read_bytes() for path in files]
 
@@ -108,7 +112,7 @@ def main() -> None:
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        outputs = ngram_bench(Path(tmp))
+        outputs = ngram_compare(Path(tmp))
         outputs += decodes("ngram.json", "solve item 3", "--max-len", "12", "--seed", "5")
         outputs += decodes(str(ROOT / "data" / "greedy_trap.json"))
         for output in outputs + resolved_settings(Path(tmp)):

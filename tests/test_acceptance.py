@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import row_probs
+from conftest import row_probs, run_seeded
 
 import multipath
 from multipath.cli import load_model, main
@@ -32,7 +32,6 @@ from multipath.correction import (
     Attempt,
     GroundTruthProvider,
     ScriptedJudgeProvider,
-    run_protocol,
 )
 from multipath.decoding import (
     BeamConfig,
@@ -51,13 +50,13 @@ from multipath.templates import CRITIC, FEEDBACK_CODE, FEEDBACK_MATH, IOE, load_
 from multipath.toydata import DIGITS, make_digit_dataset, make_digit_model, task_prompt
 
 SEED = 42
-SAMPLER = SamplerConfig(top_p=0.95, top_k=15, seed=SEED, max_len=8)
+SAMPLER = SamplerConfig(top_p=0.95, top_k=15, max_len=8)
 MPCFG = MultipathConfig(mass_fraction=0.9, max_width=7, max_len=8)
 
 
 @pytest.fixture(scope="module")
 def ftr_run(digit_model, digit_dataset):
-    return run_protocol(digit_model, digit_dataset, "ftr_indicator", GroundTruthProvider(), SAMPLER, MPCFG)
+    return run_seeded(digit_model, digit_dataset, "ftr_indicator", GroundTruthProvider(), SAMPLER, MPCFG, seed=SEED)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +146,7 @@ def test_regeneration_prompt_purity(ftr_run, digit_model, digit_dataset):
 
 def test_prompt_strategies_embed_exact_template_bytes(digit_model, digit_dataset):
     for kind, name in (("critic_prompt", CRITIC), ("ioe_prompt", IOE)):
-        run = run_protocol(digit_model, digit_dataset, kind, None, SAMPLER)
+        run = run_seeded(digit_model, digit_dataset, kind, None, SAMPLER, seed=SEED)
         template = load_prompt(name)
         by_id = {t.id: t for t in digit_dataset.tasks}
         for initial, final in run.pairs:
@@ -239,8 +238,8 @@ def test_nucleus_support_containment():
                         default=StepDistribution(probs=probs))
         top_p = round(rng.uniform(0.3, 1.0), 3)
         top_k = rng.randint(1, size)
-        cfg = SamplerConfig(top_p=top_p, top_k=top_k, seed=rng.randint(0, 2**31), max_len=1)
-        out = nucleus_sample(model, (), cfg)
+        cfg = SamplerConfig(top_p=top_p, top_k=top_k, max_len=1)
+        out = nucleus_sample(model, (), cfg, rng.randint(0, 2**31))
         token = out.chosen.tokens[0]
 
         # independent reference: minimal top_p prefix intersected with top_k
@@ -357,7 +356,9 @@ def test_attempts_log_cut_at_any_byte_resumes_to_fresh_bytes(tmp_path):
     model, dataset = make_digit_model(3), make_digit_dataset(3)
 
     def run(log):
-        result = run_protocol(model, dataset, "ftr_indicator", GroundTruthProvider(), SAMPLER, MPCFG, resume_path=log)
+        result = run_seeded(
+            model, dataset, "ftr_indicator", GroundTruthProvider(), SAMPLER, MPCFG, resume_path=log, seed=SEED
+        )
         report = score_run(result.pairs, dataset, "ftr_indicator").to_json()
         return log.read_bytes(), result.to_json_lines(), report
 

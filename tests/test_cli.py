@@ -10,10 +10,11 @@ import re
 import urllib.request
 
 import pytest
+from conftest import run_seeded
 
 from multipath import cli, correction, oracle
 from multipath.cli import load_model, main, parse_args
-from multipath.correction import ScriptedJudgeProvider, run_protocol
+from multipath.correction import ScriptedJudgeProvider
 from multipath.decoding import (
     AdaptiveConfig,
     BeamConfig,
@@ -172,6 +173,24 @@ def test_bench_timeout_config_must_be_positive(capsys, tmp_path, toy_model_path)
     assert main(argv + ["--timeout", "5"]) == 0
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--workers", "0"], None),
+    (["--workers", "-1"], None),
+    ([], {"workers": 0}),
+], ids=["flag-0", "flag-negative", "config-0"])
+def test_workers_below_one_exits_2_before_anything_is_written(capsys, tmp_path, toy_model_path, toy_dataset_path,
+                                                              flags, config):
+    out = tmp_path / "out"
+    argv = ["compare", "--model", toy_model_path, "--dataset", toy_dataset_path,
+            "--strategy", "none", "--out", str(out), *flags]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    assert "--workers (config key 'workers') must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_prompt_is_decoded(capsys, tmp_path, trap_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"prompt": "zebra"}), encoding="utf-8")
@@ -233,9 +252,9 @@ def test_decode_respects_max_len_and_width(capsys, trap_path):
 # each decoder gives at its defaults.
 @pytest.mark.parametrize("decoder, flags, decode", [
     ("nucleus", ["--top-p", "0.8", "--top-k", "2", "--seed", "1", "--max-len", "6"],
-     lambda model: nucleus_sample(model, (), SamplerConfig(top_p=0.8, top_k=2, seed=1, max_len=6))),
+     lambda model: nucleus_sample(model, (), SamplerConfig(top_p=0.8, top_k=2, max_len=6), 1)),
     ("adaptive", ["--k-star", "2", "--seed", "1", "--max-len", "6"],
-     lambda model: adaptive_decode(model, (), AdaptiveConfig(base_k=2, seed=1, max_len=6))),
+     lambda model: adaptive_decode(model, (), AdaptiveConfig(base_k=2, max_len=6), 1)),
 ])
 def test_decode_samplers_print_the_library_result(capsys, trap_path, decoder, flags, decode):
     assert main(["decode", "--model", trap_path, "--decoder", decoder, *flags]) == 0
@@ -556,8 +575,8 @@ def test_bench_scripted_provider_runs_the_library_protocol(capsys, tmp_path, toy
     rc = main(["bench", "--model", toy_model_path, "--dataset", toy_dataset_path, "--out", str(tmp_path), *flags])
     assert rc == 0
     provider = ScriptedJudgeProvider(fn_rate=0.5, fp_rate=0.25, seed=5)
-    run = run_protocol(
-        load_model(toy_model_path), load_tasks(toy_dataset_path), "ftr_indicator", provider, SamplerConfig(seed=5)
+    run = run_seeded(
+        load_model(toy_model_path), load_tasks(toy_dataset_path), "ftr_indicator", provider, SamplerConfig(), seed=5
     )
     assert (tmp_path / "attempts_ftr_indicator.jsonl").read_text(encoding="utf-8") == run.to_json_lines()
 
@@ -589,6 +608,40 @@ def test_bench_task_failures_exit_1_and_suggest_resume(capsys, tmp_path, toy_mod
     err = capsys.readouterr().err
     assert "task t1" in err
     assert "--resume" in err
+
+
+def unspawnable_dataset(tmp_path):
+    """One code task whose verifier cannot be spawned."""
+    dataset = tmp_path / "unspawnable.jsonl"
+    task = {"id": "c0", "prompt": "solve item 0", "verify_cmd": ["/nonexistent/verifier"], "domain": "code"}
+    dataset.write_text(json.dumps(task) + "\n", encoding="utf-8")
+    return str(dataset)
+
+
+def test_bench_with_task_errors_leaves_no_earlier_report(capsys, tmp_path, toy_model_path, toy_dataset_path):
+    # The feedback of ftr_indicator asks the verifier, so the task is
+    # recorded as an error and the strategy writes no report of its own.
+    out = tmp_path / "out"
+    argv = ["bench", "--model", toy_model_path, "--strategy", "ftr_indicator", "--out", str(out)]
+    assert main(argv + ["--dataset", toy_dataset_path]) == 0
+    assert (out / "report_ftr_indicator.json").exists()
+    assert main(argv + ["--dataset", unspawnable_dataset(tmp_path)]) == 1
+    assert "task c0" in capsys.readouterr().err
+    assert not (out / "report_ftr_indicator.json").exists()
+    assert (out / "attempts_ftr_indicator.jsonl").read_bytes() == b""
+
+
+def test_bench_whose_scoring_fails_leaves_no_earlier_report(capsys, tmp_path, toy_model_path, toy_dataset_path):
+    # none asks for no feedback, so the verifier first runs in scoring,
+    # whose failure ends the command.
+    out = tmp_path / "out"
+    argv = ["bench", "--model", toy_model_path, "--strategy", "none", "--out", str(out)]
+    assert main(argv + ["--dataset", toy_dataset_path]) == 0
+    assert (out / "report_none.json").exists() and (out / "report.csv").exists()
+    assert main(argv + ["--dataset", unspawnable_dataset(tmp_path)]) == 1
+    assert "/nonexistent/verifier" in capsys.readouterr().err
+    assert not (out / "report_none.json").exists()
+    assert not (out / "report.csv").exists()
 
 
 def test_bench_prompt_outside_the_vocabulary_exits_2(capsys, tmp_path, toy_model_path):

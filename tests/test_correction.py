@@ -10,6 +10,7 @@ import sys
 import time
 
 import pytest
+from conftest import run_seeded
 from hypothesis import given, strategies as st
 
 from multipath import correction, kernels
@@ -28,7 +29,6 @@ from multipath.correction import (
     fan_out,
     indicator_correct,
     prompt_correct,
-    run_protocol,
     run_stage1,
     stage_inputs,
 )
@@ -40,10 +40,10 @@ from multipath.templates import CRITIC, FEEDBACK_CODE, FEEDBACK_MATH, IOE, load_
 from multipath.toydata import make_digit_dataset, make_digit_model
 
 MPCFG = MultipathConfig(mass_fraction=0.9, max_width=7, max_len=8)
-SAMPLER = SamplerConfig(top_p=0.95, top_k=15, seed=0, max_len=8)
+SAMPLER = SamplerConfig(top_p=0.95, top_k=15, max_len=8)
 
 
-def inputs_of(model, task, seed=SAMPLER.seed):
+def inputs_of(model, task, seed=0):
     """The stage inputs a run of base seed ``seed`` gives ``task``."""
     return stage_inputs(model.vocabulary, [task], seed)[task.id]
 
@@ -155,7 +155,7 @@ def test_attempt_validation():
 
 def test_strategy_validation(small_digit_model, small_digit_dataset):
     with pytest.raises(ConfigError, match="unknown strategy"):
-        run_protocol(small_digit_model, small_digit_dataset, "rewrite", None, SAMPLER)
+        run_seeded(small_digit_model, small_digit_dataset, "rewrite", None, SAMPLER)
     assert FEEDBACK_GATED == ("ftr_indicator", "feedback_as_prompt")
 
 
@@ -227,47 +227,44 @@ def test_judge_service_provider_sends_task_fields():
 
 def test_run_stage1_conditions_on_the_raw_prompt(small_digit_model, small_digit_dataset):
     task = small_digit_dataset.tasks[0]
-    attempt = run_stage1(small_digit_model, task, SAMPLER, inputs_of(small_digit_model, task))
+    attempt = run_stage1(small_digit_model, task, SAMPLER, inputs_of(small_digit_model, task), "none")
     assert attempt.stage == INITIAL
     assert attempt.decoder_input == task.prompt
     assert attempt.task_id == task.id
     assert attempt.tokens_generated == 2
     assert attempt.text.endswith("$")
-    again = run_stage1(small_digit_model, task, SAMPLER, inputs_of(small_digit_model, task))
+    again = run_stage1(small_digit_model, task, SAMPLER, inputs_of(small_digit_model, task), "none")
     assert again == attempt
 
 
-def test_stage_samplers_are_the_config_under_the_stage_seed(monkeypatch, small_digit_model, small_digit_dataset):
-    # _stage_sampler builds the stage config by keyword. Every field here
-    # differs from its default, so a field it does not copy shows as a
-    # difference below; a field added to SamplerConfig fails the first assert
-    # until it is given a value here.
-    fields = dataclasses.fields(SamplerConfig)
-    values = {"top_p": 0.5, "top_k": 3, "seed": 11, "max_len": 4}
-    assert {f.name for f in fields} == values.keys()
-    sampler = SamplerConfig(**values)
-    assert all(getattr(sampler, f.name) != f.default for f in fields)
-    seen = []
+def test_stage_decodes_take_the_run_config_and_the_task_stage_seeds(
+    monkeypatch, small_digit_model, small_digit_dataset
+):
+    # Each stage decode samples under the run's own config object and the
+    # seed its task's StageInputs hold for that stage; no stage builds a
+    # config of its own. A serial critic_prompt run decodes stage 1, then
+    # stage 2, of each task in dataset order.
+    calls = []
 
-    def recording_sample(model, prompt, cfg):
-        seen.append(cfg)
-        return nucleus_sample(model, prompt, cfg)
+    def recording_sample(model, prompt, cfg, seed):
+        calls.append((cfg, seed))
+        return nucleus_sample(model, prompt, cfg, seed)
 
     monkeypatch.setattr(correction, "nucleus_sample", recording_sample)
-    task = small_digit_dataset.tasks[0]
-    inputs = inputs_of(small_digit_model, task, sampler.seed)
-    attempt = run_stage1(small_digit_model, task, sampler, inputs)
-    prompt_correct(small_digit_model, task, attempt, "critic_prompt", sampler, inputs)
-    assert len(seen) == 2
-    for stage, cfg in zip((1, 2), seen):
-        want = dataclasses.replace(sampler, seed=derive_seed(11, task.id, stage))
-        for f in fields:
-            assert getattr(cfg, f.name) == getattr(want, f.name), (stage, f.name)
+    sampler = SamplerConfig(top_p=0.5, top_k=3, max_len=4)
+    run = run_seeded(small_digit_model, small_digit_dataset, "critic_prompt", None, sampler, seed=11)
+    assert run.errors == ()
+    inputs = stage_inputs(small_digit_model.vocabulary, small_digit_dataset.tasks, 11)
+    tasks = small_digit_dataset.tasks
+    assert [seed for _, seed in calls] == [
+        seed for t in tasks for seed in (inputs[t.id].stage1_seed, inputs[t.id].stage2_seed)
+    ]
+    assert all(cfg is sampler for cfg, _ in calls)
 
 
 def test_run_stage1_seed_is_per_task(small_digit_model, small_digit_dataset):
     texts = {
-        task.id: run_stage1(small_digit_model, task, SAMPLER, inputs_of(small_digit_model, task)).text
+        task.id: run_stage1(small_digit_model, task, SAMPLER, inputs_of(small_digit_model, task), "none").text
         for task in small_digit_dataset.tasks
     }
     # ten tasks with distinct best digits cannot all sample the same token
@@ -349,7 +346,7 @@ def test_collect_feedback_delegates(small_digit_dataset):
 
 
 def test_protocol_none_keeps_initial_as_final(small_digit_model, small_digit_dataset):
-    run = run_protocol(
+    run = run_seeded(
         small_digit_model, small_digit_dataset, "none", None, SAMPLER
     )
     assert len(run.pairs) == len(small_digit_dataset.tasks)
@@ -362,7 +359,7 @@ def test_protocol_none_keeps_initial_as_final(small_digit_model, small_digit_dat
 def check_positive_feedback_keeps_initial(monkeypatch, model, dataset, strategy, stage2_name):
     monkeypatch.setattr(correction, stage2_name, refuse_stage2)
     provider = FixedFeedback(True)
-    run = run_protocol(model, dataset, strategy, provider, SAMPLER, MPCFG)
+    run = run_seeded(model, dataset, strategy, provider, SAMPLER, MPCFG)
     assert provider.asked == [t.id for t in dataset.tasks]
     assert run.errors == ()
     assert len(run.pairs) == len(dataset.tasks)
@@ -384,7 +381,7 @@ def test_feedback_as_prompt_positive_is_identity(monkeypatch, small_digit_model,
 
 @pytest.mark.parametrize("strategy", FEEDBACK_GATED)
 def test_protocol_negative_feedback_always_regenerates(small_digit_model, small_digit_dataset, strategy):
-    run = run_protocol(small_digit_model, small_digit_dataset, strategy, FixedFeedback(False), SAMPLER, MPCFG)
+    run = run_seeded(small_digit_model, small_digit_dataset, strategy, FixedFeedback(False), SAMPLER, MPCFG)
     assert run.errors == ()
     assert len(run.pairs) == len(small_digit_dataset.tasks)
     for initial, final in run.pairs:
@@ -395,7 +392,7 @@ def test_protocol_negative_feedback_always_regenerates(small_digit_model, small_
 def test_protocol_requires_provider_when_feedback_gated(small_digit_model, small_digit_dataset):
     strategy = "ftr_indicator"
     with pytest.raises(ConfigError, match="requires a feedback provider"):
-        run_protocol(small_digit_model, small_digit_dataset, strategy, None, SAMPLER)
+        run_seeded(small_digit_model, small_digit_dataset, strategy, None, SAMPLER)
 
 
 def test_protocol_rejects_bad_worker_count(tmp_path, small_digit_model, small_digit_dataset):
@@ -403,7 +400,7 @@ def test_protocol_rejects_bad_worker_count(tmp_path, small_digit_model, small_di
     log = tmp_path / "attempts.jsonl"
     log.write_bytes(b'{"unterminated')
     with pytest.raises(ConfigError, match="workers"):
-        run_protocol(
+        run_seeded(
             small_digit_model, small_digit_dataset,
             "none", None, SAMPLER, workers=0, resume_path=log,
         )
@@ -411,9 +408,12 @@ def test_protocol_rejects_bad_worker_count(tmp_path, small_digit_model, small_di
 
 
 def test_fan_out_is_map_when_serial_and_cancels_unstarted_calls_after_an_error():
-    for workers in (0, 1):
-        with fan_out(workers) as each:
-            assert each is map
+    with fan_out(1) as each:
+        assert each is map
+    for workers in (0, -1):
+        with pytest.raises(ConfigError, match=f"workers must be >= 1, got {workers}"):
+            with fan_out(workers):
+                pass
     started = []
 
     def call(i):
@@ -440,7 +440,7 @@ def test_protocol_records_task_errors_and_continues(small_digit_model, small_dig
     good = small_digit_dataset.tasks[:2]
     dataset = Dataset(name="mixed", tasks=(good[0], unverifiable_task(good[0].prompt), good[1]))
     strategy = "ftr_indicator"
-    run = run_protocol(small_digit_model, dataset, strategy, GroundTruthProvider(), SAMPLER, MPCFG)
+    run = run_seeded(small_digit_model, dataset, strategy, GroundTruthProvider(), SAMPLER, MPCFG)
     assert [p[0].task_id for p in run.pairs] == [good[0].id, good[1].id]
     assert len(run.errors) == 1
     task_id, message = run.errors[0]
@@ -450,10 +450,10 @@ def test_protocol_records_task_errors_and_continues(small_digit_model, small_dig
 
 def test_protocol_worker_count_does_not_change_results(small_digit_model, small_digit_dataset):
     strategy = "ftr_indicator"
-    serial = run_protocol(
+    serial = run_seeded(
         small_digit_model, small_digit_dataset, strategy, GroundTruthProvider(), SAMPLER, MPCFG, workers=1
     )
-    parallel = run_protocol(
+    parallel = run_seeded(
         small_digit_model, small_digit_dataset, strategy, GroundTruthProvider(), SAMPLER, MPCFG, workers=4
     )
     assert serial.pairs == parallel.pairs
@@ -470,7 +470,7 @@ def test_protocol_workers_share_one_ngram_model_safely(monkeypatch, digit_datase
 
     def run(workers):
         model = train_ngram(corpus, order=1, add_k=0.5)
-        return run_protocol(model, digit_dataset, strategy, FixedFeedback(False), SAMPLER, MPCFG, workers=workers)
+        return run_seeded(model, digit_dataset, strategy, FixedFeedback(False), SAMPLER, MPCFG, workers=workers)
 
     serial = run(1)
     topk = kernels.topk_indices
@@ -493,14 +493,14 @@ def test_protocol_workers_share_one_ngram_model_safely(monkeypatch, digit_datase
 def test_protocol_resume_reuses_completed_tasks(tmp_path, small_digit_dataset):
     log = tmp_path / "attempts.jsonl"
     model = make_digit_model(10)
-    first = run_protocol(
+    first = run_seeded(
         model, small_digit_dataset, "none", None, SAMPLER,
         resume_path=log,
     )
     assert log.exists()
 
     counting = CountingModel(make_digit_model(10))
-    second = run_protocol(
+    second = run_seeded(
         counting, small_digit_dataset, "none", None, SAMPLER,
         resume_path=log,
     )
@@ -511,13 +511,13 @@ def test_protocol_resume_reuses_completed_tasks(tmp_path, small_digit_dataset):
 def test_protocol_resume_ignores_other_strategies(tmp_path, small_digit_dataset):
     log = tmp_path / "attempts.jsonl"
     model = make_digit_model(10)
-    run_protocol(
+    run_seeded(
         model, small_digit_dataset, "none", None, SAMPLER,
         resume_path=log,
     )
     counting = CountingModel(make_digit_model(10))
     strategy = "ftr_indicator"
-    run_protocol(
+    run_seeded(
         counting, small_digit_dataset, strategy, GroundTruthProvider(), SAMPLER, MPCFG,
         resume_path=log,
     )
@@ -529,10 +529,10 @@ def test_protocol_resume_completes_after_partial_failure(tmp_path, small_digit_m
     broken = Dataset(name=dataset.name, tasks=dataset.tasks + (unverifiable_task(dataset.tasks[0].prompt),))
     strategy = "ftr_indicator"
     log = tmp_path / "attempts.jsonl"
-    first = run_protocol(small_digit_model, broken, strategy, GroundTruthProvider(), SAMPLER, MPCFG, resume_path=log)
+    first = run_seeded(small_digit_model, broken, strategy, GroundTruthProvider(), SAMPLER, MPCFG, resume_path=log)
     assert first.errors and len(first.pairs) == 10
 
-    second = run_protocol(small_digit_model, dataset, strategy, GroundTruthProvider(), SAMPLER, MPCFG, resume_path=log)
+    second = run_seeded(small_digit_model, dataset, strategy, GroundTruthProvider(), SAMPLER, MPCFG, resume_path=log)
     assert second.errors == ()
     assert second.pairs == first.pairs
 
@@ -559,17 +559,17 @@ def test_protocol_killed_run_keeps_finished_pairs_and_resumes_to_fresh_bytes(
     tmp_path, small_digit_model, small_digit_dataset, workers
 ):
     strategy = "ftr_indicator"
-    fresh = run_protocol(small_digit_model, small_digit_dataset, strategy, GroundTruthProvider(), SAMPLER, MPCFG)
+    fresh = run_seeded(small_digit_model, small_digit_dataset, strategy, GroundTruthProvider(), SAMPLER, MPCFG)
     fresh_lines = fresh.to_json_lines().splitlines(keepends=True)
     log = tmp_path / "attempts.jsonl"
     with pytest.raises(Killed):
-        run_protocol(
+        run_seeded(
             small_digit_model, small_digit_dataset, strategy,
             KilledOnTask(small_digit_dataset.tasks[3].id), SAMPLER, MPCFG, workers=workers, resume_path=log,
         )
     assert log.read_text(encoding="utf-8") == "".join(fresh_lines[:3])
 
-    resumed = run_protocol(
+    resumed = run_seeded(
         small_digit_model, small_digit_dataset, strategy, GroundTruthProvider(), SAMPLER, MPCFG,
         workers=workers, resume_path=log,
     )
@@ -578,12 +578,12 @@ def test_protocol_killed_run_keeps_finished_pairs_and_resumes_to_fresh_bytes(
 
 def test_protocol_resume_drops_a_torn_last_line(tmp_path, small_digit_model, small_digit_dataset):
     strategy = "none"
-    fresh = run_protocol(small_digit_model, small_digit_dataset, strategy, None, SAMPLER)
+    fresh = run_seeded(small_digit_model, small_digit_dataset, strategy, None, SAMPLER)
     lines = fresh.to_json_lines().splitlines(keepends=True)
     log = tmp_path / "attempts.jsonl"
     log.write_text("".join(lines[:2]) + lines[2][: len(lines[2]) // 2], encoding="utf-8")
 
-    resumed = run_protocol(small_digit_model, small_digit_dataset, strategy, None, SAMPLER, resume_path=log)
+    resumed = run_seeded(small_digit_model, small_digit_dataset, strategy, None, SAMPLER, resume_path=log)
     assert resumed.to_json_lines() == fresh.to_json_lines()
     finished = log.read_text(encoding="utf-8")
     assert finished.endswith("\n")
@@ -593,11 +593,11 @@ def test_protocol_resume_drops_a_torn_last_line(tmp_path, small_digit_model, sma
 
 def test_protocol_resume_rejects_a_malformed_complete_line(tmp_path, small_digit_model, small_digit_dataset):
     strategy = "none"
-    fresh = run_protocol(small_digit_model, small_digit_dataset, strategy, None, SAMPLER)
+    fresh = run_seeded(small_digit_model, small_digit_dataset, strategy, None, SAMPLER)
     log = tmp_path / "attempts.jsonl"
     log.write_text("{torn\n" + fresh.to_json_lines(), encoding="utf-8")
     with pytest.raises(LoadError, match="line 1:"):
-        run_protocol(small_digit_model, small_digit_dataset, strategy, None, SAMPLER, resume_path=log)
+        run_seeded(small_digit_model, small_digit_dataset, strategy, None, SAMPLER, resume_path=log)
 
 
 def without_initial_stage(record):
@@ -699,16 +699,16 @@ def test_protocol_resume_names_the_file_and_line_of_a_malformed_record(
     tmp_path, small_digit_model, small_digit_dataset, malform
 ):
     strategy = "none"
-    lines = run_protocol(small_digit_model, small_digit_dataset, strategy, None, SAMPLER).to_json_lines().splitlines()
+    lines = run_seeded(small_digit_model, small_digit_dataset, strategy, None, SAMPLER).to_json_lines().splitlines()
     lines[2] = json.dumps(malform(json.loads(lines[2])))
     log = tmp_path / "attempts.jsonl"
     log.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(LoadError, match=re.escape(f"attempts log {log}, line 3: ")):
-        run_protocol(small_digit_model, small_digit_dataset, strategy, None, SAMPLER, resume_path=log)
+        run_seeded(small_digit_model, small_digit_dataset, strategy, None, SAMPLER, resume_path=log)
 
 
 def test_protocol_json_lines_are_canonical(small_digit_model, small_digit_dataset):
-    run = run_protocol(
+    run = run_seeded(
         small_digit_model, small_digit_dataset, "none", None, SAMPLER
     )
     text = run.to_json_lines()
@@ -802,7 +802,7 @@ def test_an_answer_beyond_float_range_is_logged_as_strict_json():
 
 
 def test_protocol_run_round_trips_attempts(small_digit_model, small_digit_dataset):
-    run = run_protocol(
+    run = run_seeded(
         small_digit_model, small_digit_dataset,
         "ftr_indicator",
         GroundTruthProvider(), SAMPLER, MPCFG,

@@ -128,21 +128,21 @@ def test_nucleus_sticks_to_singleton_support():
         default=StepDistribution(probs=(0.0, 0.0, 1.0)),
     )
     for seed in range(200):
-        out = nucleus_sample(model, (), SamplerConfig(top_p=0.95, top_k=15, seed=seed))
+        out = nucleus_sample(model, (), SamplerConfig(top_p=0.95, top_k=15), seed)
         assert out.chosen.tokens == (0, 2)
 
 
 def test_nucleus_top_k_one_matches_greedy(trap_model):
     greedy = greedy_decode(trap_model, ())
     for seed in range(25):
-        out = nucleus_sample(trap_model, (), SamplerConfig(top_p=1.0, top_k=1, seed=seed))
+        out = nucleus_sample(trap_model, (), SamplerConfig(top_p=1.0, top_k=1), seed)
         assert out.chosen.tokens == greedy.chosen.tokens
 
 
 def test_nucleus_is_deterministic_per_seed(trap_model):
-    cfg = SamplerConfig(top_p=0.95, top_k=15, seed=11)
-    a = nucleus_sample(trap_model, (), cfg)
-    b = nucleus_sample(trap_model, (), cfg)
+    cfg = SamplerConfig(top_p=0.95, top_k=15)
+    a = nucleus_sample(trap_model, (), cfg, 11)
+    b = nucleus_sample(trap_model, (), cfg, 11)
     assert a.chosen.tokens == b.chosen.tokens
 
 
@@ -151,7 +151,7 @@ def test_nucleus_first_step_frequency_tracks_probability(trap_model):
     trials = 10000
     hits = 0
     for seed in range(trials):
-        out = nucleus_sample(trap_model, (), SamplerConfig(top_p=0.95, top_k=15, seed=seed, max_len=1))
+        out = nucleus_sample(trap_model, (), SamplerConfig(top_p=0.95, top_k=15, max_len=1), seed)
         hits += out.chosen.tokens[0] == 1
     rate = hits / trials
     sigma = math.sqrt(0.55 * 0.45 / trials)
@@ -171,7 +171,7 @@ def test_adaptive_takes_one_hot_rows_deterministically():
             (1,): StepDistribution(probs=(0.0, 0.0, 1.0)),
         },
     )
-    out = adaptive_decode(model, (), AdaptiveConfig(base_k=7, seed=3))
+    out = adaptive_decode(model, (), AdaptiveConfig(base_k=7), 3)
     assert out.chosen.tokens == (1, 2)
     assert out.k_trace == (1, 1)
 
@@ -184,7 +184,7 @@ def test_adaptive_k_tracks_entropy():
         rows={(): StepDistribution.uniform(4)},
         default=StepDistribution(probs=(0.0, 0.0, 0.0, 1.0)),
     )
-    out = adaptive_decode(model, (), AdaptiveConfig(base_k=7, seed=0))
+    out = adaptive_decode(model, (), AdaptiveConfig(base_k=7), 0)
     assert out.k_trace[0] == 2
 
 
@@ -195,14 +195,14 @@ def test_adaptive_k_caps_at_base_k():
         rows={(): StepDistribution.uniform(8)},  # 3 bits
         default=StepDistribution(probs=(0.0,) * 7 + (1.0,)),
     )
-    out = adaptive_decode(model, (), AdaptiveConfig(base_k=2, seed=0))
+    out = adaptive_decode(model, (), AdaptiveConfig(base_k=2), 0)
     assert out.k_trace[0] == 2
 
 
 def test_adaptive_low_entropy_step_is_argmax(trap_model):
     # step 0 entropy is just under 1 bit, so k=1 forces the greedy token "b"
     for seed in range(50):
-        out = adaptive_decode(trap_model, (), AdaptiveConfig(base_k=7, seed=seed))
+        out = adaptive_decode(trap_model, (), AdaptiveConfig(base_k=7), seed)
         assert out.chosen.tokens[0] == 1
 
 
@@ -229,8 +229,8 @@ def test_single_path_result_equals_the_path_scored_from_scratch(seed):
         eos = model.vocabulary.eos_id
         for result in (
             greedy_decode(model, prompt, max_len),
-            nucleus_sample(model, prompt, SamplerConfig(top_p=0.9, top_k=3, seed=seed, max_len=max_len)),
-            adaptive_decode(model, prompt, AdaptiveConfig(base_k=3, seed=seed, max_len=max_len)),
+            nucleus_sample(model, prompt, SamplerConfig(top_p=0.9, top_k=3, max_len=max_len), seed),
+            adaptive_decode(model, prompt, AdaptiveConfig(base_k=3, max_len=max_len), seed),
         ):
             chosen = result.chosen
             assert chosen.cum_logprob == sequence_logprob(model, prompt, chosen.tokens)
@@ -264,9 +264,9 @@ def one_row_model(row):
     return TableLM(vocabulary=Vocabulary(tokens=tuple(f"t{i}" for i in range(len(row))), eos_id=0), default=row)
 
 
-def drawn_tables(decode, model, cfg):
-    """The result of ``decode`` and the sampling table each of its steps
-    drew from."""
+def drawn_tables(decode, model, *args):
+    """The result of ``decode(model, (), *args)`` and the sampling table each
+    of its steps drew from."""
     tables = []
     sampling_table = StepDistribution.sampling_table
 
@@ -275,7 +275,7 @@ def drawn_tables(decode, model, cfg):
         return tables[-1]
 
     with mock.patch.object(StepDistribution, "sampling_table", recording):
-        result = decode(model, (), cfg)
+        result = decode(model, (), *args)
     return result, tables
 
 
@@ -302,7 +302,7 @@ def test_sparse_supports_match_dense_kernels(row, data, top_p):
 
     assert greedy_decode(model, (), 1).chosen.tokens == (kernels.topk_indices(probs, 1)[0],)
 
-    result, [table] = drawn_tables(adaptive_decode, model, AdaptiveConfig(base_k=k, max_len=1))
+    result, [table] = drawn_tables(adaptive_decode, model, AdaptiveConfig(base_k=k, max_len=1), 0)
     bits = -math.fsum(p * math.log(p) for p in probs if p > 0.0) / math.log(2.0)
     assert result.k_trace == (min(max(round(bits), 1), k),)
     support = kernels.topk_indices(probs, result.k_trace[0])
@@ -386,11 +386,11 @@ def test_nucleus_bisect_picks_what_the_linear_walk_picked(row, k, top_p, seed, s
     # Every single-path sampler bisects its row's sampling table; each must
     # pick what a linear walk over ranked(k) picks from the same draws.
     model = one_row_model(row)
-    cfg = SamplerConfig(top_p=top_p, top_k=k, seed=seed, max_len=8)
+    cfg = SamplerConfig(top_p=top_p, top_k=k, max_len=8)
     fake_random = SimpleNamespace(Random=lambda seed: ScriptedRandom(seed, script))
     with mock.patch.object(decoding, "random", fake_random):
-        nucleus = nucleus_sample(model, (), cfg).chosen.tokens
-        adaptive = adaptive_decode(model, (), AdaptiveConfig(base_k=k, seed=seed, max_len=cfg.max_len)).chosen.tokens
+        nucleus = nucleus_sample(model, (), cfg, seed).chosen.tokens
+        adaptive = adaptive_decode(model, (), AdaptiveConfig(base_k=k, max_len=cfg.max_len), seed).chosen.tokens
     greedy = greedy_decode(model, (), cfg.max_len).chosen.tokens
 
     def ranked_tokens(n):
@@ -430,9 +430,9 @@ def test_every_decoder_builds_no_dense_row():
     model.next_distribution = recording
     for seed in range(3):
         prompt = model.vocabulary.encode(f"w{seed * 7}")
-        nucleus_sample(model, prompt, SamplerConfig(seed=seed, max_len=20))
+        nucleus_sample(model, prompt, SamplerConfig(max_len=20), seed)
         greedy_decode(model, prompt, max_len=20)
-        adaptive_decode(model, prompt, AdaptiveConfig(seed=seed, max_len=20))
+        adaptive_decode(model, prompt, AdaptiveConfig(max_len=20), seed)
         multipath_decode(model, prompt, MultipathConfig(max_len=20))
         beam_search(model, prompt, BeamConfig(max_len=20))
     assert handed
@@ -702,8 +702,8 @@ def test_every_decoder_takes_one_k_trace_entry_per_step(seed):
     model, horizon = random_table_lm(random.Random(seed))
     for result in (
         greedy_decode(model, (), horizon),
-        nucleus_sample(model, (), SamplerConfig(top_p=0.9, top_k=3, seed=seed, max_len=horizon)),
-        adaptive_decode(model, (), AdaptiveConfig(base_k=3, seed=seed, max_len=horizon)),
+        nucleus_sample(model, (), SamplerConfig(top_p=0.9, top_k=3, max_len=horizon), seed),
+        adaptive_decode(model, (), AdaptiveConfig(base_k=3, max_len=horizon), seed),
     ):
         assert result.steps == len(result.k_trace) == len(result.chosen.tokens)
         assert result.retained == ()

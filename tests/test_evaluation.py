@@ -9,6 +9,7 @@ import pytest
 
 from multipath import correction
 from multipath.correction import CORRECTED, INITIAL, Attempt
+from multipath.errors import ConfigError
 from multipath.evaluation import (
     CSV_COLUMNS,
     ChangeMatrix,
@@ -284,3 +285,10 @@ def test_score_run_parallel_verification_matches_serial():
     serial = score_run(pairs, dataset, "ftr_indicator", workers=1)
     parallel = score_run(pairs, dataset, "ftr_indicator", workers=4)
     assert serial == parallel
+
+
+def test_score_run_refuses_a_worker_count_below_one():
+    # fan_out's rule, the one run_protocol follows.
+    pairs = [(attempt("t0", "[0]"), attempt("t0", "[0]"))]
+    with pytest.raises(ConfigError, match="workers must be >= 1, got 0"):
+        score_run(pairs, math_dataset([0]), "ftr_indicator", workers=0)

@@ -167,8 +167,8 @@ def test_path_ppl_matches_definition():
 def test_token_ids_are_checked_where_they_enter(trap_model):
     entries = (
         lambda prompt: greedy_decode(trap_model, prompt),
-        lambda prompt: nucleus_sample(trap_model, prompt, SamplerConfig()),
-        lambda prompt: adaptive_decode(trap_model, prompt, AdaptiveConfig()),
+        lambda prompt: nucleus_sample(trap_model, prompt, SamplerConfig(), 0),
+        lambda prompt: adaptive_decode(trap_model, prompt, AdaptiveConfig(), 0),
         lambda prompt: multipath_decode(trap_model, prompt, MultipathConfig()),
         lambda prompt: beam_search(trap_model, prompt, BeamConfig()),
         lambda prompt: enumerate_finished(trap_model, prompt, 3),

@@ -2,14 +2,16 @@
 
 Commands:
   decode        run one decoder on one prompt, print the result JSON
-  bench         run a correction strategy over a dataset, write reports
-  compare       run several strategies, write one joined CSV
+  compare       run one or more correction strategies over a dataset, write
+                their reports and one joined CSV
   oracle-check  cross-check the decoders against brute-force oracles
 
 A JSON config file (--config) can supply any flag value under its long name
 with dashes as underscores; explicit flags win. A key that names no option
 of any command is an error; one that names another command's option is
-ignored, so commands can share a config file. All outputs are
+ignored, so commands can share a config file. compare takes its feedback
+from a judge service with --judge-url, else from ground truth, flipped at
+--fn-rate/--fp-rate. All outputs are
 deterministic given config and seed: reports carry no timestamps, floats are
 shortest-round-trip, and rows follow dataset order.
 
@@ -35,7 +37,6 @@ from .correction import (
     FeedbackProvider,
     GroundTruthProvider,
     JudgeServiceProvider,
-    ScriptedJudgeProvider,
     run_protocol,
     stage_inputs,
 )
@@ -66,17 +67,9 @@ from .models import (
 from .tasks import load_tasks
 
 DECODERS = ("greedy", "multipath", "beam", "nucleus", "adaptive")
-PROVIDERS = ("ground_truth", "scripted", "judge")
 
-_RUNS = ("bench", "compare")
-_DECODING = ("decode", *_RUNS)
+_DECODING = ("decode", "compare")
 _EVERY = (*_DECODING, "oracle-check")
-COMMAND_HELP = {
-    "decode": "decode one prompt, print result JSON",
-    "bench": "run one strategy over a dataset, write report files",
-    "compare": "run several strategies, write a joined CSV",
-    "oracle-check": "cross-check decoders against brute-force oracles",
-}
 
 # One CLI setting: its config key (the long flag, underscores for dashes),
 # the commands that take it, its help (which may name %(default)s), type,
@@ -88,21 +81,20 @@ Setting = namedtuple("Setting", "key commands help type default choices form", d
 # has one row per help text.
 SETTINGS = (
     Setting("model", ("decode",), "model spec file (table JSON, ngram spec, or remote spec)"),
-    Setting("model", _RUNS, "model spec file"),
+    Setting("model", ("compare",), "model spec file"),
     Setting("prompt", ("decode",), "prompt text (default empty)", default="", form="positional"),
     Setting("decoder", ("decode",), "decoder (default %(default)s)", default="multipath", choices=DECODERS),
     Setting("beam", ("decode",), "beam width (default %(default)s)", int, BeamConfig.width),
-    Setting("dataset", _RUNS, "dataset JSONL file"),
-    Setting("strategy", _RUNS, "strategy kind (repeatable for compare; default %(default)s)",
+    Setting("dataset", ("compare",), "dataset JSONL file"),
+    Setting("strategy", ("compare",), "strategy kind (repeatable; default %(default)s)",
             default="ftr_indicator", choices=STRATEGY_KINDS, form="append"),
-    Setting("provider", _RUNS, "feedback provider (default %(default)s)", default="ground_truth", choices=PROVIDERS),
-    Setting("judge_url", _RUNS, "judge service base URL"),
-    Setting("fn_rate", _RUNS, "scripted judge false-negative rate (default %(default)s)", float, 0.0),
-    Setting("fp_rate", _RUNS, "scripted judge false-positive rate (default %(default)s)", float, 0.0),
-    Setting("out", _RUNS, "output directory (required)"),
-    Setting("workers", _RUNS, "parallel task workers (default %(default)s)", int, 1),
-    Setting("timeout", _RUNS, "verifier/judge timeout in seconds (default %(default)s)", float, 30.0),
-    Setting("resume", _RUNS, "reuse completed tasks from the attempts log", bool, False, form="switch"),
+    Setting("judge_url", ("compare",), "judge service base URL; without it, ground truth gives the feedback"),
+    Setting("fn_rate", ("compare",), "ground-truth false-negative rate (default %(default)s)", float, 0.0),
+    Setting("fp_rate", ("compare",), "ground-truth false-positive rate (default %(default)s)", float, 0.0),
+    Setting("out", ("compare",), "output directory (required)"),
+    Setting("workers", ("compare",), "parallel task workers (default %(default)s)", int, 1),
+    Setting("timeout", ("compare",), "verifier/judge timeout in seconds (default %(default)s)", float, 30.0),
+    Setting("resume", ("compare",), "reuse completed tasks from the attempts log", bool, False, form="switch"),
     Setting("p_star", _DECODING, "multipath retained mass fraction (default %(default)s)",
             float, MultipathConfig.mass_fraction),
     Setting("k_star", _DECODING, "multipath width cap, also the adaptive sampler's base_k (default %(default)s)",
@@ -126,8 +118,8 @@ def _parser() -> argparse.ArgumentParser:
     what argv gave."""
     parser = argparse.ArgumentParser(prog="multipath", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, helptext in COMMAND_HELP.items():
-        p = sub.add_parser(command, help=helptext, argument_default=argparse.SUPPRESS)
+    for command, run in COMMANDS.items():
+        p = sub.add_parser(command, help=run.__doc__, argument_default=argparse.SUPPRESS)
         for s in [s for s in SETTINGS if command in s.commands]:
             flag = s.key if s.form == "positional" else f"--{s.key.replace('_', '-')}"
             text = s.help % {"default": s.default}
@@ -369,6 +361,7 @@ def _run_decoder(model: ModelInterface, prompt_ids, args: argparse.Namespace):
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
+    """decode one prompt, print result JSON"""
     model = load_model(_required(args, "model"))
     prompt_ids = model.vocabulary.encode(args.prompt)
     result = _run_decoder(model, prompt_ids, args)
@@ -377,13 +370,11 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _build_provider(args: argparse.Namespace) -> FeedbackProvider:
-    if args.provider == "ground_truth":
-        return GroundTruthProvider(timeout=args.timeout)
-    if args.provider == "scripted":
-        return ScriptedJudgeProvider(fn_rate=args.fn_rate, fp_rate=args.fp_rate, seed=args.seed, timeout=args.timeout)
+    if args.judge_url is None:
+        return GroundTruthProvider(args.timeout, args.fn_rate, args.fp_rate, args.seed)
     from .remote import JudgeClient  # loads urllib and http, so only here
 
-    return JudgeServiceProvider(JudgeClient(_required(args, "judge_url"), timeout=args.timeout))
+    return JudgeServiceProvider(JudgeClient(args.judge_url, timeout=args.timeout))
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -398,25 +389,24 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> int:
+    """run strategies over a dataset, write their reports and a joined CSV"""
     kinds = args.strategy
-    if args.command == "bench" and len(kinds) != 1:
-        raise ConfigError("bench takes exactly one --strategy; use compare for several")
     repeated = sorted({kind for kind in kinds if kinds.count(kind) > 1})
     if repeated:
         raise ConfigError(f"--strategy (config key 'strategy') names {', '.join(map(repr, repeated))} more than once")
-    # A provider setting that the run would go on without reading: no chosen
-    # strategy asks a provider, or another provider is chosen.
+    # A feedback setting that the run would go on without reading: no chosen
+    # strategy asks for feedback, or a judge gives it in place of ground truth.
     gated = any(kind in FEEDBACK_GATED for kind in kinds)
-    for key, reader in (("provider", None), ("fn_rate", "scripted"), ("fp_rate", "scripted"), ("judge_url", "judge")):
+    for key in ("fn_rate", "fp_rate", "judge_url"):
         if key not in args.given:
             continue
         flag = f"--{key.replace('_', '-')} (config key {key!r})"
         if not gated:
             raise ConfigError(f"{flag} is read only by --strategy {' or '.join(FEEDBACK_GATED)}, "
                               f"not by {', '.join(kinds)}")
-        if reader is not None and args.provider != reader:
-            raise ConfigError(f"{flag} is read only by --provider {reader}, not by {args.provider}")
+        if key != "judge_url" and args.judge_url is not None:
+            raise ConfigError(f"{flag} is read only without --judge-url")
     sampler_cfg = _sampler_config(args)
     multipath_cfg = _multipath_config(args)
     provider = _build_provider(args) if gated else None
@@ -427,7 +417,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     inputs = stage_inputs(model.vocabulary, dataset.tasks, args.seed)
     out_dir = Path(_required(args, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / ("compare.csv" if args.command == "compare" else "report.csv")
+    csv_path = out_dir / "compare.csv"
     # A report left by an earlier run into --out would pass for this run's
     # when this run fails before writing its own.
     for path in [out_dir / f"report_{kind}.json" for kind in kinds] + [csv_path]:
@@ -467,6 +457,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    """cross-check decoders against brute-force oracles"""
     from . import oracle
 
     for key in ("models", "trials"):
@@ -496,7 +487,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-COMMANDS = {"decode": cmd_decode, "bench": cmd_bench, "compare": cmd_bench, "oracle-check": cmd_oracle_check}
+COMMANDS = {"decode": cmd_decode, "compare": cmd_compare, "oracle-check": cmd_oracle_check}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -14,11 +14,10 @@ stage-2 functions only regenerate:
   (these strategies get no feedback signal at all).
 
 Feedback providers answer with a bool, True for positive feedback: ground
-truth (verify the attempt), a remote judge service, and a scripted judge
-that flips the true verdict with configured false-negative/false-positive
-rates. The scripted judge draws from a stream seeded per (seed, task id), so
-its verdict for a task does not depend on how many other tasks ran before
-it.
+truth (the true verdict, flipped at optional false-negative/false-positive
+rates) and a remote judge service. Ground truth draws from a stream seeded
+per (seed, task id), so its verdict for a task does not depend on how many
+other tasks ran before it; at rate 0 it draws nothing.
 """
 
 from __future__ import annotations
@@ -131,46 +130,33 @@ class FeedbackProvider(ABC):
 def true_verdict(task: Task, attempt: Attempt, timeout: float) -> bool:
     """Whether ``attempt`` answers ``task``, by the rule verify applies to its
     text: a math attempt already holds its extracted answer, so only a code
-    attempt runs the verifier. The ground-truth and scripted providers and
-    evaluation.score_run all judge by it."""
+    attempt runs the verifier. The ground-truth provider and
+    evaluation.score_run both judge by it."""
     if task.domain == "math":
         return answer_matches(task, attempt.answer)
     return verify(task, attempt.text, timeout=timeout)
 
 
 class GroundTruthProvider(FeedbackProvider):
-    """Noiseless oracle: positive iff the attempt verifies."""
+    """The true verdict, flipped at configured error rates: a truly correct
+    attempt is reported negative with probability fn_rate, a truly incorrect
+    one positive with probability fp_rate. A draw is made only when the rate
+    that applies is above 0, so noiseless ground truth seeds nothing."""
 
-    def __init__(self, timeout: float = 30.0):
+    def __init__(self, timeout: float = 30.0, fn_rate: float = 0.0, fp_rate: float = 0.0, seed: int = 0):
+        for name, rate in (("fn_rate", fn_rate), ("fp_rate", fp_rate)):
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {rate}")
         check_timeout(timeout)
         self._timeout = timeout
-
-    def feedback(self, task: Task, attempt: Attempt) -> bool:
-        return true_verdict(task, attempt, self._timeout)
-
-
-class ScriptedJudgeProvider(FeedbackProvider):
-    """Ground truth distorted by configured error rates.
-
-    A truly correct attempt is reported negative with probability fn_rate; a
-    truly incorrect one positive with probability fp_rate.
-    """
-
-    def __init__(self, fn_rate: float, fp_rate: float, seed: int, timeout: float = 30.0):
-        if not 0.0 <= fn_rate <= 1.0:
-            raise ValueError(f"fn_rate must be in [0, 1], got {fn_rate}")
-        if not 0.0 <= fp_rate <= 1.0:
-            raise ValueError(f"fp_rate must be in [0, 1], got {fp_rate}")
-        check_timeout(timeout)
         self.fn_rate = fn_rate
         self.fp_rate = fp_rate
         self.seed = seed
-        self._timeout = timeout
 
     def feedback(self, task: Task, attempt: Attempt) -> bool:
         truth = true_verdict(task, attempt, self._timeout)
-        r = Random(derive_seed(self.seed, task.id, stage=0)).random()
-        return r >= self.fn_rate if truth else r < self.fp_rate
+        rate = self.fn_rate if truth else self.fp_rate
+        return truth != (rate > 0 and Random(derive_seed(self.seed, task.id, stage=0)).random() < rate)
 
 
 class JudgeServiceProvider(FeedbackProvider):
@@ -404,16 +390,6 @@ def run_protocol(
         raise ConfigError(f"unknown strategy kind {kind!r}; expected one of {STRATEGY_KINDS}")
     if kind in FEEDBACK_GATED and provider is None:
         raise ConfigError(f"strategy {kind!r} requires a feedback provider")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-
-    resume: dict[str, tuple[Attempt, Attempt]] = {}
-    log = nullcontext()
-    if resume_path is not None:
-        resume_path = Path(resume_path)
-        resume = _load_resume(resume_path, kind)
-        resume_path.parent.mkdir(parents=True, exist_ok=True)
-        log = resume_path.open("a", encoding="utf-8")
 
     def one(task: Task) -> tuple[Attempt, Attempt]:
         own = inputs[task.id]
@@ -427,25 +403,32 @@ def run_protocol(
             return initial, indicator_correct(model, task, initial, multipath_cfg, own)
         return initial, prompt_correct(model, task, initial, kind, sampler_cfg, own)
 
-    pending = [t for t in dataset.tasks if t.id not in resume]
-    results: dict[str, tuple[Attempt, Attempt]] = dict(resume)
-    errors: list[tuple[str, str]] = []
-
     def run_one(task: Task):
         try:
             return task.id, one(task), None
         except MultipathError as exc:
             return task.id, None, f"{type(exc).__name__}: {exc}"
 
-    with log as log_file, fan_out(workers) as each:
-        for task_id, pair, error in each(run_one, pending):
-            if error is not None:
-                errors.append((task_id, error))
-                continue
-            results[task_id] = pair
-            if log_file is not None:
-                log_file.write(_pair_line(*pair))
-                log_file.flush()
+    results: dict[str, tuple[Attempt, Attempt]] = {}
+    errors: list[tuple[str, str]] = []
+    # fan_out refuses a bad worker count before the resume log is read.
+    with fan_out(workers) as each:
+        log = nullcontext()
+        if resume_path is not None:
+            resume_path = Path(resume_path)
+            results = _load_resume(resume_path, kind)
+            resume_path.parent.mkdir(parents=True, exist_ok=True)
+            log = resume_path.open("a", encoding="utf-8")
+        pending = [t for t in dataset.tasks if t.id not in results]
+        with log as log_file:
+            for task_id, pair, error in each(run_one, pending):
+                if error is not None:
+                    errors.append((task_id, error))
+                    continue
+                results[task_id] = pair
+                if log_file is not None:
+                    log_file.write(_pair_line(*pair))
+                    log_file.flush()
 
     ordered = tuple(results[t.id] for t in dataset.tasks if t.id in results)
     errors.sort(key=lambda e: e[0])

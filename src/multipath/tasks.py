@@ -167,9 +167,10 @@ def verify(task: Task, text: str, timeout: float = 30.0) -> bool:
 
     Math: the last bracketed number must match the reference
     (answer_matches of extract_bracket_answer). Code: the
-    task's command runs with ``text`` on stdin; exit 0 is a pass, any other
-    exit a fail, and timeout/spawn failure raises VerificationError. The
-    command's output is discarded unread. ValueError for a timeout that
+    task's command runs with ``text`` on stdin as UTF-8, whatever the locale;
+    exit 0 is a pass, any other exit a fail, and a text with no UTF-8 form
+    (a lone surrogate) or a timeout/spawn failure raises VerificationError.
+    The command's output is discarded unread. ValueError for a timeout that
     check_timeout refuses.
     """
     check_timeout(timeout)
@@ -178,10 +179,13 @@ def verify(task: Task, text: str, timeout: float = 30.0) -> bool:
     import subprocess  # only code tasks spawn a process
 
     try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise VerificationError(f"task {task.id!r}: the text has no UTF-8 form: {exc}") from exc
+    try:
         proc = subprocess.run(
             list(task.verify_cmd),
-            input=text,
-            text=True,
+            input=data,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
             timeout=timeout,

@@ -12,7 +12,9 @@ it, so it runs on an interpreter without pytest. The digest covers:
 - the ``decode`` stdout of each decoder on that n-gram model and on
   ``data/greedy_trap.json``;
 - the resolved settings of a fixed set of argv and config combinations,
-  and the message of each one the CLI refuses.
+  and the message of each one the CLI refuses;
+- the exit code and messages of each ``compare`` in a fixed set that
+  refuses its feedback settings before it reads a file.
 
 ``tests/test_package.py`` runs it under each interpreter it finds and
 requires one digest.
@@ -26,7 +28,7 @@ import json
 import os
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,17 +46,25 @@ SETTINGS_CASES = [
     (["decode"], None),
     (["decode", "7", "--decoder", "beam", "--beam", "2"], None),
     (["decode", "--config", "cfg.json"], {"prompt": "7", "k_star": 3, "resume": True, "models": 1}),
-    (["bench"], None),
-    (["bench", "--resume", "--strategy", "none", "--fn-rate", "0.0"], None),
-    (["bench", "--config", "cfg.json"], {"strategy": "none", "provider": "ground_truth", "judge_url": None}),
+    (["compare"], None),
+    (["compare", "--resume", "--strategy", "none", "--fn-rate", "0.0"], None),
+    (["compare", "--config", "cfg.json"], {"strategy": "none", "provider": "ground_truth", "judge_url": None}),
+    (["compare", "--config", "cfg.json"], {"strategy": "ftr_indicator", "fn_rate": 0.5, "judge_url": None}),
     (["compare", "--config", "cfg.json", "--strategy", "ioe_prompt"], {"strategy": ["none", "critic_prompt"]}),
     (["compare", "--config", "cfg.json"], {"top_p": 1, "timeout": 2.5, "decoder": "beam", "resume": False}),
     (["oracle-check", "--mutate", "prune-off-by-one"], None),
     (["oracle-check", "--config", "cfg.json", "--seed", "3"], {"models": 5, "seed": 9}),
     (["decode", "--config", "cfg.json"], {"kstar": 1}),
     (["decode", "--config", "cfg.json"], {"p_star": True}),
-    (["bench", "--config", "cfg.json"], {"strategy": []}),
-    (["bench", "--timeout", "0"], None),
+    (["compare", "--config", "cfg.json"], {"strategy": []}),
+    (["compare", "--timeout", "0"], None),
+]
+
+# compare argv refused before any file is read or written.
+REFUSAL_CASES = [
+    ["compare", "--judge-url", "http://127.0.0.1:9", "--fn-rate", "0.5", "--out", "refused"],
+    ["compare", "--strategy", "none", "--judge-url", "http://127.0.0.1:9", "--out", "refused"],
+    ["compare", "--strategy", "critic_prompt", "--fp-rate", "0.0", "--out", "refused"],
 ]
 
 
@@ -100,6 +110,17 @@ def resolved_settings(work: Path) -> list[bytes]:
     return outputs
 
 
+def refusals() -> list[bytes]:
+    """The exit code, stdout and stderr of each refused compare."""
+    outputs = []
+    for argv in REFUSAL_CASES:
+        stderr = io.StringIO()
+        with redirect_stderr(stderr):
+            code, stdout = run(argv)
+        outputs.append(b"\0".join([code, stdout, stderr.getvalue().encode()]))
+    return outputs
+
+
 def run(argv: list[str]) -> tuple[bytes, bytes]:
     """The exit code and stdout of ``multipath`` with ``argv``."""
     stdout = io.StringIO()
@@ -115,7 +136,7 @@ def main() -> None:
         outputs = ngram_compare(Path(tmp))
         outputs += decodes("ngram.json", "solve item 3", "--max-len", "12", "--seed", "5")
         outputs += decodes(str(ROOT / "data" / "greedy_trap.json"))
-        for output in outputs + resolved_settings(Path(tmp)):
+        for output in outputs + resolved_settings(Path(tmp)) + refusals():
             digest.update(len(output).to_bytes(8, "big") + output)
         os.chdir(ROOT)
     print(digest.hexdigest())

@@ -4,7 +4,7 @@ Each test pins one externally visible guarantee of the package: decoder
 exactness against brute force, reductions to classical decoders, pruning
 minimality at scale, the trap-recovery phenomenon, protocol safety on
 verified answers, byte purity of regeneration inputs, cost-model fidelity,
-scripted-judge error rates, sampler support containment, multipath step
+ground-truth error rates, sampler support containment, multipath step
 pools, bit-for-bit reproducibility of the benchmark pipeline, and the README
 quick start.
 """
@@ -31,7 +31,6 @@ from multipath.correction import (
     INITIAL,
     Attempt,
     GroundTruthProvider,
-    ScriptedJudgeProvider,
 )
 from multipath.decoding import (
     BeamConfig,
@@ -187,13 +186,13 @@ def test_cost_threshold_at_observed_parallel_width():
 
 
 # ---------------------------------------------------------------------------
-# 8. the scripted judge hits its configured error rates
+# 8. ground truth with error rates hits them
 
 
 def test_scripted_judge_hits_configured_error_rates():
     fn_rate, fp_rate = 0.3493, 0.0840
     trials = 20000
-    provider = ScriptedJudgeProvider(fn_rate=fn_rate, fp_rate=fp_rate, seed=SEED)
+    provider = GroundTruthProvider(fn_rate=fn_rate, fp_rate=fp_rate, seed=SEED)
 
     def rate(prefix, text, count_negative):
         hits = 0
@@ -274,7 +273,7 @@ def test_bench_outputs_reproducible(tmp_path, data_dir):
     for name in ("first", "second"):
         out = tmp_path / name
         rc = main([
-            "bench",
+            "compare",
             "--model", str(data_dir / "toy_table_lm.json"),
             "--dataset", str(data_dir / "toy_math.jsonl"),
             "--strategy", "ftr_indicator",
@@ -283,7 +282,7 @@ def test_bench_outputs_reproducible(tmp_path, data_dir):
         ])
         assert rc == 0
         files = sorted(p.name for p in out.iterdir())
-        assert files == ["attempts_ftr_indicator.jsonl", "report.csv", "report_ftr_indicator.json"]
+        assert files == ["attempts_ftr_indicator.jsonl", "compare.csv", "report_ftr_indicator.json"]
         snapshots.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert snapshots[0] == snapshots[1]
 
@@ -314,7 +313,7 @@ sys.exit(multipath.cli.main(sys.argv[1:]))
 @pytest.mark.parametrize("kill_after", [1, 40])
 def test_bench_killed_by_sigkill_resumes_to_fresh_bytes(tmp_path, data_dir, kill_after):
     bench = [
-        "bench",
+        "compare",
         "--model", str(data_dir / "toy_table_lm.json"),
         "--dataset", str(data_dir / "toy_math.jsonl"),
         "--strategy", "ftr_indicator",
@@ -344,7 +343,7 @@ def test_bench_killed_by_sigkill_resumes_to_fresh_bytes(tmp_path, data_dir, kill
     assert kill_after <= log.read_bytes().count(b"\n") < 100
 
     assert main(bench + ["--out", str(killed), "--resume"]) == 0
-    names = ["attempts_ftr_indicator.jsonl", "report.csv", "report_ftr_indicator.json"]
+    names = ["attempts_ftr_indicator.jsonl", "compare.csv", "report_ftr_indicator.json"]
     assert sorted(p.name for p in killed.iterdir()) == names
     for name in names:
         assert (killed / name).read_bytes() == (fresh / name).read_bytes(), name

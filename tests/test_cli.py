@@ -1,4 +1,4 @@
-"""Command-line interface: decode/bench/compare/oracle-check, model sniffing."""
+"""Command-line interface: decode/compare/oracle-check, model sniffing."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from conftest import run_seeded
 
 from multipath import cli, correction, oracle
 from multipath.cli import load_model, main, parse_args
-from multipath.correction import ScriptedJudgeProvider
+from multipath.correction import GroundTruthProvider
 from multipath.decoding import (
     AdaptiveConfig,
     BeamConfig,
@@ -63,7 +63,7 @@ def test_settings_precedence_flag_config_default(tmp_path):
     # given: what argv or the config named, never a default
     assert args.given == {"config", "top_k", "top_p", "strategy"}
     assert parse_args(["compare"]).given == parse_args(["decode"]).given == frozenset()
-    assert parse_args(["bench", "--resume", "--strategy", "none"]).given == {"resume", "strategy"}
+    assert parse_args(["compare", "--resume", "--strategy", "none"]).given == {"resume", "strategy"}
     assert parse_args(["decode", "", "--seed", "0"]).given == {"prompt", "seed"}
 
 
@@ -86,7 +86,7 @@ def test_the_parser_is_built_once_and_argv_is_parsed_once_per_call(monkeypatch, 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted_parse)
     for argv in (["decode"], ["compare", "--config", str(config)], ["oracle-check", "--seed", "2"]):
         parse_args(argv)
-    assert len(built) == 1 + len(cli.COMMAND_HELP)  # the top level and one per command
+    assert len(built) == 1 + len(cli.COMMANDS)  # the top level and one per command
     assert parsed.count(cli._parser()) == 3
 
 
@@ -99,13 +99,13 @@ def test_settings_bad_config_file(tmp_path):
 
 @pytest.mark.parametrize("command, values, key", [
     ("decode", {"k_star": "7"}, "k_star"),
-    ("bench", {"workers": "2"}, "workers"),
+    ("compare", {"workers": "2"}, "workers"),
     ("decode", {"p_star": True}, "p_star"),
     ("decode", {"max_len": 2.0}, "max_len"),
-    ("bench", {"strategy": ["none", 3]}, "strategy"),
+    ("compare", {"strategy": ["none", 3]}, "strategy"),
     ("decode", {"decoder": 1}, "decoder"),
     ("decode", {"decoder": "foo"}, "decoder"),
-    ("bench", {"provider": "foo"}, "provider"),
+    ("compare", {"provider": "foo"}, "provider"),
     ("compare", {"strategy": []}, "strategy"),
     ("compare", {"strategy": ["none", "bogus"]}, "strategy"),
 ])
@@ -154,7 +154,7 @@ def code_task_dataset(tmp_path):
 # 1e300 is finite, but a socket or subprocess wait that long raises OverflowError.
 @pytest.mark.parametrize("timeout", [-1, 0, "nan", "inf", "1e300"])
 def test_bench_timeout_flag_must_be_positive(capsys, tmp_path, toy_model_path, timeout):
-    argv = ["bench", "--model", toy_model_path, "--dataset", code_task_dataset(tmp_path), "--strategy", "ftr_indicator",
+    argv = ["compare", "--model", toy_model_path, "--dataset", code_task_dataset(tmp_path), "--strategy", "ftr_indicator",
             "--out", str(tmp_path / "out"), "--timeout", str(timeout)]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -165,7 +165,7 @@ def test_bench_timeout_flag_must_be_positive(capsys, tmp_path, toy_model_path, t
 def test_bench_timeout_config_must_be_positive(capsys, tmp_path, toy_model_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"timeout": -1}), encoding="utf-8")
-    argv = ["bench", "--model", toy_model_path, "--dataset", code_task_dataset(tmp_path), "--strategy", "ftr_indicator",
+    argv = ["compare", "--model", toy_model_path, "--dataset", code_task_dataset(tmp_path), "--strategy", "ftr_indicator",
             "--out", str(tmp_path / "out"), "--config", str(config)]
     assert main(argv) == 2
     assert "(config key 'timeout') must be > 0" in capsys.readouterr().err
@@ -498,7 +498,7 @@ def test_an_integer_past_the_digit_limit_is_malformed_input(
         reply = f'{{"logprobs": [{OVERLONG_INT}, 0, 0]}}'.encode()
         monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: io.BytesIO(reply))
     out = tmp_path / "out"
-    argv = ["bench", "--model", str(model), "--dataset", str(dataset), "--strategy", "none", "--out", str(out)]
+    argv = ["compare", "--model", str(model), "--dataset", str(dataset), "--strategy", "none", "--out", str(out)]
     assert main(argv + config) == rc
     assert message.format(path=path, url=REMOTE_SPEC["url"]) in capsys.readouterr().err
 
@@ -525,7 +525,7 @@ def test_an_input_file_that_is_not_utf8_exits_2_naming_itself(capsys, tmp_path, 
         (tmp_path / "ngram.json").write_text(json.dumps({"kind": "ngram", "corpus_file": "bad.json"}), encoding="utf-8")
     else:
         dataset = str(path)
-    argv = ["bench", "--model", model, "--dataset", dataset, "--strategy", "none", "--out", str(tmp_path / "out")]
+    argv = ["compare", "--model", model, "--dataset", dataset, "--strategy", "none", "--out", str(tmp_path / "out")]
     assert main(argv + extra) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "can't decode byte 0xff" in err
@@ -533,19 +533,19 @@ def test_an_input_file_that_is_not_utf8_exits_2_naming_itself(capsys, tmp_path, 
 
 
 # ---------------------------------------------------------------------------
-# bench / compare
+# compare
 
 
 def test_bench_none_strategy_writes_reports(capsys, tmp_path, toy_model_path, toy_dataset_path):
     out = tmp_path / "out"
     rc = main([
-        "bench", "--model", toy_model_path, "--dataset", toy_dataset_path,
+        "compare", "--model", toy_model_path, "--dataset", toy_dataset_path,
         "--strategy", "none", "--out", str(out), "--seed", "3",
     ])
     assert rc == 0
     assert (out / "report_none.json").exists()
     assert (out / "attempts_none.jsonl").exists()
-    csv_text = (out / "report.csv").read_text(encoding="utf-8")
+    csv_text = (out / "compare.csv").read_text(encoding="utf-8")
     lines = csv_text.splitlines()
     assert lines[0].startswith("strategy,dataset,N,acc,")
     assert lines[1].startswith("none,toy_math,100,")
@@ -560,7 +560,7 @@ def test_bench_none_strategy_writes_reports(capsys, tmp_path, toy_model_path, to
 def test_bench_indicator_strategy_costs_match(tmp_path, toy_model_path, toy_dataset_path):
     out = tmp_path / "out"
     rc = main([
-        "bench", "--model", toy_model_path, "--dataset", toy_dataset_path,
+        "compare", "--model", toy_model_path, "--dataset", toy_dataset_path,
         "--strategy", "ftr_indicator", "--out", str(out), "--seed", "5",
     ])
     assert rc == 0
@@ -571,23 +571,15 @@ def test_bench_indicator_strategy_costs_match(tmp_path, toy_model_path, toy_data
 
 
 def test_bench_scripted_provider_runs_the_library_protocol(capsys, tmp_path, toy_model_path, toy_dataset_path):
-    flags = ["--provider", "scripted", "--fn-rate", "0.5", "--fp-rate", "0.25", "--seed", "5"]
-    rc = main(["bench", "--model", toy_model_path, "--dataset", toy_dataset_path, "--out", str(tmp_path), *flags])
+    # The error rates go to ground truth, with the run's seed.
+    flags = ["--fn-rate", "0.5", "--fp-rate", "0.25", "--seed", "5"]
+    rc = main(["compare", "--model", toy_model_path, "--dataset", toy_dataset_path, "--out", str(tmp_path), *flags])
     assert rc == 0
-    provider = ScriptedJudgeProvider(fn_rate=0.5, fp_rate=0.25, seed=5)
+    provider = GroundTruthProvider(fn_rate=0.5, fp_rate=0.25, seed=5)
     run = run_seeded(
         load_model(toy_model_path), load_tasks(toy_dataset_path), "ftr_indicator", provider, SamplerConfig(), seed=5
     )
     assert (tmp_path / "attempts_ftr_indicator.jsonl").read_text(encoding="utf-8") == run.to_json_lines()
-
-
-def test_bench_rejects_multiple_strategies(capsys, toy_model_path, toy_dataset_path, tmp_path):
-    rc = main([
-        "bench", "--model", toy_model_path, "--dataset", toy_dataset_path,
-        "--strategy", "none", "--strategy", "critic_prompt", "--out", str(tmp_path / "o"),
-    ])
-    assert rc == 2
-    assert "exactly one" in capsys.readouterr().err
 
 
 def test_bench_task_failures_exit_1_and_suggest_resume(capsys, tmp_path, toy_model_path):
@@ -601,7 +593,7 @@ def test_bench_task_failures_exit_1_and_suggest_resume(capsys, tmp_path, toy_mod
     )
     out = tmp_path / "out"
     rc = main([
-        "bench", "--model", toy_model_path, "--dataset", str(dataset),
+        "compare", "--model", toy_model_path, "--dataset", str(dataset),
         "--strategy", "ftr_indicator", "--out", str(out),
     ])
     assert rc == 1
@@ -622,7 +614,7 @@ def test_bench_with_task_errors_leaves_no_earlier_report(capsys, tmp_path, toy_m
     # The feedback of ftr_indicator asks the verifier, so the task is
     # recorded as an error and the strategy writes no report of its own.
     out = tmp_path / "out"
-    argv = ["bench", "--model", toy_model_path, "--strategy", "ftr_indicator", "--out", str(out)]
+    argv = ["compare", "--model", toy_model_path, "--strategy", "ftr_indicator", "--out", str(out)]
     assert main(argv + ["--dataset", toy_dataset_path]) == 0
     assert (out / "report_ftr_indicator.json").exists()
     assert main(argv + ["--dataset", unspawnable_dataset(tmp_path)]) == 1
@@ -635,13 +627,13 @@ def test_bench_whose_scoring_fails_leaves_no_earlier_report(capsys, tmp_path, to
     # none asks for no feedback, so the verifier first runs in scoring,
     # whose failure ends the command.
     out = tmp_path / "out"
-    argv = ["bench", "--model", toy_model_path, "--strategy", "none", "--out", str(out)]
+    argv = ["compare", "--model", toy_model_path, "--strategy", "none", "--out", str(out)]
     assert main(argv + ["--dataset", toy_dataset_path]) == 0
-    assert (out / "report_none.json").exists() and (out / "report.csv").exists()
+    assert (out / "report_none.json").exists() and (out / "compare.csv").exists()
     assert main(argv + ["--dataset", unspawnable_dataset(tmp_path)]) == 1
     assert "/nonexistent/verifier" in capsys.readouterr().err
     assert not (out / "report_none.json").exists()
-    assert not (out / "report.csv").exists()
+    assert not (out / "compare.csv").exists()
 
 
 def test_bench_prompt_outside_the_vocabulary_exits_2(capsys, tmp_path, toy_model_path):
@@ -649,7 +641,7 @@ def test_bench_prompt_outside_the_vocabulary_exits_2(capsys, tmp_path, toy_model
     task = {"id": "t0", "prompt": "zebra", "answer": 0, "domain": "math"}
     dataset.write_text(json.dumps(task) + "\n", encoding="utf-8")
     rc = main([
-        "bench", "--model", toy_model_path, "--dataset", str(dataset),
+        "compare", "--model", toy_model_path, "--dataset", str(dataset),
         "--strategy", "none", "--out", str(tmp_path / "out"),
     ])
     assert rc == 2
@@ -734,11 +726,11 @@ def test_compare_of_one_strategy_writes_compare_csv(tmp_path, toy_model_path, to
 @pytest.mark.parametrize("flags", [
     ["--strategy", "bogus"],
     ["--p-star", "1.5"],
-    ["--provider", "judge", "--strategy", "ftr_indicator"],
-    ["--provider", "judge", "--strategy", "ftr_indicator", "--judge-url", "file:///tmp"],
-    ["--provider", "judge", "--strategy", "ftr_indicator", "--judge-url", "http://"],
-    ["--provider", "judge", "--strategy", "ftr_indicator", "--judge-url", "http://127.0.0.1:notaport"],
-    ["--provider", "judge", "--strategy", "ftr_indicator", "--judge-url", "http://127.0.0.1:99999"],
+    ["--strategy", "ftr_indicator", "--judge-url", ""],
+    ["--strategy", "ftr_indicator", "--judge-url", "file:///tmp"],
+    ["--strategy", "ftr_indicator", "--judge-url", "http://"],
+    ["--strategy", "ftr_indicator", "--judge-url", "http://127.0.0.1:notaport"],
+    ["--strategy", "ftr_indicator", "--judge-url", "http://127.0.0.1:99999"],
 ], ids=["unknown-strategy", "bad-p-star", "judge-without-url", "judge-file-url", "judge-url-no-host",
         "judge-url-port-not-a-number", "judge-url-port-out-of-range"])
 def test_compare_rejects_bad_input_before_any_strategy_runs(tmp_path, toy_model_path, toy_dataset_path, flags):
@@ -773,77 +765,87 @@ def test_compare_rejects_a_repeated_strategy_before_writing(capsys, tmp_path, to
     assert not out.exists()
 
 
-SCRIPTED, JUDGE, GATED = "--provider scripted", "--provider judge", "--strategy ftr_indicator or feedback_as_prompt"
+def read_only(key: str, rule: str) -> str:
+    return f"error: --{key.replace('_', '-')} (config key '{key}') is read only {rule}"
 
 
-@pytest.mark.parametrize("flags, config, key, reader", [
-    (["--fn-rate", "0.9"], None, "fn_rate", SCRIPTED),
-    (["--fp-rate", "0.1", "--provider", "judge", "--judge-url", "http://127.0.0.1:9"], None, "fp_rate", SCRIPTED),
-    (["--judge-url", "http://127.0.0.1:9"], None, "judge_url", JUDGE),
-    (["--judge-url", "http://127.0.0.1:9", "--provider", "scripted"], None, "judge_url", JUDGE),
-    ([], {"fn_rate": 0.9}, "fn_rate", SCRIPTED),
-    ([], {"fp_rate": 0.5, "provider": "judge", "judge_url": "http://127.0.0.1:9"}, "fp_rate", SCRIPTED),
-    ([], {"judge_url": "http://127.0.0.1:9", "provider": "scripted"}, "judge_url", JUDGE),
-    (["--strategy", "none", "--provider", "scripted", "--fn-rate", "0.9"], None, "provider", GATED),
-    (["--strategy", "none", "--fn-rate", "0.9"], None, "fn_rate", GATED),
-    (["--strategy", "critic_prompt", "--fp-rate", "0.1"], None, "fp_rate", GATED),
-    (["--strategy", "ioe_prompt", "--judge-url", "http://127.0.0.1:9"], None, "judge_url", GATED),
-    ([], {"strategy": "none", "provider": "judge"}, "provider", GATED),
-    ([], {"strategy": "critic_prompt", "fn_rate": 0.5}, "fn_rate", GATED),
+URL = "http://127.0.0.1:9"
+NO_JUDGE, GATED = "without --judge-url", "by --strategy ftr_indicator or feedback_as_prompt"
+PROVIDER_FLAG, PROVIDER_KEY = "unrecognized arguments: --provider", "unknown key(s) 'provider'"
+
+
+@pytest.mark.parametrize("flags, config, message", [
+    (["--fn-rate", "0.9", "--judge-url", URL], None, read_only("fn_rate", NO_JUDGE)),
+    (["--fp-rate", "0.1", "--judge-url", URL], None, read_only("fp_rate", NO_JUDGE)),
+    (["--judge-url", URL], {"fn_rate": 0.9}, read_only("fn_rate", NO_JUDGE)),
+    (["--judge-url", URL, "--provider", "scripted"], None, PROVIDER_FLAG),
+    ([], {"fn_rate": 0.9, "judge_url": URL}, read_only("fn_rate", NO_JUDGE)),
+    ([], {"fp_rate": 0.5, "judge_url": URL}, read_only("fp_rate", NO_JUDGE)),
+    ([], {"judge_url": URL, "provider": "scripted"}, PROVIDER_KEY),
+    (["--strategy", "none", "--provider", "scripted", "--fn-rate", "0.9"], None, PROVIDER_FLAG),
+    (["--strategy", "none", "--fn-rate", "0.9"], None, read_only("fn_rate", GATED)),
+    (["--strategy", "critic_prompt", "--fp-rate", "0.1"], None, read_only("fp_rate", GATED)),
+    (["--strategy", "ioe_prompt", "--judge-url", URL], None, read_only("judge_url", GATED)),
+    ([], {"strategy": "none", "provider": "judge"}, PROVIDER_KEY),
+    ([], {"strategy": "critic_prompt", "fn_rate": 0.5}, read_only("fn_rate", GATED)),
     # A setting is given by naming it, whatever its value: the default too.
-    (["--strategy", "none", "--fn-rate", "0.0"], None, "fn_rate", GATED),
-    (["--strategy", "none", "--provider", "ground_truth"], None, "provider", GATED),
-    ([], {"strategy": "none", "fn_rate": 0.0}, "fn_rate", GATED),
-    ([], {"strategy": "none", "provider": "ground_truth"}, "provider", GATED),
+    (["--strategy", "none", "--fn-rate", "0.0"], None, read_only("fn_rate", GATED)),
+    (["--strategy", "none", "--provider", "ground_truth"], None, PROVIDER_FLAG),
+    ([], {"strategy": "none", "fn_rate": 0.0}, read_only("fn_rate", GATED)),
+    ([], {"strategy": "none", "provider": "ground_truth"}, PROVIDER_KEY),
+    (["--fp-rate", "0.0", "--judge-url", URL], None, read_only("fp_rate", NO_JUDGE)),
 ], ids=["fn-rate-flag", "fp-rate-flag", "judge-url-flag", "judge-url-flag-scripted",
         "fn-rate-config", "fp-rate-config", "judge-url-config",
         "provider-flag-ungated", "fn-rate-flag-ungated", "fp-rate-flag-ungated", "judge-url-flag-ungated",
         "provider-config-ungated", "fn-rate-config-ungated",
         "default-fn-rate-flag-ungated", "default-provider-flag-ungated",
-        "default-fn-rate-config-ungated", "default-provider-config-ungated"])
+        "default-fn-rate-config-ungated", "default-provider-config-ungated", "default-fp-rate-flag-judge"])
 def test_bench_rejects_a_provider_setting_its_provider_never_reads(capsys, tmp_path, toy_model_path,
-                                                                   toy_dataset_path, flags, config, key, reader):
+                                                                   toy_dataset_path, flags, config, message):
     # Ignored, the setting would print the same row as a run without it:
-    # only a feedback-gated strategy asks a provider, and each provider reads
-    # only its own settings.
+    # only a feedback-gated strategy asks for feedback, a rate is read only
+    # by ground truth, which a judge URL replaces, and no setting picks the
+    # provider.
     out = tmp_path / "out"
-    argv = ["bench", "--model", toy_model_path, "--dataset", toy_dataset_path, "--out", str(out)] + flags
+    argv = ["compare", "--model", toy_model_path, "--dataset", toy_dataset_path, "--out", str(out)] + flags
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
         argv += ["--config", str(tmp_path / "cfg.json")]
-    assert main(argv) == 2
-    flag = "--" + key.replace("_", "-")
-    assert f"error: {flag} (config key '{key}') is read only by {reader}" in capsys.readouterr().err
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses an unknown flag itself
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_compare_takes_provider_settings_when_one_strategy_reads_them(capsys, tmp_path, toy_model_path,
                                                                       toy_dataset_path):
     argv = ["compare", "--model", toy_model_path, "--dataset", toy_dataset_path, "--out", str(tmp_path / "out"),
-            "--strategy", "none", "--strategy", "ftr_indicator", "--provider", "scripted", "--fn-rate", "0.5"]
+            "--strategy", "none", "--strategy", "ftr_indicator", "--fn-rate", "0.5"]
     assert main(argv) == 0
     assert (tmp_path / "out" / "compare.csv").exists()
 
 
 @pytest.mark.parametrize("flags", [["--decoder", "beam"], ["--beam", "99"]])
 def test_bench_and_compare_take_no_decode_only_flag(capsys, tmp_path, toy_model_path, toy_dataset_path, flags):
-    # --decoder and --beam choose decode's decoder; bench and compare always
-    # run the strategy's own decoders.
-    for command in ("bench", "compare"):
-        argv = [command, "--model", toy_model_path, "--dataset", toy_dataset_path, "--strategy", "none",
-                "--out", str(tmp_path / "out")]
-        with pytest.raises(SystemExit) as exc:
-            main(argv + flags)
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    # --decoder and --beam choose decode's decoder; compare always runs the
+    # strategy's own decoders.
+    argv = ["compare", "--model", toy_model_path, "--dataset", toy_dataset_path, "--strategy", "none",
+            "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flags)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 def test_bench_ignores_a_config_decoder(tmp_path):
-    # decode's keys are another command's keys for bench
+    # decode's keys are another command's keys for compare
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"decoder": "beam", "beam": 99}), encoding="utf-8")
-    args = parse_args(["bench", "--config", str(config)])
+    args = parse_args(["compare", "--config", str(config)])
     assert "decoder" not in args and "beam" not in args
 
 
@@ -852,7 +854,7 @@ def test_bench_reruns_are_byte_identical(tmp_path, toy_model_path, toy_dataset_p
     for name in ("run_a", "run_b"):
         out = tmp_path / name
         rc = main([
-            "bench", "--model", toy_model_path, "--dataset", toy_dataset_path,
+            "compare", "--model", toy_model_path, "--dataset", toy_dataset_path,
             "--strategy", "ftr_indicator", "--out", str(out), "--seed", "11",
         ])
         assert rc == 0
@@ -865,7 +867,7 @@ def test_bench_reruns_are_byte_identical(tmp_path, toy_model_path, toy_dataset_p
 def test_bench_resume_skips_completed_tasks(tmp_path, toy_model_path, toy_dataset_path, capsys):
     out = tmp_path / "out"
     argv = [
-        "bench", "--model", toy_model_path, "--dataset", toy_dataset_path,
+        "compare", "--model", toy_model_path, "--dataset", toy_dataset_path,
         "--strategy", "none", "--out", str(out), "--seed", "3",
     ]
     assert main(argv) == 0
@@ -878,7 +880,7 @@ def test_bench_resume_skips_completed_tasks(tmp_path, toy_model_path, toy_datase
 def test_bench_resume_from_a_malformed_log_exits_2(tmp_path, toy_model_path, toy_dataset_path, capsys):
     out = tmp_path / "out"
     argv = [
-        "bench", "--model", toy_model_path, "--dataset", toy_dataset_path,
+        "compare", "--model", toy_model_path, "--dataset", toy_dataset_path,
         "--strategy", "none", "--out", str(out), "--seed", "3", "--resume",
     ]
     assert main(argv) == 0
@@ -900,7 +902,7 @@ def test_bench_resume_from_a_record_no_run_writes_exits_2(
 ):
     out = tmp_path / "out"
     argv = [
-        "bench", "--model", toy_model_path, "--dataset", toy_dataset_path,
+        "compare", "--model", toy_model_path, "--dataset", toy_dataset_path,
         "--strategy", "none", "--out", str(out), "--seed", "3", "--resume",
     ]
     assert main(argv) == 0
@@ -920,12 +922,12 @@ def test_bench_resume_from_a_record_no_run_writes_exits_2(
 def test_bench_leaves_no_temp_files(tmp_path, toy_model_path, toy_dataset_path, capsys):
     out = tmp_path / "out"
     rc = main([
-        "bench", "--model", toy_model_path, "--dataset", toy_dataset_path,
+        "compare", "--model", toy_model_path, "--dataset", toy_dataset_path,
         "--strategy", "ftr_indicator", "--out", str(out),
     ])
     assert rc == 0
     assert sorted(p.name for p in out.iterdir()) == [
-        "attempts_ftr_indicator.jsonl", "report.csv", "report_ftr_indicator.json",
+        "attempts_ftr_indicator.jsonl", "compare.csv", "report_ftr_indicator.json",
     ]
 
 
@@ -934,13 +936,13 @@ def test_bench_failed_rename_exits_2_and_keeps_previous_attempts(
 ):
     out = tmp_path / "out"
 
-    def bench(seed):
+    def compare(seed):
         return main([
-            "bench", "--model", toy_model_path, "--dataset", toy_dataset_path,
+            "compare", "--model", toy_model_path, "--dataset", toy_dataset_path,
             "--strategy", "none", "--out", str(out), "--seed", seed,
         ])
 
-    assert bench("3") == 0
+    assert compare("3") == 0
     before = (out / "attempts_none.jsonl").read_bytes()
 
     def refuse(src, dst):
@@ -948,7 +950,7 @@ def test_bench_failed_rename_exits_2_and_keeps_previous_attempts(
 
     monkeypatch.setattr(os, "replace", refuse)
     capsys.readouterr()
-    assert bench("4") == 2
+    assert compare("4") == 2
     assert "cannot rename" in capsys.readouterr().err
     assert (out / "attempts_none.jsonl").read_bytes() == before
     assert not list(out.glob("*.tmp"))

@@ -8,6 +8,7 @@ import json
 import re
 import sys
 import time
+from random import Random
 
 import pytest
 from conftest import run_seeded
@@ -23,7 +24,6 @@ from multipath.correction import (
     GroundTruthProvider,
     JudgeServiceProvider,
     ProtocolRun,
-    ScriptedJudgeProvider,
     collect_feedback,
     derive_seed,
     fan_out,
@@ -170,35 +170,59 @@ def test_ground_truth_provider_polarity():
     assert provider.feedback(task, make_attempt(text="[4]")) is False
 
 
-def test_scripted_judge_noiseless_equals_ground_truth():
+RATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+@given(truth=st.booleans(), fn_rate=RATES, fp_rate=RATES, seed=st.integers(-(2**70), 2**70),
+       task_id=st.text(st.characters(blacklist_categories=("Cs",)), min_size=1))
+def test_ground_truth_with_error_rates_gives_the_scripted_rule(truth, fn_rate, fp_rate, seed, task_id):
+    # The rule of the scripted judge that ground truth replaced: one draw per
+    # (seed, task id); a correct attempt is positive unless the draw is below
+    # fn_rate, an incorrect one negative unless it is below fp_rate.
+    digest = hashlib.sha256(f"{seed}:0:{task_id}".encode("utf-8")).digest()
+    r = Random(int.from_bytes(digest[:8], "big")).random()
+    expected = r >= fn_rate if truth else r < fp_rate
+    task = Task(id=task_id, prompt="q", domain="math", answer=3)
+    provider = GroundTruthProvider(fn_rate=fn_rate, fp_rate=fp_rate, seed=seed)
+    assert provider.feedback(task, make_attempt(task_id=task_id, text="[3]" if truth else "[4]")) is expected
+
+
+def test_ground_truth_draws_only_at_a_rate_above_zero(monkeypatch):
+    derived = []
+    monkeypatch.setattr(correction, "derive_seed", lambda *args, **kwargs: derived.append(args) or 0)
+    noiseless = GroundTruthProvider()
+    for i, text in enumerate(("[3]", "[4]", "nothing")):
+        noiseless.feedback(Task(id=f"t{i}", prompt="q", domain="math", answer=3), make_attempt(text=text))
+    assert derived == []
+    # Only the rate of the true verdict applies: fn_rate to a correct attempt.
     task = Task(id="t9", prompt="q", domain="math", answer=3)
-    scripted = ScriptedJudgeProvider(fn_rate=0.0, fp_rate=0.0, seed=0)
-    truth = GroundTruthProvider()
-    for text in ("[3]", "[4]", "nothing"):
-        attempt = make_attempt(text=text)
-        assert scripted.feedback(task, attempt) is truth.feedback(task, attempt)
+    false_negatives = GroundTruthProvider(fn_rate=0.5, seed=4)
+    false_negatives.feedback(task, make_attempt(text="[4]"))
+    assert derived == []
+    false_negatives.feedback(task, make_attempt(text="[3]"))
+    assert derived == [(4, "t9")]
 
 
 def test_scripted_judge_extreme_rates_always_flip():
     task = Task(id="t9", prompt="q", domain="math", answer=3)
-    always_fn = ScriptedJudgeProvider(fn_rate=1.0, fp_rate=0.0, seed=0)
+    always_fn = GroundTruthProvider(fn_rate=1.0, fp_rate=0.0, seed=0)
     assert always_fn.feedback(task, make_attempt(text="[3]")) is False
-    always_fp = ScriptedJudgeProvider(fn_rate=0.0, fp_rate=1.0, seed=0)
+    always_fp = GroundTruthProvider(fn_rate=0.0, fp_rate=1.0, seed=0)
     assert always_fp.feedback(task, make_attempt(text="[4]")) is True
 
 
 def test_scripted_judge_rate_validation():
     with pytest.raises(ValueError, match="fn_rate"):
-        ScriptedJudgeProvider(fn_rate=1.5, fp_rate=0.0, seed=0)
+        GroundTruthProvider(fn_rate=1.5, fp_rate=0.0, seed=0)
     with pytest.raises(ValueError, match="fp_rate"):
-        ScriptedJudgeProvider(fn_rate=0.0, fp_rate=-0.1, seed=0)
+        GroundTruthProvider(fn_rate=0.0, fp_rate=-0.1, seed=0)
 
 
 def test_scripted_judge_is_order_independent():
     tasks = [Task(id=f"t{i}", prompt="q", domain="math", answer=3) for i in range(20)]
     attempt_for = {t.id: make_attempt(task_id=t.id, text="[3]") for t in tasks}
-    forward = ScriptedJudgeProvider(fn_rate=0.5, fp_rate=0.0, seed=7)
-    backward = ScriptedJudgeProvider(fn_rate=0.5, fp_rate=0.0, seed=7)
+    forward = GroundTruthProvider(fn_rate=0.5, fp_rate=0.0, seed=7)
+    backward = GroundTruthProvider(fn_rate=0.5, fp_rate=0.0, seed=7)
     got_forward = {t.id: forward.feedback(t, attempt_for[t.id]) for t in tasks}
     got_backward = {t.id: backward.feedback(t, attempt_for[t.id]) for t in reversed(tasks)}
     assert got_forward == got_backward

@@ -198,3 +198,23 @@ def test_readme_calls_name_the_code():
     called = {m.group(1) for span in spans if (m := re.match(r"([A-Za-z_]\w*)\(", span))}
     assert "cost_ratio" in called
     assert sorted(called - names - {"exp", "sha256"}) == []
+
+
+def test_readme_command_lines_name_the_cli():
+    # Every command line the README shows, in a shell block or a backticked
+    # span, runs a command of cli.COMMANDS with flags of cli.SETTINGS, so a
+    # removed command or flag cannot linger in the docs.
+    from multipath import cli
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    shell = "\n".join(re.findall(r"```sh\n(.*?)```", readme, flags=re.S))
+    lines = re.sub(r"\n[ \t]+", " ", shell).splitlines()  # a continuation line joins the line above
+    spans = re.findall(r"`([^`]*)`", re.sub(r"```.*?```", "", readme, flags=re.S))
+    calls = [line.removeprefix("$ ").split() for line in lines] + [span.split() for span in spans]
+    calls = [words for words in calls if words and (words[0] in ("multipath", *cli.COMMANDS) or words[0][:2] == "--")]
+    commands = {words[1] for words in calls if words[0] == "multipath"}
+    flags = {word for words in calls for word in re.findall(r"--[\w-]+", " ".join(words))}
+    known = {f"--{s.key.replace('_', '-')}" for s in cli.SETTINGS if s.form != "positional"} | {"--help"}
+    assert "compare" in commands and {"--fn-rate", "--judge-url"} <= flags
+    assert sorted(commands - cli.COMMANDS.keys()) == []
+    assert sorted(flags - known) == []

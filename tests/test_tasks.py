@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from multipath.correction import CORRECTED, INITIAL, Attempt, GroundTruthProvider, ScriptedJudgeProvider
+import multipath
+from multipath.correction import CORRECTED, INITIAL, Attempt, GroundTruthProvider
 from multipath.errors import LoadError, VerificationError
 from multipath.evaluation import ChangeMatrix, score_run
 from multipath.tasks import (
@@ -317,6 +322,31 @@ def test_verify_code_receives_response_on_stdin():
     assert not verify(echoer, "other text")
 
 
+def test_verify_sends_the_text_as_utf8_whatever_the_locale():
+    # Under the C locale a text-mode pipe encodes as ASCII, and "café"
+    # raised UnicodeEncodeError, which ended the run as a bad configuration.
+    check = r"import sys; sys.exit(sys.stdin.buffer.read() != b'caf\xc3\xa9')"
+    script = (
+        "from multipath.tasks import Task, verify\n"
+        f"task = Task(id='c1', prompt='p', domain='code', verify_cmd=({sys.executable!r}, '-c', {check!r}))\n"
+        "print(verify(task, 'caf\\u00e9'), verify(task, 'cafe'))\n"
+    )
+    src = str(Path(multipath.__file__).resolve().parent.parent)
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True False\n", "")
+
+
+def test_verify_refuses_a_text_with_no_utf8_form_naming_the_task(tmp_path):
+    # A lone surrogate has no UTF-8 form: a VerificationError, so the run
+    # records a task failure, and the verifier never runs.
+    spawns = tmp_path / "spawns.log"
+    task = code_task(["sh", "-c", 'echo ran >> "$0"', str(spawns)], task_id="c7")
+    with pytest.raises(VerificationError, match="task 'c7': the text has no UTF-8 form"):
+        verify(task, "a\ud800b")
+    assert not spawns.exists()
+
+
 def test_verify_code_timeout_is_infrastructure_failure():
     slow = code_task(["sleep", "5"])
     with pytest.raises(VerificationError, match="timed out"):
@@ -356,7 +386,7 @@ def test_a_timeout_the_os_cannot_take_is_refused_before_the_verifier_runs(tmp_pa
     calls = {
         "verify": lambda: verify(task, "x", timeout=timeout),
         "ground_truth": lambda: GroundTruthProvider(timeout=timeout),
-        "scripted": lambda: ScriptedJudgeProvider(fn_rate=0.0, fp_rate=0.0, seed=0, timeout=timeout),
+        "scripted": lambda: GroundTruthProvider(timeout=timeout, fn_rate=0.5, fp_rate=0.5, seed=0),
         "score_run": lambda: score_run([(attempt, attempt)], Dataset(name="d", tasks=(task,)), "none", timeout=timeout),
         # A math verdict runs no verifier, so score_run checks on entry.
         "score_run_math": lambda: score_run(
@@ -406,12 +436,10 @@ TEXTS = st.builds(
 def test_math_verdicts_on_attempts_are_verify_on_their_text(initial, final):
     tasks = tuple(math_task(f"m{i}", answer) for i, answer in enumerate(REFERENCES))
     ground_truth = GroundTruthProvider()
-    exact_judge = ScriptedJudgeProvider(fn_rate=0.0, fp_rate=0.0, seed=0)
     expected = []
     for task in tasks:
         truth = verify(task, initial)
         assert ground_truth.feedback(task, attempt_of(task, initial)) == truth
-        assert exact_judge.feedback(task, attempt_of(task, initial)) == truth
         expected.append((truth, verify(task, final)))
     pairs = [(attempt_of(task, initial), attempt_of(task, final, CORRECTED)) for task in tasks]
     report = score_run(pairs, Dataset(name="d", tasks=tasks), "ftr_indicator")
@@ -425,7 +453,7 @@ def test_a_code_verifier_runs_once_per_verdict(tmp_path):
     passing, failing = attempt_of(task, "pass"), attempt_of(task, "fail", CORRECTED)
     assert GroundTruthProvider().feedback(task, passing)
     assert spawned() == 1
-    assert not ScriptedJudgeProvider(fn_rate=0.0, fp_rate=0.0, seed=0).feedback(task, failing)
+    assert not GroundTruthProvider().feedback(task, failing)
     assert spawned() == 2
     dataset = Dataset(name="d", tasks=(task,))
     # An identity stage 2 is verified once, a regenerated one twice.
